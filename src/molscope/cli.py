@@ -412,7 +412,7 @@ def _witness_cap(args) -> Optional[int]:
 
 
 def _search_options(args, cap: Optional[int]) -> SearchOptions:
-    threads = args.threads if args.threads else (os.cpu_count() or 1)
+    threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
     return SearchOptions(
         cap=cap,
         stop_threshold=args.threshold,
@@ -646,9 +646,11 @@ def cmd_bound(args) -> int:
     kind = args.kind
     tol = args.tol if args.tol is not None else bounds_mod.DEFAULT_TOL
     n = int(args.n) if float(args.n).is_integer() else args.n
+    if kind in ("extension", "sudoku") and not isinstance(n, int):
+        raise InvalidParams(f"bound {kind} needs an integer --n, got {args.n}")
     if kind == "extension":
         doc = ReportDocument("bound extension", {"n": n, "k": args.k})
-        val = bounds_mod.extension_bound_mols(int(n), args.k)
+        val = bounds_mod.extension_bound_mols(n, args.k)
         doc.add("extension_bound", val, unit="nats", provenance="per-cell-integral")
     elif kind == "mols-count":
         doc = ReportDocument("bound mols-count", {"n": n, "k": args.k})
@@ -656,7 +658,7 @@ def cmd_bound(args) -> int:
         _add_report_entries(doc, report)
     elif kind == "sudoku":
         doc = ReportDocument("bound sudoku", {"n": n, "k": args.k})
-        report = bounds_mod.sudoku_extension_bound(int(n), args.k, tol)
+        report = bounds_mod.sudoku_extension_bound(n, args.k, tol)
         _add_report_entries(doc, report)
     elif kind == "reference":
         doc = ReportDocument("bound reference", {"n": n, "k": args.k})

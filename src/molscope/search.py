@@ -7,10 +7,15 @@ second, structurally different backtracking enumerator over plain grids is
 kept alongside it so headline counts can be confirmed by two engines that
 share no code path.
 
-Determinism contract: results never depend on thread count.  The search
-tree is cut into branches at a fixed depth, branches are processed in
-lexicographic order, counts are added in that order, and witnesses are
-concatenated in that order.  Early stopping happens only at whole-branch
+Determinism contract: results never depend on thread count.  A search
+tree is cut into branches only where the branches are used: when a process
+pool will run or a ``stop_threshold`` is set.  The cut is at a fixed depth
+that depends on the instance alone, never on the thread count.  Otherwise
+the whole tree is one branch.  (The exact-cover search always branches on
+the part through cell 0, which costs no extra set-up.)  Branches are
+processed in lexicographic order, counts are added in that order, and
+witnesses are concatenated in that order, so one branch and many give the
+same counts and witnesses.  Early stopping happens only at whole-branch
 granularity, and a threshold-stopped count always reports exactly the
 threshold (flagged inexact), so schedules cannot leak into output.
 """
@@ -66,10 +71,6 @@ class LogDomain:
 
 
 CountValue = Union[Exact, LogDomain]
-
-
-def ln_value(v: CountValue) -> float:
-    return v.ln()
 
 
 def leq(a: CountValue, b: CountValue, tol: float = 0.0) -> bool:
@@ -145,15 +146,20 @@ def _check_limit(n: int, default: int, what: str) -> None:
 _MIN_BRANCHES = 32  # fixed fan-out target so branch sets never depend on threads
 
 
-def _availability(rows: Sequence[Sequence[int]], n: int) -> list[int]:
-    """Per (column, symbol) bitmask of new-column symbols still available."""
-    w = len(rows[0])
-    return [(1 << n) - 1] * (w * n)
+def _plan_keys(rows: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
+    """For each cell, the availability-table slots its constraints live in.
+
+    Each column owns n slots, one per symbol.  Two columns with identical
+    content impose identical constraints (under ``partition_rows`` the region
+    column repeats the row column), so each distinct column gets one block.
+    """
+    distinct = dict.fromkeys(zip(*rows))
+    return list(zip(*[[b * n + x for x in col] for b, col in enumerate(distinct)]))
 
 
-def _cell_keys(rows: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
-    """For each cell, the availability-table slots its constraints live in."""
-    return [tuple(c * n + row[c] for c in range(len(row))) for row in rows]
+def _availability(keys: Sequence[tuple[int, ...]], n: int) -> list[int]:
+    """Per slot, the bitmask of new-column symbols still available."""
+    return [(1 << n) - 1] * (len(keys[0]) * n)
 
 
 def _apply_prefix(av: list[int], keys: Sequence[tuple[int, ...]], prefix: Sequence[int]) -> None:
@@ -210,83 +216,61 @@ def _collect_rec(av, keys, cell, ncells, buf, out, cap) -> int:
     return total
 
 
+def _walk(av, keys, cell, stop, buf) -> Iterator[None]:
+    """Yield once per valid assignment of cells ``cell .. stop-1``, written
+    into ``buf``, in lexicographic order.  The caller reads ``buf`` only."""
+    ks = keys[cell]
+    m = av[ks[0]]
+    for t in ks[1:]:
+        m &= av[t]
+    last = cell + 1 == stop
+    while m:
+        b = m & -m
+        m -= b
+        buf[cell] = b.bit_length() - 1
+        if last:
+            yield
+        else:
+            nb = ~b
+            for t in ks:
+                av[t] &= nb
+            yield from _walk(av, keys, cell + 1, stop, buf)
+            for t in ks:
+                av[t] |= b
+
+
 def _column_prefixes(
-    rows: Sequence[Sequence[int]], n: int, min_branches: int = _MIN_BRANCHES
+    keys: Sequence[tuple[int, ...]], n: int, min_branches: int = _MIN_BRANCHES
 ) -> list[tuple[int, ...]]:
     """Valid assignments of the first few cells, in lexicographic order.
 
     The depth is the smallest one reaching ``min_branches`` prefixes (capped
-    at one full row) — a function of the instance only, never of the thread
-    count, so every run cuts the tree identically.
+    at one full row, and short of the last cell) — a function of the
+    instance only, never of the thread count, so every run cuts the tree
+    identically.  Order 1 has a single cell and is never cut.
     """
-    ncells = len(rows)
-    keys = _cell_keys(rows, n)
-    depth = 1
-    while True:
-        av = _availability(rows, n)
-        out: list[tuple[int, ...]] = []
+    out: list[tuple[int, ...]] = [()]
+    for depth in range(1, min(n, len(keys) - 1) + 1):
         buf = [0] * depth
-
-        def rec(cell):
-            ks = keys[cell]
-            m = av[ks[0]]
-            for t in ks[1:]:
-                m &= av[t]
-            while m:
-                b = m & -m
-                m -= b
-                buf[cell] = b.bit_length() - 1
-                if cell + 1 == depth:
-                    out.append(tuple(buf))
-                else:
-                    nb = ~b
-                    for t in ks:
-                        av[t] &= nb
-                    rec(cell + 1)
-                    for t in ks:
-                        av[t] |= b
-
-        rec(0)
-        if len(out) >= min_branches or depth >= min(n, ncells) or not out:
-            return out
-        depth += 1
+        out = [tuple(buf) for _ in _walk(_availability(keys, n), keys, 0, depth, buf)]
+        if len(out) >= min_branches or not out:
+            break
+    return out
 
 
 def iter_extensions(a: NearlyOrthArray) -> Iterator[tuple[int, ...]]:
     """All columns that extend ``a``, in lexicographic order (sequential)."""
-    n = a.order
-    rows = a.rows
-    keys = _cell_keys(rows, n)
-    av = _availability(rows, n)
-    ncells = n * n
-    buf = [0] * ncells
-
-    def rec(cell):
-        ks = keys[cell]
-        m = av[ks[0]]
-        for t in ks[1:]:
-            m &= av[t]
-        while m:
-            b = m & -m
-            m -= b
-            buf[cell] = b.bit_length() - 1
-            if cell + 1 == ncells:
-                yield tuple(buf)
-            else:
-                nb = ~b
-                for t in ks:
-                    av[t] &= nb
-                yield from rec(cell + 1)
-                for t in ks:
-                    av[t] |= b
-
-    if ncells:
-        yield from rec(0)
+    keys = _plan_keys(a.rows, a.order)
+    buf = [0] * len(keys)
+    for _ in _walk(_availability(keys, a.order), keys, 0, len(keys), buf):
+        yield tuple(buf)
 
 
 # --------------------------------------------------------------------------
 # deterministic branch aggregation (sequential or process pool)
 
+# (branch function, shared arguments, branch items): branch ``idx`` runs
+# ``branch(*shared, items[idx])`` and returns (exact subcount, witnesses).
 _WORKER_STATE = None
 
 
@@ -296,28 +280,25 @@ def _worker_init(state):
 
 
 def _worker_run(idx: int):
-    kind = _WORKER_STATE[0]
-    if kind == "ext":
-        _, rows, n, prefixes, cap = _WORKER_STATE
-        return _ext_branch(rows, n, prefixes[idx], cap)
-    if kind == "chain":
-        _, rows, n, prefixes, remaining = _WORKER_STATE
-        return _chain_branch(rows, n, prefixes[idx], remaining)
-    if kind == "tr":
-        _, grid, n, prefixes, cap = _WORKER_STATE
-        return _transversal_branch(grid, n, prefixes[idx], cap)
-    if kind == "part":
-        _, masks, cellopts, n, branches, cap = _WORKER_STATE
-        return _partition_branch(masks, cellopts, n, branches[idx], cap)
-    raise AssertionError(kind)
+    branch, shared, items = _WORKER_STATE
+    return branch(*shared, items[idx])
 
 
-def _aggregate(state, nbranches: int, opts: SearchOptions, collect: bool) -> ExtensionCount:
+def _cut(opts: SearchOptions) -> bool:
+    """Whether to cut the tree into branches: only a process pool or a
+    threshold stop has any use for them."""
+    if opts.stop_threshold is not None:
+        return True
+    return opts.parallel and (opts.threads or os.cpu_count() or 1) > 1
+
+
+def _aggregate(state, opts: SearchOptions, collect: bool) -> ExtensionCount:
     """Run all branches in order, honoring threshold stop and witness cap.
 
     Each branch returns (exact subcount, witness list).  The accumulation
     loop is the same code for one process and many.
     """
+    nbranches = len(state[2])
     threshold = opts.stop_threshold
     cap = opts.cap if collect else None
     total = 0
@@ -373,14 +354,11 @@ def _sequential(state, nbranches, consume):
 # branch bodies -------------------------------------------------------------
 
 
-def _ext_branch(rows, n, prefix, cap):
-    ncells = n * n
-    keys = _cell_keys(rows, n)
-    av = _availability(rows, n)
+def _ext_branch(keys, n, cap, prefix):
+    ncells = len(keys)
+    av = _availability(keys, n)
     _apply_prefix(av, keys, prefix)
     s = len(prefix)
-    if s == ncells:
-        return 1, [tuple(prefix)] if cap is not None else []
     if cap is None:
         return _count_rec(av, keys, s, ncells), []
     out: list[tuple[int, ...]] = []
@@ -389,85 +367,25 @@ def _ext_branch(rows, n, prefix, cap):
     return total, out
 
 
-def _chain_branch(rows, n, prefix, remaining):
-    ncells = n * n
-    keys = _cell_keys(rows, n)
-    av = _availability(rows, n)
+def _chain_branch(keys, n, remaining, prefix):
+    """Columns extending ``prefix``, each extended ``remaining - 1`` more
+    times; the count is the number of completed chains."""
+    ncells = len(keys)
+    av = _availability(keys, n)
     _apply_prefix(av, keys, prefix)
     s = len(prefix)
-    total = 0
+    if remaining == 1:
+        return _count_rec(av, keys, s, ncells), []
+    base = len(keys[0]) * n  # the new column's block of slots
     buf = list(prefix) + [0] * (ncells - s)
-
-    def rec(cell):
-        nonlocal total
-        ks = keys[cell]
-        m = av[ks[0]]
-        for t in ks[1:]:
-            m &= av[t]
-        while m:
-            b = m & -m
-            m -= b
-            buf[cell] = b.bit_length() - 1
-            if cell + 1 == ncells:
-                total += _chain_count(
-                    [row + (buf[l],) for l, row in enumerate(rows)], n, remaining - 1
-                )
-            else:
-                nb = ~b
-                for t in ks:
-                    av[t] &= nb
-                rec(cell + 1)
-                for t in ks:
-                    av[t] |= b
-
-    if s == ncells:
-        total = _chain_count(
-            [row + (prefix[l],) for l, row in enumerate(rows)], n, remaining - 1
-        )
-    else:
-        rec(s)
+    total = 0
+    for _ in _walk(av, keys, s, ncells, buf):
+        grown = [ks + (base + buf[l],) for l, ks in enumerate(keys)]
+        total += _chain_branch(grown, n, remaining - 1, ())[0]
     return total, []
 
 
-def _chain_count(rows, n, remaining) -> int:
-    """Sequential chained count: extend ``remaining`` more times."""
-    if remaining == 0:
-        return 1
-    ncells = n * n
-    keys = _cell_keys(rows, n)
-    av = _availability(rows, n)
-    if remaining == 1:
-        return _count_rec(av, keys, 0, ncells)
-    total = 0
-    buf = [0] * ncells
-
-    def rec(cell):
-        nonlocal total
-        ks = keys[cell]
-        m = av[ks[0]]
-        for t in ks[1:]:
-            m &= av[t]
-        while m:
-            b = m & -m
-            m -= b
-            buf[cell] = b.bit_length() - 1
-            if cell + 1 == ncells:
-                total += _chain_count(
-                    [row + (buf[l],) for l, row in enumerate(rows)], n, remaining - 1
-                )
-            else:
-                nb = ~b
-                for t in ks:
-                    av[t] &= nb
-                rec(cell + 1)
-                for t in ks:
-                    av[t] |= b
-
-    rec(0)
-    return total
-
-
-def _transversal_branch(grid, n, prefix, cap):
+def _transversal_branch(grid, n, cap, prefix):
     out: list[tuple[Cell, ...]] = []
     colmask = 0
     symmask = 0
@@ -499,7 +417,7 @@ def _transversal_branch(grid, n, prefix, cap):
     return total, out
 
 
-def _partition_branch(masks, cellopts, n, first, cap):
+def _partition_branch(masks, cellopts, n, cap, first):
     ncells = n * n
     full = (1 << ncells) - 1
     out: list[tuple[tuple[Cell, ...], ...]] = []
@@ -588,7 +506,7 @@ def enumerate_transversals(l: LatinSquare, opts: SearchOptions | None = None) ->
     n = l.order
     _check_limit(n, DEFAULT_ENUM_LIMIT, "transversal enumeration")
     grid = l.grid
-    prefixes: list[tuple[int, ...]] = []
+    prefixes: list[tuple[int, ...]] = [()]
 
     def seed(i, colmask, symmask, prefix, depth):
         if i == depth:
@@ -607,14 +525,14 @@ def enumerate_transversals(l: LatinSquare, opts: SearchOptions | None = None) ->
             prefix.pop()
 
     depth = 1
-    while True:
+    while _cut(opts):
         prefixes.clear()
         seed(0, 0, 0, [], depth)
         if len(prefixes) >= _MIN_BRANCHES or depth >= n or not prefixes:
             break
         depth += 1
-    state = ("tr", grid, n, prefixes, opts.cap)
-    return _aggregate(state, len(prefixes), opts, collect=opts.cap is not None)
+    state = (_transversal_branch, (grid, n, opts.cap), prefixes)
+    return _aggregate(state, opts, collect=opts.cap is not None)
 
 
 def count_transversal_partitions(
@@ -641,30 +559,29 @@ def count_transversal_partitions(
         for i, j in cells:
             cellopts[i * n + j].append(idx)
     branches = cellopts[0]  # every partition has exactly one part through cell 0
-    if not branches:
-        return ExtensionCount(Exact(0), True, () if collect else None)
-    state = ("part", masks, cellopts, n, branches, opts.cap)
-    return _aggregate(state, len(branches), opts, collect=collect)
+    state = (_partition_branch, (masks, cellopts, n, opts.cap), branches)
+    return _aggregate(state, opts, collect=collect)
 
 
 def count_extensions(a: NearlyOrthArray, opts: SearchOptions | None = None) -> ExtensionCount:
     """Count the columns whose appending keeps ``a`` a valid array.
 
-    Cells are assigned in lexicographic order; each existing column keeps a
-    per-symbol availability bitmask, and a cell's candidate set is the AND
-    across its columns.  Every mate/extension count in the package funnels
-    through here.
+    Cells are assigned in lexicographic order; each distinct existing column
+    keeps a per-symbol availability bitmask, and a cell's candidate set is
+    the AND across its columns.  The plan (each cell's bitmask slots) is
+    built once per call and shared by every branch.  The tree is cut into
+    branches only when a pool will run or ``stop_threshold`` is set;
+    otherwise it is counted as one branch.  Counts, witness order and the
+    cap are the same either way.  Every mate/extension count in the package
+    funnels through here.
     """
     opts = opts or SearchOptions()
     n = a.order
     _check_limit(n, DEFAULT_ENUM_LIMIT, "extension counting")
-    rows = a.rows
-    prefixes = _column_prefixes(rows, n)
-    if not prefixes:
-        collect = opts.cap is not None
-        return ExtensionCount(Exact(0), True, () if collect else None)
-    state = ("ext", rows, n, prefixes, opts.cap)
-    return _aggregate(state, len(prefixes), opts, collect=opts.cap is not None)
+    keys = _plan_keys(a.rows, n)
+    prefixes = _column_prefixes(keys, n) if _cut(opts) else [()]
+    state = (_ext_branch, (keys, n, opts.cap), prefixes)
+    return _aggregate(state, opts, collect=opts.cap is not None)
 
 
 def count_mates(l: LatinSquare, opts: SearchOptions | None = None) -> ExtensionCount:
@@ -685,12 +602,29 @@ def count_mols(n: int, k: int, opts: SearchOptions | None = None) -> ExtensionCo
     if n >= 2 and k > n - 1:
         return ExtensionCount(Exact(0), True)
     base = system_to_noa(validate_mols([], partition_rows(n)))
-    rows = base.rows
-    prefixes = _column_prefixes(rows, n)
-    if not prefixes:
-        return ExtensionCount(Exact(0), True)
-    state = ("chain", rows, n, prefixes, k)
-    return _aggregate(state, len(prefixes), opts, collect=False)
+    keys = _plan_keys(base.rows, n)
+    prefixes = _column_prefixes(keys, n) if _cut(opts) else [()]
+    state = (_chain_branch, (keys, n, k), prefixes)
+    return _aggregate(state, opts, collect=False)
+
+
+def _system_arrays(n: int, k: int, cols: list) -> Iterator[NearlyOrthArray]:
+    """The array of every ordered k-tuple system of order n (rows as the
+    partition), lexicographically by the concatenated flattened grids.
+    While an array is current, ``cols`` holds its k symbol columns."""
+    if n >= 2 and k > n - 1:
+        return
+
+    def rec(noa: NearlyOrthArray, depth: int):
+        if depth == k:
+            yield noa
+            return
+        for x in iter_extensions(noa):
+            cols.append(x)
+            yield from rec(noa.with_column(x), depth + 1)
+            cols.pop()
+
+    yield from rec(system_to_noa(validate_mols([], partition_rows(n))), 0)
 
 
 def iter_mols_systems(n: int, k: int) -> Iterator[MolsSystem]:
@@ -698,20 +632,9 @@ def iter_mols_systems(n: int, k: int) -> Iterator[MolsSystem]:
     by the concatenated flattened grids (sequential)."""
     if n < 1 or k < 0:
         raise InvalidParams("need n >= 1 and k >= 0")
-    if n >= 2 and k > n - 1:
-        return
-    base = system_to_noa(validate_mols([], partition_rows(n)))
-
-    def rec(noa: NearlyOrthArray, depth: int, cols: list[tuple[int, ...]]):
-        if depth == k:
-            yield columns_to_system(n, cols)
-            return
-        for x in iter_extensions(noa):
-            cols.append(x)
-            yield from rec(noa.with_column(x), depth + 1, cols)
-            cols.pop()
-
-    yield from rec(base, 0, [])
+    cols: list[tuple[int, ...]] = []
+    for _ in _system_arrays(n, k, cols):
+        yield columns_to_system(n, cols)
 
 
 def columns_to_system(n: int, cols: Sequence[Sequence[int]]) -> MolsSystem:
@@ -727,7 +650,11 @@ def max_extensions(
     n: int, k: int, opts: SearchOptions | None = None
 ) -> tuple[ExtensionCount, Optional[MolsSystem]]:
     """Maximum extension count over every k-tuple system of order n, with the
-    lexicographically first maximizer as witness."""
+    lexicographically first maximizer as witness.
+
+    Walks the arrays of :func:`iter_mols_systems` in the same order, counts
+    each array directly, and builds a system only for a new maximum.
+    """
     opts = opts or SearchOptions()
     if n < 1 or k < 0:
         raise InvalidParams("need n >= 1 and k >= 0")
@@ -735,12 +662,12 @@ def max_extensions(
     best = -1
     best_sys: Optional[MolsSystem] = None
     seq = SearchOptions()  # inner counts are tiny; keep them in-process
-    for sys in iter_mols_systems(n, k):
-        with_rows = validate_mols(list(sys.squares), partition_rows(n))
-        c = count_extensions(system_to_noa(with_rows), seq).value.count
+    cols: list[tuple[int, ...]] = []
+    for noa in _system_arrays(n, k, cols):
+        c = count_extensions(noa, seq).value.count
         if c > best:
             best = c
-            best_sys = sys
+            best_sys = columns_to_system(n, cols)
     if best < 0:
         return ExtensionCount(Exact(0), True), None
     return ExtensionCount(Exact(best), True), best_sys

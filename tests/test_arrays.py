@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from molscope.arrays import (
     CellProfile,
@@ -27,6 +29,7 @@ from molscope.errors import (
     InvalidParams,
     LengthMismatch,
 )
+from molscope.search import count_extensions, iter_extensions, iter_latin_direct
 
 Z3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
 Z3_MATE = [[0, 1, 2], [2, 0, 1], [1, 2, 0]]
@@ -137,6 +140,89 @@ def test_with_column():
     assert b.width == 5
     with pytest.raises(InvalidNOA):
         a.with_column(tuple(x for row in Z3 for x in row))  # not orthogonal
+
+
+def _flat(grid):
+    return tuple(x for row in grid for x in row)
+
+
+def _appended(a, x):
+    """The full constructor on the rows of ``a`` with ``x`` appended."""
+    return NearlyOrthArray(a.order, [row + (v,) for row, v in zip(a.rows, x)])
+
+
+def _outcome(build):
+    try:
+        return build().rows
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+K4 = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
+LATIN_4 = [_flat(g) for g in iter_latin_direct(4)]
+
+
+def _arrays_4():
+    """Order-4 arrays under rows, boxes and a symbol-class partition, with
+    zero, one and two symbol columns."""
+    out = []
+    for p in (partition_rows(4), partition_boxes(4), partition_from_square(Square(K4))):
+        a = system_to_noa(validate_mols([], p))
+        out.append(a)
+        for _ in range(2):
+            x = next(iter_extensions(a), None)
+            if x is None:
+                break
+            a = _appended(a, x)
+            out.append(a)
+    return out
+
+
+ARRAYS_4 = _arrays_4()
+
+
+def test_arrays_4_cover_widths():
+    assert sorted(a.width for a in ARRAYS_4) == [3, 3, 3, 4, 4, 4, 5, 5, 5]
+
+
+@pytest.mark.parametrize("a", ARRAYS_4, ids=lambda a: f"w{a.width}-{a.column(2)[:4]}")
+def test_with_column_equals_full_constructor(a):
+    cases = list(LATIN_4)  # every Latin column: valid, or failing some pair
+    cases += [x[:-1] for x in LATIN_4[:3]]  # too short
+    cases += [x[:5] + (4,) + x[6:] for x in LATIN_4[:3]]  # out of range
+    cases += [x[:2] + (-1,) + x[3:-1] for x in LATIN_4[:3]]  # short and out of range
+    cases.append(a.column(0))  # not orthogonal to a coordinate
+    cases.append(a.column(2))  # the region column itself
+    cases += [a.column(j) for j in range(3, a.width)]  # an earlier symbol column
+    valid = 0
+    for x in cases:
+        want = _outcome(lambda: _appended(a, x))
+        assert _outcome(lambda: a.with_column(x)) == want
+        valid += want[0] is not InvalidNOA
+    # the valid cases are exactly the extensions the engine counts
+    assert valid == count_extensions(a).value.count
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    index=st.integers(0, len(ARRAYS_4) - 1),
+    square=st.integers(0, len(LATIN_4) - 1),
+    edits=st.lists(st.tuples(st.integers(0, 15), st.integers(-1, 4)), max_size=2),
+    drop=st.integers(0, 2),
+)
+def test_with_column_equals_full_constructor_random(index, square, edits, drop):
+    a = ARRAYS_4[index]
+    x = list(LATIN_4[square])
+    for l, v in edits:
+        x[l] = v
+    x = x[: len(x) - drop]
+    assert _outcome(lambda: a.with_column(x)) == _outcome(lambda: _appended(a, x))
+
+
+def test_with_column_rejects_a_long_column():
+    a = ARRAYS_4[0]
+    with pytest.raises(InvalidNOA, match="expected 16 rows, got 17"):
+        a.with_column(LATIN_4[0] + (0,))
 
 
 def test_cell_profiles():

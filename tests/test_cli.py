@@ -184,6 +184,14 @@ def test_exit_limit_and_params(cli):
     assert code == 4
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_nonpositive_threads_is_a_param_error(cli, capsys, threads):
+    code, out, _ = cli(["count", "mols", "--n", "3", "--k", "1", "--threads", threads])
+    assert code == 4
+    assert out == b""
+    assert "threads must be positive" in capsys.readouterr().err
+
+
 def test_bad_limit_env_is_a_param_error(cli, monkeypatch):
     monkeypatch.setenv("MOLSCOPE_LIMIT_N", "many")
     code, _, _ = cli(["count", "transversals", "--square", "cayley:3"])
@@ -388,6 +396,28 @@ def test_bound_mols_count_structured(cli):
 def test_bound_accepts_fractional_n(cli):
     doc = run_structured(cli, ["bound", "mols-count", "--n", "8.5", "--k", "2"])
     assert doc["params"]["n"] == 8.5
+
+
+@pytest.mark.parametrize(
+    "kind, n", [("extension", "4.5"), ("sudoku", "9.5"), ("extension", "inf")]
+)
+def test_bound_integer_kinds_reject_fractional_n(cli, capsys, kind, n):
+    code, out, _ = cli(["bound", kind, "--n", n, "--k", "0", "--format", "structured"])
+    assert code == 4
+    assert out == b""
+    assert "integer --n" in capsys.readouterr().err
+
+
+def test_bound_integer_kinds_accept_integral_float_n(cli):
+    doc = run_structured(cli, ["bound", "extension", "--n", "4.0", "--k", "0"])
+    assert doc["params"]["n"] == "4"
+    doc = run_structured(cli, ["bound", "sudoku", "--n", "9.0", "--k", "0"])
+    assert doc["params"]["n"] == "9"
+
+
+def test_bound_real_kinds_accept_fractional_n(cli):
+    doc = run_structured(cli, ["bound", "reference", "--n", "100.5", "--k", "2"])
+    assert doc["params"]["n"] == 100.5
 
 
 def test_bound_sudoku_and_reference(cli):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from molscope.arrays import system_to_noa
@@ -279,6 +281,91 @@ def test_cap_truncates_witnesses_but_not_count():
 
 
 # --------------------------------------------------------------------------
+# one-branch sequential path against the cut and pooled paths
+
+PARTITIONS_4 = {
+    "rows": partition_rows(4),
+    "boxes": partition_boxes(4),
+    "symbol-classes": partition_from_square(Square(K4)),
+}
+
+
+def _chain_arrays(p):
+    """The base array of ``p`` and its first extension at depths 1 and 2."""
+    arrays = [system_to_noa(validate_mols([], p))]
+    for _ in range(2):
+        first = next(iter_extensions(arrays[-1]), None)
+        if first is None:
+            break
+        arrays.append(arrays[-1].with_column(first))
+    return arrays
+
+
+ARRAYS_4 = [(name, a) for name, p in PARTITIONS_4.items() for a in _chain_arrays(p)]
+
+
+def test_arrays_4_reach_symbol_columns():
+    assert {a.width for _, a in ARRAYS_4} == {3, 4, 5}
+
+
+@pytest.mark.parametrize("name, a", ARRAYS_4, ids=[f"{n}-w{a.width}" for n, a in ARRAYS_4])
+def test_one_branch_equals_pooled(name, a):
+    exts = list(iter_extensions(a))
+    pooled = SearchOptions(parallel=True, threads=2)
+    seq = count_extensions(a)
+    assert seq == count_extensions(a, pooled)
+    assert seq.value.count == len(exts) and seq.exact_flag
+
+    cap = 5
+    seqw = count_extensions(a, SearchOptions(cap=cap))
+    parw = count_extensions(a, SearchOptions(cap=cap, parallel=True, threads=2))
+    assert seqw == parw
+    assert seqw.witnesses == tuple(exts[:cap])
+
+    for threshold in (1, max(len(exts) // 2, 1), len(exts) + 1):
+        one = count_extensions(a, SearchOptions(stop_threshold=threshold, cap=cap))
+        two = count_extensions(
+            a, SearchOptions(stop_threshold=threshold, cap=cap, parallel=True, threads=2)
+        )
+        assert one == two
+        stopped = threshold <= len(exts)
+        assert one.value.count == (threshold if stopped else len(exts))
+        assert one.exact_flag is not stopped
+        assert one.witnesses == tuple(exts[: min(cap, threshold)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    index=st.integers(0, len(ARRAYS_4) - 1),
+    cap=st.none() | st.integers(1, 400),
+    threshold=st.none() | st.integers(1, 400),
+)
+def test_one_branch_matches_enumeration(index, cap, threshold):
+    # With a threshold the tree is cut into branches; without one it is one
+    # branch.  Both must agree with plain enumeration.
+    _, a = ARRAYS_4[index]
+    exts = list(iter_extensions(a))
+    res = count_extensions(a, SearchOptions(cap=cap, stop_threshold=threshold))
+    stopped = threshold is not None and threshold <= len(exts)
+    assert res.value.count == (threshold if stopped else len(exts))
+    assert res.exact_flag is not stopped
+    if cap is None:
+        assert res.witnesses is None
+    else:
+        keep = min(cap, threshold) if stopped else cap
+        assert res.witnesses == tuple(exts[:keep])
+
+
+@pytest.mark.parametrize("threads", [None, 2])
+def test_chain_paths_agree(threads):
+    pooled = threads is not None
+    opts = SearchOptions(parallel=pooled, threads=threads)
+    assert count_mols(4, 2, opts).value.count == 6912
+    stopped = count_mols(4, 2, SearchOptions(stop_threshold=1000, parallel=pooled, threads=threads))
+    assert stopped.value.count == 1000 and not stopped.exact_flag
+
+
+# --------------------------------------------------------------------------
 # system iteration, maximisation, census
 
 
@@ -300,6 +387,20 @@ def test_max_extensions_small():
     res0, w0 = max_extensions(3, 0)
     assert res0.value.count == 12
     assert w0 is not None and w0.k == 0
+
+
+@pytest.mark.parametrize("n, k", [(3, 1), (3, 2), (4, 1)])
+def test_max_extensions_matches_system_iteration(n, k):
+    best, best_sys = -1, None
+    for sys in iter_mols_systems(n, k):
+        noa = system_to_noa(validate_mols(list(sys.squares), partition_rows(n)))
+        c = count_extensions(noa).value.count
+        if c > best:
+            best, best_sys = c, sys
+    res, witness = max_extensions(n, k)
+    assert res.value.count == best
+    assert [s.grid for s in witness.squares] == [s.grid for s in best_sys.squares]
+    assert witness.partition is None
 
 
 def test_max_extensions_matches_census():
