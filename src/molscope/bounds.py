@@ -136,11 +136,12 @@ def _profile_buckets(profile: CellProfile) -> list[tuple[tuple[int, int], int]]:
     return sorted(counts.items())
 
 
-def _ext_general_err(profile: CellProfile, d: int, tol: float) -> tuple[float, float]:
-    n = profile.order
+def _ext_general_err(
+    n: int, buckets: list[tuple[tuple[int, int], int]], d: int, tol: float
+) -> tuple[float, float]:
     total = 0.0
     err = 0.0
-    for (rl, cl), mult in _profile_buckets(profile):
+    for (rl, cl), mult in buckets:
         a = float(rl + cl)
         b = float(n - rl - cl - 1)
 
@@ -164,7 +165,7 @@ def extension_bound_general(profile: CellProfile, d: int, tol: float = DEFAULT_T
         raise InvalidParams("general bound applies to arrays of width >= 3")
     if profile.order < 2:
         raise InvalidParams("order must be at least 2")
-    return _ext_general_err(profile, d, tol)[0]
+    return _ext_general_err(profile.order, _profile_buckets(profile), d, tol)[0]
 
 
 def log_factorial(m: int) -> float:
@@ -308,9 +309,9 @@ def sudoku_extension_bound(n: int, k: int, tol: float = DEFAULT_TOL) -> BoundRep
     if n < 4 or k < 0:
         raise InvalidParams("need n = m^2 >= 4 and k >= 0")
     nn = n * n
-    profile = CellProfile(n, (m - 1,) * nn, (m - 1,) * nn)
     d = k + 3
-    general, qerr = _ext_general_err(profile, d, tol)
+    # every cell has profile r = c = m-1: one bucket of n^2 cells
+    general, qerr = _ext_general_err(n, [((m - 1, m - 1), nn)], d, tol)
     base, e2 = _integral_I_err(n, d, tol)
     base *= nn
     qerr += nn * e2

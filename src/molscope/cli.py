@@ -648,24 +648,26 @@ def cmd_bound(args) -> int:
     n = int(args.n) if float(args.n).is_integer() else args.n
     if kind in ("extension", "sudoku") and not isinstance(n, int):
         raise InvalidParams(f"bound {kind} needs an integer --n, got {args.n}")
-    if kind == "extension":
-        doc = ReportDocument("bound extension", {"n": n, "k": args.k})
-        val = bounds_mod.extension_bound_mols(n, args.k)
-        doc.add("extension_bound", val, unit="nats", provenance="per-cell-integral")
-    elif kind == "mols-count":
-        doc = ReportDocument("bound mols-count", {"n": n, "k": args.k})
-        report = bounds_mod.mols_count_bound(n, args.k, tol)
-        _add_report_entries(doc, report)
-    elif kind == "sudoku":
-        doc = ReportDocument("bound sudoku", {"n": n, "k": args.k})
-        report = bounds_mod.sudoku_extension_bound(n, args.k, tol)
-        _add_report_entries(doc, report)
-    elif kind == "reference":
-        doc = ReportDocument("bound reference", {"n": n, "k": args.k})
-        report = bounds_mod.reference_asymptotics(n, args.k)
-        _add_report_entries(doc, report)
-    else:
-        raise InvalidParams(f"unknown bound kind {kind!r}")
+    if not math.isfinite(args.n):
+        raise InvalidParams(f"bound {kind} needs a finite --n, got {args.n}")
+    doc = ReportDocument(f"bound {kind}", {"n": n, "k": args.k})
+    try:
+        if kind == "extension":
+            val = bounds_mod.extension_bound_mols(n, args.k)
+            doc.add("extension_bound", val, unit="nats", provenance="per-cell-integral")
+        elif kind == "mols-count":
+            _add_report_entries(doc, bounds_mod.mols_count_bound(n, args.k, tol))
+        elif kind == "sudoku":
+            _add_report_entries(doc, bounds_mod.sudoku_extension_bound(n, args.k, tol))
+        elif kind == "reference":
+            _add_report_entries(doc, bounds_mod.reference_asymptotics(n, args.k))
+        else:
+            raise InvalidParams(f"unknown bound kind {kind!r}")
+    except OverflowError as exc:
+        raise InvalidParams(f"bound {kind} overflows at --n {args.n}") from exc
+    for f in doc.fields:
+        if not math.isfinite(f.value):
+            raise InvalidParams(f"bound {kind} at --n {args.n}: {f.name} is not finite")
     _emit(doc, args, started)
     return EXIT_OK
 

@@ -101,6 +101,35 @@ def transversal_partitions(grid):
     return found
 
 
+def lexicographic_partitions(grid):
+    """Transversal partitions in lexicographic order, lazily.
+
+    Transversals are numbered in the order of :func:`transversals`.  The
+    part through the lowest uncovered cell (row-major) is chosen next, and
+    the transversals through that cell are tried in increasing number, each
+    tested against the covered cells.  Each partition is yielded as a tuple
+    of its parts' cell tuples, parts in order of their lowest cells.
+    """
+    n = len(grid)
+    trs = transversals(grid)
+    through = {}
+    for idx, t in enumerate(trs):
+        for cell in t:
+            through.setdefault(cell, []).append(idx)
+    cells = [(i, j) for i in range(n) for j in range(n)]
+
+    def rec(covered, chosen):
+        free = [c for c in cells if c not in covered]
+        if not free:
+            yield tuple(trs[t] for t in chosen)
+            return
+        for t in through.get(free[0], []):
+            if not covered & set(trs[t]):
+                yield from rec(covered | set(trs[t]), chosen + [t])
+
+    yield from rec(frozenset(), [])
+
+
 def mols_tuples(n, k, squares=None):
     """Count ordered k-tuples of pairwise orthogonal squares (brute force)."""
     if squares is None:

@@ -175,23 +175,19 @@ def test_criterion_5_closed_form_dominates_integral(report_cache):
 
 def test_criterion_6_product_certification(report_cache):
     with criterion(6) as check:
-        code, out, elapsed = report_cache(
+        code, out, _ = report_cache(
             "c6-product", CLI_RUNS["c6-product"], threads=1
         )
         check(code == 0)
         f = fields(out)
-        # the arithmetic side holds in exact integers either way
         check(product_mate_bound_exact(3, 3, 6, 6) == 16930529280)
         check(46656 * math.factorial(9) == 16930529280)
         check(f["bound_exact"]["value"] == "16930529280")
-        if elapsed < 900.0:
-            check(f["partitions_threshold"]["value"] == "46656")
-            check(f["partitions_found"]["value"] == "46656")
-            check(f["partitions_found"]["exact"] is False)
-            check(f["mates_certified"]["value"] == "16930529280")
-            check(f["certified"]["value"] is True)
-        else:
-            check(int(f["partitions_found"]["value"]) >= 10000)
+        check(f["partitions_threshold"]["value"] == "46656")
+        check(f["partitions_found"]["value"] == "46656")
+        check(f["partitions_found"]["exact"] is False)
+        check(f["mates_certified"]["value"] == "16930529280")
+        check(f["certified"]["value"] is True)
 
 
 def test_criterion_7_power_recursion():

@@ -408,6 +408,33 @@ def test_bound_integer_kinds_reject_fractional_n(cli, capsys, kind, n):
     assert "integer --n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["mols-count", "--n", "inf", "--k", "1"], "finite --n"),
+        (["reference", "--n", "inf"], "finite --n"),
+        (["reference", "--n", "nan"], "finite --n"),
+        (["mols-count", "--n", "1e200"], "summed_quadrature is not finite"),
+        (["reference", "--n", "1e200"], "latin_count is not finite"),
+        (["extension", "--n", "1e200", "--k", "1"], "overflows"),
+        (["sudoku", "--n", str(float(2**600)), "--k", "0"], "overflows"),
+    ],
+)
+def test_bound_rejects_extreme_n(cli, capsys, argv, message):
+    code, out, _ = cli(["bound", *argv, "--format", "structured"])
+    assert code == 4
+    assert out == b""
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.count("\n") == 1
+
+
+def test_bound_sudoku_large_square_order(cli):
+    # order 2^32 = (2^16)^2: one bucket of n^2 cells, never an n^2-long profile
+    doc = run_structured(cli, ["bound", "sudoku", "--n", str(2**32), "--k", "1"])
+    assert all(math.isfinite(item["value"]) for item in doc["results"])
+
+
 def test_bound_integer_kinds_accept_integral_float_n(cli):
     doc = run_structured(cli, ["bound", "extension", "--n", "4.0", "--k", "0"])
     assert doc["params"]["n"] == "4"

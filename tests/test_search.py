@@ -1,9 +1,12 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 from molscope.arrays import system_to_noa
+from molscope.construct import GroupSpec, cayley_table, kronecker
 from molscope.core import (
     Square,
     check_orthogonal,
@@ -39,6 +42,15 @@ from molscope.search import (
 Z3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
 Z4 = [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]]
 K4 = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
+
+
+def cayley(*factors):
+    return cayley_table(GroupSpec(list(factors))).grid
+
+
+Z5 = cayley(5)
+Z2_CUBED = cayley(2, 2, 2)
+Z3_BY_Z3 = kronecker(cayley_table(GroupSpec([3])), cayley_table(GroupSpec([3]))).grid
 
 
 def L(grid):
@@ -98,7 +110,7 @@ def test_transversals_without_cap_collect_nothing():
 # partitions against the oracle
 
 
-@pytest.mark.parametrize("grid,expected", [(Z3, 1), (Z4, 0), (K4, 2)])
+@pytest.mark.parametrize("grid,expected", [(Z3, 1), (Z4, 0), (K4, 2), (Z2_CUBED, 70272)])
 def test_partition_counts(grid, expected):
     res = count_transversal_partitions(L(grid))
     assert res.value.count == expected
@@ -121,6 +133,98 @@ def test_partition_witnesses_are_partitions():
             assert len({i for i, _ in part}) == 4
             assert len({j for _, j in part}) == 4
             assert len({K4[i][j] for i, j in part}) == 4
+
+
+# --------------------------------------------------------------------------
+# exact cover: witness order, determinism, literature anchors
+
+ORDER_CASES = {
+    "Z3": Z3,
+    "Z4": Z4,
+    "K4": K4,
+    "Z5": Z5,
+    "kron(Z2,Z2)": kronecker(cayley_table(GroupSpec([2])), cayley_table(GroupSpec([2]))).grid,
+    "Z7": cayley(7),
+    "Z2^3": Z2_CUBED,
+}
+
+
+@pytest.mark.parametrize("cap", [1, 2, 50])
+@pytest.mark.parametrize("name", ORDER_CASES)
+def test_partition_witnesses_in_reference_order(name, cap):
+    grid = ORDER_CASES[name]
+    want = tuple(itertools.islice(oracles.lexicographic_partitions(grid), cap))
+    res = count_transversal_partitions(L(grid), SearchOptions(cap=cap))
+    assert res.witnesses == want
+
+
+def test_reference_order_counts_match_oracle():
+    for grid in (Z3, Z4, K4, Z5):
+        ref = list(oracles.lexicographic_partitions(grid))
+        assert {frozenset(frozenset(p) for p in w) for w in ref} == {
+            frozenset(p) for p in oracles.transversal_partitions(grid)
+        }
+        assert len(ref) == count_transversal_partitions(L(grid)).value.count
+
+
+@pytest.mark.parametrize("grid", [K4, Z5, Z2_CUBED], ids=["K4", "Z5", "Z2^3"])
+def test_cover_pooled_equals_sequential(grid):
+    seq = count_transversal_partitions(L(grid), SearchOptions(cap=1000))
+    par = count_transversal_partitions(L(grid), SearchOptions(cap=1000, parallel=True, threads=2))
+    assert seq == par
+    assert seq.exact_flag
+
+
+def test_cover_threshold_reports_exactly_threshold():
+    full = count_transversal_partitions(L(Z2_CUBED), SearchOptions(cap=50))
+    for threads in (None, 2):
+        opts = SearchOptions(cap=50, stop_threshold=1000, parallel=threads is not None, threads=threads)
+        res = count_transversal_partitions(L(Z2_CUBED), opts)
+        assert res.value.count == 1000
+        assert not res.exact_flag
+        assert res.witnesses == full.witnesses
+    above = count_transversal_partitions(L(Z2_CUBED), SearchOptions(stop_threshold=70273))
+    assert above.value.count == 70272 and above.exact_flag
+
+
+def test_cover_threshold_on_product_square():
+    # the certify-product instance: 46,656 partitions are met inside branch 0
+    runs = [
+        count_transversal_partitions(
+            L(Z3_BY_Z3),
+            SearchOptions(cap=20, stop_threshold=46656, parallel=threads is not None, threads=threads),
+        )
+        for threads in (None, 2)
+    ]
+    assert runs[0] == runs[1]
+    assert runs[0].value.count == 46656 and not runs[0].exact_flag
+    assert len(runs[0].witnesses) == 20
+
+
+PERMUTED = [(K4, 2), (Z5, 3), (Z2_CUBED, 70272)]
+
+
+@settings(max_examples=15, deadline=None)
+@given(index=st.integers(0, len(PERMUTED) - 1), data=st.data())
+def test_partition_count_isotopy_invariant(index, data):
+    grid, want = PERMUTED[index]
+    n = len(grid)
+    rows, cols, syms = (data.draw(st.permutations(range(n))) for _ in range(3))
+    iso = [[syms[grid[rows[i]][cols[j]]] for j in range(n)] for i in range(n)]
+    res = count_transversal_partitions(L(iso))
+    assert res.value.count == want and res.exact_flag
+
+
+@pytest.mark.parametrize(
+    "grid, expected",
+    [(cayley(7), 133), (cayley(9), 2025), (Z3_BY_Z3, 2241), (Z2_CUBED, 384)],
+    ids=["Z7", "Z9", "Z3xZ3", "Z2^3"],
+)
+def test_transversal_literature_anchors(grid, expected):
+    # OEIS A006717 for Z7 and Z9; 2,241 is the largest count at order 9
+    # (McKay, McLeod & Wanless 2006)
+    res = enumerate_transversals(L(grid))
+    assert res.value.count == expected and res.exact_flag
 
 
 # --------------------------------------------------------------------------
