@@ -50,6 +50,7 @@ from .errors import (
     LimitExceeded,
     MolscopeError,
     NotFoundWithinLimit,
+    NotPerfectSquare,
     ViolationAt,
 )
 from .search import (
@@ -973,7 +974,9 @@ def cmd_construct(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=int, default=None,
-                   help="worker processes (default: all cores)")
+                   help="worker processes (default: all cores); certify "
+                        "runs in-process whatever this says, since its "
+                        "searches are many small counts")
     p.add_argument("--cap", type=int, default=None,
                    help="max witnesses to collect")
     p.add_argument("--threshold", type=int, default=None,
@@ -1066,7 +1069,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (LimitExceeded, NotFoundWithinLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
-    except InvalidParams as exc:
+    except (InvalidParams, NotPerfectSquare) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
     except MolscopeError as exc:

@@ -16,17 +16,29 @@ by every branch: ``through[c]``, the options containing cell ``c``, and
 the OR of ``through`` over the n cells of ``t``).  ``disjoint`` takes T²/8
 bytes, about 0.6 MB at the order-9 maximum T = 2,241.
 
+Symmetry reduction: relabelling the symbols of the new column maps
+extensions to extensions, so the symmetric group S_n acts freely on them.
+The row column comes first in every array, so the n cells of row 0 hold
+distinct symbols and each orbit has exactly one member whose row 0 reads
+0, 1, ..., n-1.  A search that collects no witnesses therefore starts from
+that row (the root, :func:`_root`) and weighs its count by n!; the chained
+tuple count fixes the first row of every square and weighs by (n!)^k.
+Collecting witnesses starts from the empty root, so witnesses keep their
+full lexicographic order.  The direct engines are never reduced, so they
+stay an independent check.
+
 Determinism contract: results never depend on thread count.  A search
 tree is cut into branches only where the branches are used: when a process
-pool will run or a ``stop_threshold`` is set.  The cut is at a fixed depth
-that depends on the instance alone, never on the thread count.  Otherwise
-the whole tree is one branch.  (The exact-cover search always branches on
-the part through cell 0, which costs no extra set-up.)  Branches are
-processed in lexicographic order, counts are added in that order, and
-witnesses are concatenated in that order, so one branch and many give the
-same counts and witnesses.  Early stopping happens only at whole-branch
-granularity, and a threshold-stopped count always reports exactly the
-threshold (flagged inexact), so schedules cannot leak into output.
+pool will run or a ``stop_threshold`` is set.  The cut is a fixed number of
+cells below the root that depends on the instance alone, never on the
+thread count.  Otherwise the whole tree below the root is one branch.
+(The exact-cover search always branches on the part through cell 0, which
+costs no extra set-up.)  Branches are processed in lexicographic order,
+counts are added in that order, and witnesses are concatenated in that
+order, so one branch and many give the same counts and witnesses.  Early
+stopping happens only at whole-branch granularity, and a threshold-stopped
+count always reports exactly the threshold (flagged inexact), so schedules
+cannot leak into output.
 """
 
 from __future__ import annotations
@@ -248,31 +260,54 @@ def _walk(av, keys, cell, stop, buf) -> Iterator[None]:
                 av[t] |= b
 
 
+def _root(n: int) -> tuple[int, ...]:
+    """The prefix of every column counted up to symbol relabelling.
+
+    It fixes row 0 to 0, 1, ..., n-1.  Only its first n-1 cells are
+    written: the row constraint forces n-1 into the last one, so the tree
+    is the same, and at order 1 the root is empty.
+    """
+    return tuple(range(n - 1))
+
+
+def _completions(keys, n: int, root: tuple[int, ...], stop: int) -> Iterator[tuple[int, ...]]:
+    """Every valid assignment of cells ``0 .. stop-1`` that starts with
+    ``root``, in lexicographic order."""
+    av = _availability(keys, n)
+    _apply_prefix(av, keys, root)
+    buf = list(root) + [0] * (stop - len(root))
+    for _ in _walk(av, keys, len(root), stop, buf):
+        yield tuple(buf)
+
+
 def _column_prefixes(
-    keys: Sequence[tuple[int, ...]], n: int, min_branches: int = _MIN_BRANCHES
+    keys: Sequence[tuple[int, ...]],
+    n: int,
+    root: tuple[int, ...],
+    min_branches: int = _MIN_BRANCHES,
 ) -> list[tuple[int, ...]]:
-    """Valid assignments of the first few cells, in lexicographic order.
+    """Valid assignments of the first few cells below ``root``, in
+    lexicographic order.
 
     The depth is the smallest one reaching ``min_branches`` prefixes (capped
-    at one full row, and short of the last cell) — a function of the
-    instance only, never of the thread count, so every run cuts the tree
-    identically.  Order 1 has a single cell and is never cut.
+    at one full row below the root, and short of the last cell) — a
+    function of the instance only, never of the thread count, so every run
+    cuts the tree identically.  Order 1 has a single cell and is never cut.
     """
-    out: list[tuple[int, ...]] = [()]
-    for depth in range(1, min(n, len(keys) - 1) + 1):
-        buf = [0] * depth
-        out = [tuple(buf) for _ in _walk(_availability(keys, n), keys, 0, depth, buf)]
+    out = [root]
+    s = len(root)
+    for depth in range(s + 1, min(s + n, len(keys) - 1) + 1):
+        out = list(_completions(keys, n, root, depth))
         if len(out) >= min_branches or not out:
             break
     return out
 
 
 def iter_extensions(a: NearlyOrthArray) -> Iterator[tuple[int, ...]]:
-    """All columns that extend ``a``, in lexicographic order (sequential)."""
+    """All columns that extend ``a``, in lexicographic order (sequential,
+    unreduced)."""
     keys = _plan_keys(a.rows, a.order)
-    buf = [0] * len(keys)
-    for _ in _walk(_availability(keys, a.order), keys, 0, len(keys), buf):
-        yield tuple(buf)
+    yield from _completions(keys, a.order, (), len(keys))
 
 
 # --------------------------------------------------------------------------
@@ -301,11 +336,12 @@ def _cut(opts: SearchOptions) -> bool:
     return opts.parallel and (opts.threads or os.cpu_count() or 1) > 1
 
 
-def _aggregate(state, opts: SearchOptions, collect: bool) -> ExtensionCount:
+def _aggregate(state, opts: SearchOptions, collect: bool, weight: int = 1) -> ExtensionCount:
     """Run all branches in order, honoring threshold stop and witness cap.
 
-    Each branch returns (exact subcount, witness list).  The accumulation
-    loop is the same code for one process and many.
+    Each branch returns (exact subcount, witness list); each subcount counts
+    ``weight`` objects per leaf.  The accumulation loop is the same code for
+    one process and many.
     """
     nbranches = len(state[2])
     threshold = opts.stop_threshold
@@ -317,7 +353,7 @@ def _aggregate(state, opts: SearchOptions, collect: bool) -> ExtensionCount:
     def consume(result) -> bool:
         nonlocal total, stopped
         sub, wit = result
-        total += sub
+        total += sub * weight
         if cap is not None and len(witnesses) < cap:
             witnesses.extend(wit[: cap - len(witnesses)])
         if threshold is not None and total >= threshold:
@@ -376,9 +412,10 @@ def _ext_branch(keys, n, cap, prefix):
     return total, out
 
 
-def _chain_branch(keys, n, remaining, prefix):
+def _chain_branch(keys, n, remaining, root, prefix):
     """Columns extending ``prefix``, each extended ``remaining - 1`` more
-    times; the count is the number of completed chains."""
+    times by columns starting with ``root``; the count is the number of
+    completed chains."""
     ncells = len(keys)
     av = _availability(keys, n)
     _apply_prefix(av, keys, prefix)
@@ -390,7 +427,7 @@ def _chain_branch(keys, n, remaining, prefix):
     total = 0
     for _ in _walk(av, keys, s, ncells, buf):
         grown = [ks + (base + buf[l],) for l, ks in enumerate(keys)]
-        total += _chain_branch(grown, n, remaining - 1, ())[0]
+        total += _chain_branch(grown, n, remaining - 1, root, root)[0]
     return total, []
 
 
@@ -579,19 +616,24 @@ def count_extensions(a: NearlyOrthArray, opts: SearchOptions | None = None) -> E
     Cells are assigned in lexicographic order; each distinct existing column
     keeps a per-symbol availability bitmask, and a cell's candidate set is
     the AND across its columns.  The plan (each cell's bitmask slots) is
-    built once per call and shared by every branch.  The tree is cut into
-    branches only when a pool will run or ``stop_threshold`` is set;
-    otherwise it is counted as one branch.  Counts, witness order and the
-    cap are the same either way.  Every mate/extension count in the package
-    funnels through here.
+    built once per call and shared by every branch.  Without witnesses the
+    search counts the columns whose row 0 reads 0, 1, ..., n-1 and
+    multiplies by n! (see the module docstring); with a cap it walks every
+    column, so witnesses come in full lexicographic order.  The tree is cut
+    into branches below that root only when a pool will run or
+    ``stop_threshold`` is set; otherwise it is counted as one branch.
+    Counts, witness order and the cap are the same either way.  Every
+    mate/extension count in the package funnels through here.
     """
     opts = opts or SearchOptions()
     n = a.order
     _check_limit(n, DEFAULT_ENUM_LIMIT, "extension counting")
+    collect = opts.cap is not None
+    root, weight = ((), 1) if collect else (_root(n), math.factorial(n))
     keys = _plan_keys(a.rows, n)
-    prefixes = _column_prefixes(keys, n) if _cut(opts) else [()]
+    prefixes = _column_prefixes(keys, n, root) if _cut(opts) else [root]
     state = (_ext_branch, (keys, n, opts.cap), prefixes)
-    return _aggregate(state, opts, collect=opts.cap is not None)
+    return _aggregate(state, opts, collect, weight)
 
 
 def count_mates(l: LatinSquare, opts: SearchOptions | None = None) -> ExtensionCount:
@@ -600,9 +642,18 @@ def count_mates(l: LatinSquare, opts: SearchOptions | None = None) -> ExtensionC
     return count_extensions(system_to_noa(sys), opts)
 
 
+def _rows_array(n: int) -> NearlyOrthArray:
+    """The array of the empty system of order n, rows as the partition."""
+    return system_to_noa(validate_mols([], partition_rows(n)))
+
+
 def count_mols(n: int, k: int, opts: SearchOptions | None = None) -> ExtensionCount:
     """The number of ordered k-tuples of pairwise orthogonal Latin squares,
-    by chaining the extension engine one square at a time."""
+    by chaining the extension engine one square at a time.
+
+    Every square of the chain starts from the fixed first row 0, 1, ...,
+    n-1, so the count of completed chains is multiplied by (n!)^k.
+    """
     opts = opts or SearchOptions()
     if n < 1 or k < 0:
         raise InvalidParams("need n >= 1 and k >= 0")
@@ -611,40 +662,47 @@ def count_mols(n: int, k: int, opts: SearchOptions | None = None) -> ExtensionCo
         return ExtensionCount(Exact(1), True)
     if n >= 2 and k > n - 1:
         return ExtensionCount(Exact(0), True)
-    base = system_to_noa(validate_mols([], partition_rows(n)))
-    keys = _plan_keys(base.rows, n)
-    prefixes = _column_prefixes(keys, n) if _cut(opts) else [()]
-    state = (_chain_branch, (keys, n, k), prefixes)
-    return _aggregate(state, opts, collect=False)
+    root = _root(n)
+    keys = _plan_keys(_rows_array(n).rows, n)
+    prefixes = _column_prefixes(keys, n, root) if _cut(opts) else [root]
+    state = (_chain_branch, (keys, n, k, root), prefixes)
+    return _aggregate(state, opts, False, math.factorial(n) ** k)
 
 
-def _system_arrays(n: int, k: int, cols: list) -> Iterator[NearlyOrthArray]:
-    """The array of every ordered k-tuple system of order n (rows as the
-    partition), lexicographically by the concatenated flattened grids.
-    While an array is current, ``cols`` holds its k symbol columns."""
-    if n >= 2 and k > n - 1:
-        return
+def _system_arrays(
+    base: NearlyOrthArray, k: int, cols: list, root: tuple[int, ...]
+) -> Iterator[NearlyOrthArray]:
+    """Pre-order walk over the arrays of the systems of at most k squares on
+    ``base``'s partition: each array, then the arrays extending it, by the
+    new column in lexicographic order.  Only columns starting with ``root``
+    are taken.  While an array is current, ``cols`` holds its symbol
+    columns, so its depth is ``len(cols)``."""
+    n = base.order
 
-    def rec(noa: NearlyOrthArray, depth: int):
-        if depth == k:
-            yield noa
+    def rec(noa: NearlyOrthArray):
+        yield noa
+        if len(cols) == k:
             return
-        for x in iter_extensions(noa):
+        keys = _plan_keys(noa.rows, n)
+        for x in _completions(keys, n, root, len(keys)):
             cols.append(x)
-            yield from rec(noa.with_column(x), depth + 1)
+            yield from rec(noa.with_column(x))
             cols.pop()
 
-    yield from rec(system_to_noa(validate_mols([], partition_rows(n))), 0)
+    yield from rec(base)
 
 
 def iter_mols_systems(n: int, k: int) -> Iterator[MolsSystem]:
     """All ordered k-tuples of pairwise orthogonal squares, lexicographically
-    by the concatenated flattened grids (sequential)."""
+    by the concatenated flattened grids (sequential, unreduced)."""
     if n < 1 or k < 0:
         raise InvalidParams("need n >= 1 and k >= 0")
+    if n >= 2 and k > n - 1:
+        return
     cols: list[tuple[int, ...]] = []
-    for _ in _system_arrays(n, k, cols):
-        yield columns_to_system(n, cols)
+    for _ in _system_arrays(_rows_array(n), k, cols, ()):
+        if len(cols) == k:
+            yield columns_to_system(n, cols)
 
 
 def columns_to_system(n: int, cols: Sequence[Sequence[int]]) -> MolsSystem:
@@ -662,8 +720,13 @@ def max_extensions(
     """Maximum extension count over every k-tuple system of order n, with the
     lexicographically first maximizer as witness.
 
-    Walks the arrays of :func:`iter_mols_systems` in the same order, counts
-    each array directly, and builds a system only for a new maximum.
+    Only systems whose squares all have first row 0, 1, ..., n-1 are
+    walked, in the order of :func:`iter_mols_systems`.  That loses nothing:
+    relabelling a square's symbols keeps its system's extension count, and
+    normalising the first square whose first row is not 0, 1, ..., n-1 makes
+    a system lexicographically smaller, so the first maximizer is already
+    normalised.  Each array is counted directly and a system is built only
+    for a new maximum.
     """
     opts = opts or SearchOptions()
     if n < 1 or k < 0:
@@ -673,7 +736,9 @@ def max_extensions(
     best_sys: Optional[MolsSystem] = None
     seq = SearchOptions()  # inner counts are tiny; keep them in-process
     cols: list[tuple[int, ...]] = []
-    for noa in _system_arrays(n, k, cols):
+    for noa in _system_arrays(_rows_array(n), k, cols, _root(n)):
+        if len(cols) < k:
+            continue
         c = count_extensions(noa, seq).value.count
         if c > best:
             best = c
@@ -690,27 +755,23 @@ def extension_census(
     systems gerechte for ``partition`` — {extension count: how many systems}.
 
     Lets a caller check a uniform bound against *every* system without
-    materializing the systems.
+    materializing the systems.  Only systems whose squares all have first
+    row 0, 1, ..., n-1 are walked; each stands for the (n!)^k systems that
+    relabel its squares' symbols, which share its extension count, so it
+    adds (n!)^k to its histogram entry.
     """
     n = partition.order
     if kmax < 0:
         raise InvalidParams("kmax must be nonnegative")
     _check_limit(n, DEFAULT_MAX_EXT_LIMIT, "census over all systems")
     out: list[dict[int, int]] = [dict() for _ in range(kmax + 1)]
-
-    def rec(noa: NearlyOrthArray, depth: int):
-        hist = out[depth]
-        if depth == kmax:
-            cnt = count_extensions(noa).value.count
-            hist[cnt] = hist.get(cnt, 0) + 1
-            return
-        exts = list(iter_extensions(noa))
-        hist[len(exts)] = hist.get(len(exts), 0) + 1
-        for x in exts:
-            rec(noa.with_column(x), depth + 1)
-
+    fact = math.factorial(n)
+    cols: list[tuple[int, ...]] = []
     base = system_to_noa(validate_mols([], partition))
-    rec(base, 0)
+    for noa in _system_arrays(base, kmax, cols, _root(n)):
+        hist = out[len(cols)]
+        cnt = count_extensions(noa).value.count
+        hist[cnt] = hist.get(cnt, 0) + fact ** len(cols)
     for hist in out:
         # deterministic key order for reporting
         items = sorted(hist.items())

@@ -3,8 +3,13 @@ import io
 import time
 
 import pytest
+from hypothesis import settings
 
 from molscope.cli import main as cli_main
+
+# The same examples on every run and machine, and no example database.
+settings.register_profile("molscope", derandomize=True, database=None)
+settings.load_profile("molscope")
 
 
 def run_cli(argv):

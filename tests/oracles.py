@@ -5,6 +5,7 @@ brute-force filters, mpmath quadrature) and deliberately shares no code
 with the package, so agreement between the two is meaningful.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -128,6 +129,41 @@ def lexicographic_partitions(grid):
                 yield from rec(covered | set(trs[t]), chosen + [t])
 
     yield from rec(frozenset(), [])
+
+
+@functools.lru_cache(maxsize=None)
+def _gerechte_graph(n, labels):
+    """The Latin squares gerechte for labels, lexicographic, and for each
+    the set of indices of those orthogonal to it."""
+    squares = [s for s in brute_latin_squares(n) if gerechte(s, labels)]
+    adj = [set() for _ in squares]
+    for a, b in itertools.combinations(range(len(squares)), 2):
+        if orthogonal(squares[a], squares[b]):
+            adj[a].add(b)
+            adj[b].add(a)
+    for a, s in enumerate(squares):
+        if orthogonal(s, s):  # order 1 only
+            adj[a].add(a)
+    return squares, adj
+
+
+def all_systems(n, labels, kmax):
+    """Every system of at most kmax pairwise orthogonal squares gerechte for
+    labels (flat row-major region labels), unreduced.
+
+    Yields (squares, extensions) in pre-order: a system, then the systems
+    extending it by one square, in lexicographic order of the new grid.
+    ``extensions`` is the number of squares that extend the system.
+    """
+    squares, adj = _gerechte_graph(n, tuple(labels))
+
+    def rec(chosen, candidates):
+        yield tuple(squares[i] for i in chosen), len(candidates)
+        if len(chosen) < kmax:
+            for i in sorted(candidates):
+                yield from rec(chosen + [i], candidates & adj[i])
+
+    yield from rec([], set(range(len(squares))))
 
 
 def mols_tuples(n, k, squares=None):

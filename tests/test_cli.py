@@ -184,6 +184,21 @@ def test_exit_limit_and_params(cli):
     assert code == 4
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "sudoku", "--n", "5"],
+        ["count", "sudoku", "--n", "5"],
+        ["count", "extensions", "--partition", "boxes:5"],
+    ],
+)
+def test_non_square_order_is_a_param_error(cli, capsys, argv):
+    code, out, _ = cli(argv)
+    assert code == 4
+    assert out == b""
+    assert "order 5 is not a perfect square" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("threads", ["0", "-1"])
 def test_nonpositive_threads_is_a_param_error(cli, capsys, threads):
     code, out, _ = cli(["count", "mols", "--n", "3", "--k", "1", "--threads", threads])
@@ -243,6 +258,13 @@ def test_count_partitions_implies_mates(cli):
     assert f["transversal_partitions"]["value"] == "2"
     assert f["mates_implied"]["value"] == "48"
     assert f["mates_implied"]["provenance"] == "partitions-times-factorial"
+
+
+def test_count_mates_cayley7_agrees_with_partitions(cli):
+    mates = fields_by_name(run_structured(cli, ["count", "mates", "--square", "cayley:7"]))
+    parts = fields_by_name(run_structured(cli, ["count", "partitions", "--square", "cayley:7"]))
+    assert mates["mates"]["value"] == parts["mates_implied"]["value"] == "3200400"
+    assert mates["mates"]["exact"] is True
 
 
 def test_count_mates_from_file(cli, tmp_path):

@@ -1,11 +1,12 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from molscope.arrays import system_to_noa
+from molscope.arrays import NearlyOrthArray, system_to_noa
 from molscope.construct import GroupSpec, cayley_table, kronecker
 from molscope.core import (
     Square,
@@ -467,6 +468,126 @@ def test_chain_paths_agree(threads):
     assert count_mols(4, 2, opts).value.count == 6912
     stopped = count_mols(4, 2, SearchOptions(stop_threshold=1000, parallel=pooled, threads=threads))
     assert stopped.value.count == 1000 and not stopped.exact_flag
+
+
+# --------------------------------------------------------------------------
+# symmetry reduction: counts fix the new column's first row and multiply by n!
+
+
+def _array(grids, p):
+    return system_to_noa(validate_mols([L(g) for g in grids], p))
+
+
+FIRST5 = next(iter_latin_direct(5))  # a square of order 5 with no mate
+Z5_TWICE = [[(2 * i + j) % 5 for j in range(5)] for i in range(5)]  # a mate of Z5
+REDUCED_CASES = (
+    [(f"{name}-w{a.width}", a) for name, a in ARRAYS_4]
+    + [
+        ("n1-rows", _array([], partition_rows(1))),
+        ("n1-rows-w4", _array([[[0]]], partition_rows(1))),
+        ("n2-rows", _array([], partition_rows(2))),
+        ("n2-rows-w4", _array([[[0, 1], [1, 0]]], partition_rows(2))),
+        ("n3-rows", _array([], partition_rows(3))),
+        ("n3-rows-w4", _array([Z3], partition_rows(3))),
+        ("n3-classes", _array([], partition_from_square(Square(Z3)))),
+        ("n4-rows-Z4", _array([Z4], partition_rows(4))),
+        ("n4-boxes-w4", _array([[[0, 1, 2, 3], [2, 3, 0, 1], [1, 0, 3, 2], [3, 2, 1, 0]]], partition_boxes(4))),
+        ("n5-rows-Z5", _array([Z5], partition_rows(5))),
+        ("n5-rows-first", _array([FIRST5], partition_rows(5))),
+        ("n5-classes-Z5", _array([Z5_TWICE], partition_from_square(Square(Z5)))),
+    ]
+)
+
+
+@pytest.mark.parametrize("name, a", REDUCED_CASES, ids=[name for name, _ in REDUCED_CASES])
+def test_reduced_count_equals_enumeration(name, a):
+    want = len(list(iter_extensions(a)))
+    for threads in (None, 2):
+        pooled = threads is not None
+        res = count_extensions(a, SearchOptions(parallel=pooled, threads=threads))
+        assert res == count_extensions(a) and res.value.count == want and res.exact_flag
+        for threshold in (1, max(want // 2, 1), max(want, 1), want + 1):
+            stop = count_extensions(
+                a, SearchOptions(stop_threshold=threshold, parallel=pooled, threads=threads)
+            )
+            stopped = threshold <= want
+            assert stop.value.count == (threshold if stopped else want)
+            assert stop.exact_flag is not stopped
+
+
+def test_reduced_cases_are_not_trivial():
+    counts = {name: count_extensions(a).value.count for name, a in REDUCED_CASES}
+    assert counts["n5-rows-Z5"] == 360 and counts["n5-rows-first"] == 0
+    assert counts["n1-rows"] == counts["n1-rows-w4"] == 1
+    assert counts["n2-rows"] == 2 and counts["n2-rows-w4"] == 0
+    assert counts["n5-classes-Z5"] > 0
+    assert {a.width for _, a in REDUCED_CASES} == {3, 4, 5}
+
+
+RELABEL_CASES = [a for _, a in REDUCED_CASES if a.width > 3]
+
+
+@settings(max_examples=40, deadline=None)
+@given(index=st.integers(0, len(RELABEL_CASES) - 1), data=st.data())
+def test_extension_count_invariant_under_symbol_relabelling(index, data):
+    # the fact the reduction rests on: permuting the symbols of one square
+    # of the system keeps its extension count
+    a = RELABEL_CASES[index]
+    col = data.draw(st.integers(3, a.width - 1))
+    perm = data.draw(st.permutations(range(a.order)))
+    rows = [r[:col] + (perm[r[col]],) + r[col + 1 :] for r in a.rows]
+    relabelled = NearlyOrthArray(a.order, rows)
+    assert count_extensions(relabelled) == count_extensions(a)
+
+
+SYSTEM_PARTITIONS = {
+    "rows3": partition_rows(3),
+    "classes3": partition_from_square(Square(Z3)),
+    "rows4": partition_rows(4),
+    "boxes4": partition_boxes(4),
+    "classes4": partition_from_square(Square(K4)),
+}
+
+
+@pytest.mark.parametrize("name", SYSTEM_PARTITIONS)
+def test_census_matches_unreduced_walk(name):
+    p = SYSTEM_PARTITIONS[name]
+    want = [dict() for _ in range(3)]
+    for squares, ext in oracles.all_systems(p.order, p.labels, 2):
+        hist = want[len(squares)]
+        hist[ext] = hist.get(ext, 0) + 1
+    got = extension_census(p, 2)
+    assert got == want
+    assert [list(h) for h in got] == [sorted(h) for h in want]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_max_extensions_matches_unreduced_walk(n):
+    systems = list(oracles.all_systems(n, partition_rows(n).labels, 2))
+    for k in range(3):
+        best, best_sys = -1, None
+        for squares, ext in systems:
+            if len(squares) == k and ext > best:
+                best, best_sys = ext, squares
+        res, witness = max_extensions(n, k)
+        if best_sys is None:
+            assert res.value.count == 0 and witness is None
+        else:
+            assert res.value.count == best and res.exact_flag
+            assert [s.grid for s in witness.squares] == list(best_sys)
+
+
+def test_count_mols_5_2_by_transversal_partitions():
+    # Second route: the pairs whose first square has first row 0..4, summed
+    # over those squares as partitions * 5! (symbol maps of the mate), times
+    # 5! (relabellings of the first square).  iter_latin_direct is
+    # lexicographic, so those squares come first.
+    first_row = tuple(range(5))
+    reduced = itertools.takewhile(lambda g: g[0] == first_row, iter_latin_direct(5))
+    parts = [count_transversal_partitions(L(g)).value.count for g in reduced]
+    assert len(parts) == 161280 // 120
+    route = sum(parts) * math.factorial(5) ** 2
+    assert route == count_mols(5, 2).value.count == 6220800
 
 
 # --------------------------------------------------------------------------
