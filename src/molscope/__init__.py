@@ -89,7 +89,6 @@ from .errors import (
 from .search import (
     Exact,
     ExtensionCount,
-    LogDomain,
     SearchOptions,
     count_extensions,
     count_latin_direct,
@@ -104,7 +103,6 @@ from .search import (
     iter_extensions,
     iter_latin_direct,
     iter_mols_systems,
-    leq,
     max_extensions,
 )
 

@@ -20,6 +20,7 @@ are for people and may show timings.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -54,7 +55,6 @@ from .errors import (
     ViolationAt,
 )
 from .search import (
-    Exact,
     ExtensionCount,
     SearchOptions,
     count_extensions,
@@ -380,7 +380,6 @@ def _emit(doc: ReportDocument, args, started: float) -> None:
 def _count_field(
     doc: ReportDocument, name: str, res: ExtensionCount, provenance: str
 ) -> None:
-    assert isinstance(res.value, Exact)
     doc.add(
         name,
         res.value.count,
@@ -390,8 +389,27 @@ def _count_field(
     )
 
 
+def _cross_check(doc: ReportDocument, res: ExtensionCount, direct: int) -> bool:
+    """Report the direct engine's count next to ``res``; True if they agree."""
+    doc.add(
+        "direct_count",
+        direct,
+        unit="exact count",
+        provenance="direct-backtracking",
+        exact=True,
+    )
+    agree = direct == res.value.count
+    doc.add("engines_agree", agree, provenance="cross-check")
+    return agree
+
+
 # --------------------------------------------------------------------------
 # witness emission
+
+
+def _column_grid(col: Sequence[int], n: int) -> list[list[int]]:
+    """A flat row-major symbol column as an n x n grid."""
+    return [list(col[i * n : (i + 1) * n]) for i in range(n)]
 
 
 def _write_witnesses(args, docs: list[str]) -> int:
@@ -487,6 +505,7 @@ def cmd_count(args) -> int:
     cap = _witness_cap(args)
     opts = _search_options(args, cap)
     witness_docs: list[str] = []
+    code = EXIT_OK
 
     if kind == "transversals":
         spec = _single_square_arg(args)
@@ -532,9 +551,8 @@ def cmd_count(args) -> int:
         res = count_mates(square, opts)
         _count_field(doc, "mates", res, "extension-engine")
         if args.emit_witnesses and res.witnesses:
-            n = square.order
             for col in res.witnesses:
-                mate = [list(col[i * n : (i + 1) * n]) for i in range(n)]
+                mate = _column_grid(col, square.order)
                 witness_docs.append(format_document([square.grid, mate]))
     elif kind == "extensions":
         system = _system_from_args(args)
@@ -550,10 +568,9 @@ def cmd_count(args) -> int:
         res = count_extensions(noa, opts)
         _count_field(doc, "extensions", res, "extension-engine")
         if args.emit_witnesses and res.witnesses:
-            n = system.order
             for col in res.witnesses:
                 grids = [s.grid for s in system.squares]
-                grids.append([list(col[i * n : (i + 1) * n]) for i in range(n)])
+                grids.append(_column_grid(col, system.order))
                 witness_docs.append(
                     format_document(grids, partition=system.partition)
                 )
@@ -564,22 +581,8 @@ def cmd_count(args) -> int:
         res = count_mols(args.n, args.k, opts)
         _count_field(doc, "count", res, "chained-extension-engine")
         if res.exact_flag and (args.k <= 1 or (args.k == 2 and args.n <= 4)):
-            direct = count_mols_direct(args.n, args.k)
-            doc.add(
-                "direct_count",
-                direct,
-                unit="exact count",
-                provenance="direct-backtracking",
-                exact=True,
-            )
-            doc.add(
-                "engines_agree",
-                direct == res.value.count,
-                provenance="cross-check",
-            )
-            if direct != res.value.count:
-                _emit(doc, args, started)
-                return EXIT_VIOLATION
+            if not _cross_check(doc, res, count_mols_direct(args.n, args.k)):
+                code = EXIT_VIOLATION
     elif kind == "sudoku":
         if args.n is None:
             raise InvalidParams("count sudoku needs --n")
@@ -587,38 +590,22 @@ def cmd_count(args) -> int:
         base = validate_mols([], partition_boxes(args.n))
         res = count_extensions(system_to_noa(base), opts)
         _count_field(doc, "sudoku_squares", res, "extension-engine")
-        if res.exact_flag:
-            direct = count_sudoku_direct(args.n)
-            doc.add(
-                "direct_count",
-                direct,
-                unit="exact count",
-                provenance="direct-backtracking",
-                exact=True,
-            )
-            doc.add(
-                "engines_agree",
-                direct == res.value.count,
-                provenance="cross-check",
-            )
-            if direct != res.value.count:
-                _emit(doc, args, started)
-                return EXIT_VIOLATION
+        if res.exact_flag and not _cross_check(doc, res, count_sudoku_direct(args.n)):
+            code = EXIT_VIOLATION
         if args.emit_witnesses and res.witnesses:
-            n = args.n
             for col in res.witnesses:
-                grid = [list(col[i * n : (i + 1) * n]) for i in range(n)]
+                grid = _column_grid(col, args.n)
                 witness_docs.append(
-                    format_document([grid], partition=partition_boxes(n))
+                    format_document([grid], partition=partition_boxes(args.n))
                 )
     else:
         raise InvalidParams(f"unknown count kind {kind!r}")
 
-    if args.emit_witnesses and witness_docs:
+    if code == EXIT_OK and args.emit_witnesses and witness_docs:
         written = _write_witnesses(args, witness_docs)
         doc.notes.append(f"wrote {written} witness files")
     _emit(doc, args, started)
-    return EXIT_OK
+    return code
 
 
 # --------------------------------------------------------------------------
@@ -769,11 +756,7 @@ def cmd_certify(args) -> int:
         bound_exact = construct_mod.product_mate_bound_exact(n1, n1, q, q)
         fact = math.factorial(n)
         threshold = args.threshold or max(1, -(-bound_exact // fact))  # ceil
-        opts = _search_options(args, None)
-        opts = SearchOptions(
-            cap=None, stop_threshold=threshold,
-            parallel=opts.parallel, threads=opts.threads,
-        )
+        opts = dataclasses.replace(_search_options(args, None), stop_threshold=threshold)
         res = count_transversal_partitions(product, opts)
         found = res.value.count
         mates_certified = found * fact

@@ -33,6 +33,7 @@ from .errors import (
 from .bounds import log_factorial
 from .search import (
     SearchOptions,
+    _transversals,
     count_transversal_partitions,
     iter_latin_direct,
     count_latin_direct,
@@ -304,22 +305,4 @@ def construct_for_constant(
 def _transversals_through_origin(l: LatinSquare) -> int:
     """Transversals containing cell (0, 0) — a cheap upper-bound gate, since
     every partition into transversals uses exactly one of them."""
-    n = l.order
-    grid = l.grid
-
-    def rec(i, colmask, symmask):
-        if i == n:
-            return 1
-        total = 0
-        row = grid[i]
-        for j in range(n):
-            cb = 1 << j
-            if colmask & cb:
-                continue
-            sb = 1 << row[j]
-            if symmask & sb:
-                continue
-            total += rec(i + 1, colmask | cb, symmask | sb)
-        return total
-
-    return rec(1, 1, 1 << grid[0][0])
+    return sum(1 for _ in _transversals(l.grid, l.order, (0,), l.order))

@@ -20,25 +20,27 @@ Symmetry reduction: relabelling the symbols of the new column maps
 extensions to extensions, so the symmetric group S_n acts freely on them.
 The row column comes first in every array, so the n cells of row 0 hold
 distinct symbols and each orbit has exactly one member whose row 0 reads
-0, 1, ..., n-1.  A search that collects no witnesses therefore starts from
-that row (the root, :func:`_root`) and weighs its count by n!; the chained
-tuple count fixes the first row of every square and weighs by (n!)^k.
-Collecting witnesses starts from the empty root, so witnesses keep their
-full lexicographic order.  The direct engines are never reduced, so they
-stay an independent check.
+0, 1, ..., n-1.  Every extension count therefore starts from that row (the
+root, :func:`_root`) and weighs its count by n!; the chained tuple count
+fixes the first row of every square and weighs by (n!)^k.  Witnesses come
+from a separate walk of the full tree, so they keep their full
+lexicographic order.  The direct engines are never reduced, so they stay
+an independent check.
 
-Determinism contract: results never depend on thread count.  A search
-tree is cut into branches only where the branches are used: when a process
-pool will run or a ``stop_threshold`` is set.  The cut is a fixed number of
-cells below the root that depends on the instance alone, never on the
-thread count.  Otherwise the whole tree below the root is one branch.
-(The exact-cover search always branches on the part through cell 0, which
-costs no extra set-up.)  Branches are processed in lexicographic order,
-counts are added in that order, and witnesses are concatenated in that
-order, so one branch and many give the same counts and witnesses.  Early
-stopping happens only at whole-branch granularity, and a threshold-stopped
-count always reports exactly the threshold (flagged inexact), so schedules
-cannot leak into output.
+Determinism contract: results never depend on thread count.  Branches
+return counts; witnesses are the first min(cap, count) leaves of one
+sequential lexicographic walk of the whole tree, taken after the count and
+only that far.  A search tree is cut into branches only where the branches
+are used: when a process pool will run or a ``stop_threshold`` is set.  The
+cut is a fixed number of cells below the root that depends on the instance
+alone, never on the thread count.  Otherwise the whole tree below the root
+is one branch.  (The exact-cover search always branches on the part
+through cell 0, which costs no extra set-up.)  Branches are processed in
+lexicographic order and their counts added in that order.  Early stopping
+happens only at whole-branch granularity, and a threshold-stopped count
+always reports exactly the threshold (flagged inexact), so schedules cannot
+leak into output: the count is min(threshold, total) and the witnesses are
+the first min(cap, threshold, total) leaves, however the tree was cut.
 """
 
 from __future__ import annotations
@@ -46,12 +48,12 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from dataclasses import dataclass, replace
+from itertools import islice
+from typing import Iterator, Optional, Sequence
 
 from .arrays import NearlyOrthArray, system_to_noa
 from .core import (
-    Cell,
     LatinSquare,
     MolsSystem,
     RegionPartition,
@@ -79,26 +81,6 @@ class Exact:
 
     def ln(self) -> float:
         return math.log(self.count) if self.count else float("-inf")
-
-
-@dataclass(frozen=True)
-class LogDomain:
-    """A natural-log-domain real, used for bound values too large to hold."""
-
-    value: float
-
-    def ln(self) -> float:
-        return self.value
-
-
-CountValue = Union[Exact, LogDomain]
-
-
-def leq(a: CountValue, b: CountValue, tol: float = 0.0) -> bool:
-    """Compare counts/bounds in the log domain with a tolerance."""
-    if isinstance(a, Exact) and isinstance(b, Exact):
-        return a.count <= b.count
-    return a.ln() <= b.ln() + tol
 
 
 @dataclass(frozen=True)
@@ -131,7 +113,7 @@ class ExtensionCount:
     """A search result: the count, whether it is the full count, and any
     collected witnesses (in lexicographic discovery order)."""
 
-    value: CountValue
+    value: Exact
     exact_flag: bool
     witnesses: Optional[tuple] = None
 
@@ -207,33 +189,6 @@ def _count_rec(av: list[int], keys, cell: int, ncells: int) -> int:
         total += _count_rec(av, keys, cell + 1, ncells)
         for t in ks:
             av[t] |= b
-    return total
-
-
-def _collect_rec(av, keys, cell, ncells, buf, out, cap) -> int:
-    """Count while also appending completed columns to ``out`` up to cap."""
-    ks = keys[cell]
-    m = av[ks[0]]
-    for t in ks[1:]:
-        m &= av[t]
-    total = 0
-    last = cell + 1 == ncells
-    while m:
-        b = m & -m
-        m -= b
-        sym = b.bit_length() - 1
-        buf[cell] = sym
-        if last:
-            total += 1
-            if len(out) < cap:
-                out.append(tuple(buf))
-        else:
-            nb = ~b
-            for t in ks:
-                av[t] &= nb
-            total += _collect_rec(av, keys, cell + 1, ncells, buf, out, cap)
-            for t in ks:
-                av[t] |= b
     return total
 
 
@@ -314,7 +269,7 @@ def iter_extensions(a: NearlyOrthArray) -> Iterator[tuple[int, ...]]:
 # deterministic branch aggregation (sequential or process pool)
 
 # (branch function, shared arguments, branch items): branch ``idx`` runs
-# ``branch(*shared, items[idx])`` and returns (exact subcount, witnesses).
+# ``branch(*shared, items[idx])`` and returns its exact subcount.
 _WORKER_STATE = None
 
 
@@ -323,7 +278,7 @@ def _worker_init(state):
     _WORKER_STATE = state
 
 
-def _worker_run(idx: int):
+def _worker_run(idx: int) -> int:
     branch, shared, items = _WORKER_STATE
     return branch(*shared, items[idx])
 
@@ -336,52 +291,37 @@ def _cut(opts: SearchOptions) -> bool:
     return opts.parallel and (opts.threads or os.cpu_count() or 1) > 1
 
 
-def _aggregate(state, opts: SearchOptions, collect: bool, weight: int = 1) -> ExtensionCount:
-    """Run all branches in order, honoring threshold stop and witness cap.
+def _aggregate(state, opts: SearchOptions, weight: int = 1) -> ExtensionCount:
+    """Run all branches in order and add their subcounts, each leaf counting
+    ``weight`` objects, until the total reaches the threshold.
 
-    Each branch returns (exact subcount, witness list); each subcount counts
-    ``weight`` objects per leaf.  The accumulation loop is the same code for
-    one process and many.
+    The accumulation loop is the same code for one process and many.  The
+    result carries no witnesses; see :func:`_with_witnesses`.
     """
     nbranches = len(state[2])
     threshold = opts.stop_threshold
-    cap = opts.cap if collect else None
     total = 0
-    witnesses: list = []
-    stopped = False
 
-    def consume(result) -> bool:
-        nonlocal total, stopped
-        sub, wit = result
+    def consume(sub: int) -> bool:
+        nonlocal total
         total += sub * weight
-        if cap is not None and len(witnesses) < cap:
-            witnesses.extend(wit[: cap - len(witnesses)])
-        if threshold is not None and total >= threshold:
-            stopped = True
-            return True
-        return False
+        return threshold is not None and total >= threshold
 
-    if opts.parallel and nbranches > 1:
-        procs = min(opts.threads or os.cpu_count() or 1, nbranches)
-        if procs > 1:
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(procs, initializer=_worker_init, initargs=(state,)) as pool:
-                for result in pool.imap(_worker_run, range(nbranches)):
-                    if consume(result):
-                        pool.terminate()
-                        break
-        else:
-            _sequential(state, nbranches, consume)
+    procs = min(opts.threads or os.cpu_count() or 1, nbranches) if opts.parallel else 1
+    if procs > 1:
+        ctx = multiprocessing.get_context("fork")
+        with ctx.Pool(procs, initializer=_worker_init, initargs=(state,)) as pool:
+            for sub in pool.imap(_worker_run, range(nbranches)):
+                if consume(sub):
+                    pool.terminate()
+                    break
     else:
         _sequential(state, nbranches, consume)
 
-    if stopped:
+    if threshold is not None and total >= threshold:
         # Report exactly the threshold: the deterministic "at least" value.
-        value = Exact(threshold)
-        if cap is not None:
-            del witnesses[threshold:]
-        return ExtensionCount(value, False, tuple(witnesses) if cap is not None else None)
-    return ExtensionCount(Exact(total), True, tuple(witnesses) if cap is not None else None)
+        return ExtensionCount(Exact(threshold), False)
+    return ExtensionCount(Exact(total), True)
 
 
 def _sequential(state, nbranches, consume):
@@ -396,136 +336,113 @@ def _sequential(state, nbranches, consume):
         _WORKER_STATE = saved
 
 
+def _with_witnesses(res: ExtensionCount, cap: Optional[int], leaves: Iterator) -> ExtensionCount:
+    """``res`` with the first min(cap, count) items of ``leaves`` as its
+    witnesses (none without a cap).  ``leaves`` is the lexicographic walk of
+    the whole tree; it is consumed only that far."""
+    if cap is None:
+        return res
+    return replace(res, witnesses=tuple(islice(leaves, min(cap, res.value.count))))
+
+
 # branch bodies -------------------------------------------------------------
 
 
-def _ext_branch(keys, n, cap, prefix):
+def _chain_branch(keys, n, squares, root, prefix):
+    """Chains of ``squares`` columns: one extending ``prefix``, then each
+    next one starting with ``root`` and extending the array grown by those
+    before it.  Returns the number of completed chains."""
     ncells = len(keys)
     av = _availability(keys, n)
     _apply_prefix(av, keys, prefix)
     s = len(prefix)
-    if cap is None:
-        return _count_rec(av, keys, s, ncells), []
-    out: list[tuple[int, ...]] = []
-    buf = list(prefix) + [0] * (ncells - s)
-    total = _collect_rec(av, keys, s, ncells, buf, out, cap)
-    return total, out
-
-
-def _chain_branch(keys, n, remaining, root, prefix):
-    """Columns extending ``prefix``, each extended ``remaining - 1`` more
-    times by columns starting with ``root``; the count is the number of
-    completed chains."""
-    ncells = len(keys)
-    av = _availability(keys, n)
-    _apply_prefix(av, keys, prefix)
-    s = len(prefix)
-    if remaining == 1:
-        return _count_rec(av, keys, s, ncells), []
+    if squares == 1:
+        return _count_rec(av, keys, s, ncells)
     base = len(keys[0]) * n  # the new column's block of slots
     buf = list(prefix) + [0] * (ncells - s)
     total = 0
     for _ in _walk(av, keys, s, ncells, buf):
         grown = [ks + (base + buf[l],) for l, ks in enumerate(keys)]
-        total += _chain_branch(grown, n, remaining - 1, root, root)[0]
-    return total, []
+        total += _chain_branch(grown, n, squares - 1, root, root)
+    return total
 
 
-def _transversal_branch(grid, n, cap, prefix):
-    out: list[tuple[Cell, ...]] = []
-    colmask = 0
-    symmask = 0
+def _transversals(grid, n: int, prefix: tuple[int, ...], stop: int) -> Iterator[tuple[int, ...]]:
+    """Every partial transversal of rows ``0 .. stop-1`` that starts with the
+    partial transversal ``prefix``, as its column per row, in lexicographic
+    order.  Each row tries the free columns in increasing order and skips
+    those holding a symbol already used."""
+    free = (1 << n) - 1
+    syms = 0
     for i, j in enumerate(prefix):
-        colmask |= 1 << j
-        symmask |= 1 << grid[i][j]
-    cols = list(prefix) + [0] * (n - len(prefix))
-    total = 0
+        free ^= 1 << j
+        syms |= 1 << grid[i][j]
+    if len(prefix) == stop:
+        yield tuple(prefix)
+        return
+    cols = list(prefix) + [0] * (stop - len(prefix))
+    last = stop - 1
 
-    def rec(i, colmask, symmask):
-        nonlocal total
-        if i == n:
-            total += 1
-            if cap is not None and len(out) < cap:
-                out.append(tuple((r, cols[r]) for r in range(n)))
-            return
+    def rec(i, free, syms):
         row = grid[i]
-        for j in range(n):
-            cb = 1 << j
-            if colmask & cb:
-                continue
+        m = free
+        while m:
+            b = m & -m
+            m ^= b
+            j = b.bit_length() - 1
             sb = 1 << row[j]
-            if symmask & sb:
+            if syms & sb:
                 continue
             cols[i] = j
-            rec(i + 1, colmask | cb, symmask | sb)
+            if i == last:
+                yield tuple(cols)
+            else:
+                yield from rec(i + 1, free ^ b, syms | sb)
 
-    rec(len(prefix), colmask, symmask)
-    return total, out
+    yield from rec(len(prefix), free, syms)
 
 
-def _cover_branch(masks, cells, through, disjoint, full, cap, first):
+def _transversal_branch(grid, n, prefix):
+    """The number of transversals extending ``prefix``."""
+    return sum(1 for _ in _transversals(grid, n, prefix, n))
+
+
+def _cover_branch(masks, through, disjoint, full, first):
     """Exact covers of the cells that contain option ``first``.
 
     A node covers the lowest uncovered cell with each still-allowed option
     through it, in increasing option index; ``allowed`` holds the options
     disjoint from every chosen one, so no overlap test is needed.
     """
-    out: list[tuple[tuple[Cell, ...], ...]] = []
-    chosen = [first]
-    total = 0
 
     def rec(uncov, allowed):
-        nonlocal total
         if not uncov:
-            total += 1
-            if cap is not None and len(out) < cap:
-                out.append(tuple(cells[t] for t in chosen))
-            return
+            return 1
+        total = 0
         m = through[(uncov & -uncov).bit_length() - 1] & allowed
         while m:
             b = m & -m
             m ^= b
             t = b.bit_length() - 1
-            chosen.append(t)
-            rec(uncov ^ masks[t], allowed & disjoint[t])  # masks[t] lies in uncov
-            chosen.pop()
+            total += rec(uncov ^ masks[t], allowed & disjoint[t])  # masks[t] lies in uncov
+        return total
 
-    rec(full ^ masks[first], disjoint[first])
-    return total, out
+    return rec(full ^ masks[first], disjoint[first])
 
 
-# --------------------------------------------------------------------------
-# transversal helpers
-
-
-def _all_transversals(l: LatinSquare) -> list[tuple[int, tuple[Cell, ...]]]:
-    """Every transversal as (cell bitmask, sorted cells), lexicographic."""
-    n = l.order
-    grid = l.grid
-    out: list[tuple[int, tuple[Cell, ...]]] = []
-    cols = [0] * n
-
-    def rec(i, colmask, symmask):
-        if i == n:
-            cells = tuple((r, cols[r]) for r in range(n))
-            mask = 0
-            for r, j in cells:
-                mask |= 1 << (r * n + j)
-            out.append((mask, cells))
-            return
-        row = grid[i]
-        for j in range(n):
-            cb = 1 << j
-            if colmask & cb:
-                continue
-            sb = 1 << row[j]
-            if symmask & sb:
-                continue
-            cols[i] = j
-            rec(i + 1, colmask | cb, symmask | sb)
-
-    rec(0, 0, 0)
-    return out
+def _covers(masks, through, disjoint, uncov, allowed) -> Iterator[tuple[int, ...]]:
+    """The exact covers of ``uncov`` by options in ``allowed``, as option
+    indices, in the order :func:`_cover_branch` visits them."""
+    if not uncov:
+        yield ()
+        return
+    m = through[(uncov & -uncov).bit_length() - 1] & allowed
+    while m:
+        b = m & -m
+        m ^= b
+        t = b.bit_length() - 1
+        for rest in _covers(masks, through, disjoint, uncov ^ masks[t], allowed & disjoint[t]):
+            yield (t,) + rest
 
 
 # --------------------------------------------------------------------------
@@ -536,39 +453,23 @@ def enumerate_transversals(l: LatinSquare, opts: SearchOptions | None = None) ->
     """Count (and optionally collect) all transversals of ``l``.
 
     Row-by-row backtracking over column choices with column and symbol
-    bitmasks; witnesses are cell tuples sorted by row.
+    bitmasks (:func:`_transversals`).  Branches count the transversals
+    below each cut prefix; witnesses, cell tuples sorted by row, are the
+    first min(cap, count) transversals of one sequential walk in
+    lexicographic order of their columns.
     """
     opts = opts or SearchOptions()
     n = l.order
     _check_limit(n, DEFAULT_ENUM_LIMIT, "transversal enumeration")
     grid = l.grid
     prefixes: list[tuple[int, ...]] = [()]
-
-    def seed(i, colmask, symmask, prefix, depth):
-        if i == depth:
-            prefixes.append(tuple(prefix))
-            return
-        row = grid[i]
-        for j in range(n):
-            cb = 1 << j
-            if colmask & cb:
-                continue
-            sb = 1 << row[j]
-            if symmask & sb:
-                continue
-            prefix.append(j)
-            seed(i + 1, colmask | cb, symmask | sb, prefix, depth)
-            prefix.pop()
-
-    depth = 1
-    while _cut(opts):
-        prefixes.clear()
-        seed(0, 0, 0, [], depth)
-        if len(prefixes) >= _MIN_BRANCHES or depth >= n or not prefixes:
-            break
-        depth += 1
-    state = (_transversal_branch, (grid, n, opts.cap), prefixes)
-    return _aggregate(state, opts, collect=opts.cap is not None)
+    if _cut(opts):
+        for depth in range(1, n + 1):
+            prefixes = list(_transversals(grid, n, (), depth))
+            if len(prefixes) >= _MIN_BRANCHES or not prefixes:
+                break
+    res = _aggregate((_transversal_branch, (grid, n), prefixes), opts)
+    return _with_witnesses(res, opts.cap, (tuple(enumerate(c)) for c in _transversals(grid, n, (), n)))
 
 
 def count_transversal_partitions(
@@ -583,31 +484,34 @@ def count_transversal_partitions(
     uncovered cell ``c`` in increasing transversal index and passes
     ``allowed & disjoint[t]`` down, where ``allowed`` holds the options
     disjoint from every part chosen so far; the tables are described in the
-    module docstring.  Witnesses therefore come in lexicographic order of
-    their parts' transversal indices.  Orthogonal mates are in bijection with
+    module docstring.  Branches (one per part through cell 0) only count;
+    witnesses are the first min(cap, count) partitions of one sequential
+    walk in that same order, i.e. in lexicographic order of their parts'
+    transversal indices.  Orthogonal mates are in bijection with
     (partition, symbol assignment) pairs, so mates(l) = partitions(l) * n!.
     """
     opts = opts or SearchOptions()
     n = l.order
     _check_limit(n, DEFAULT_ENUM_LIMIT, "partition enumeration")
-    trs = _all_transversals(l)
-    masks = [m for m, _ in trs]
-    cells = [c for _, c in trs]
+    cells = [tuple(enumerate(c)) for c in _transversals(l.grid, n, (), n)]
+    masks = [sum(1 << (i * n + j) for i, j in tcells) for tcells in cells]
     through = [0] * (n * n)
     for t, tcells in enumerate(cells):
         for i, j in tcells:
             through[i * n + j] |= 1 << t
-    every = (1 << len(trs)) - 1
+    every = (1 << len(cells)) - 1
     disjoint = []
     for tcells in cells:
         meets = 0
         for i, j in tcells:
             meets |= through[i * n + j]
         disjoint.append(every & ~meets)
+    full = (1 << n * n) - 1
     # every partition has exactly one part through cell 0
     branches = [t for t, m in enumerate(masks) if m & 1]
-    state = (_cover_branch, (masks, cells, through, disjoint, (1 << n * n) - 1, opts.cap), branches)
-    return _aggregate(state, opts, collect=opts.cap is not None)
+    res = _aggregate((_cover_branch, (masks, through, disjoint, full), branches), opts)
+    covers = _covers(masks, through, disjoint, full, every)
+    return _with_witnesses(res, opts.cap, (tuple(cells[t] for t in c) for c in covers))
 
 
 def count_extensions(a: NearlyOrthArray, opts: SearchOptions | None = None) -> ExtensionCount:
@@ -616,24 +520,23 @@ def count_extensions(a: NearlyOrthArray, opts: SearchOptions | None = None) -> E
     Cells are assigned in lexicographic order; each distinct existing column
     keeps a per-symbol availability bitmask, and a cell's candidate set is
     the AND across its columns.  The plan (each cell's bitmask slots) is
-    built once per call and shared by every branch.  Without witnesses the
-    search counts the columns whose row 0 reads 0, 1, ..., n-1 and
-    multiplies by n! (see the module docstring); with a cap it walks every
-    column, so witnesses come in full lexicographic order.  The tree is cut
-    into branches below that root only when a pool will run or
-    ``stop_threshold`` is set; otherwise it is counted as one branch.
-    Counts, witness order and the cap are the same either way.  Every
-    mate/extension count in the package funnels through here.
+    built once per call and shared by every branch.  The search counts the
+    columns whose row 0 reads 0, 1, ..., n-1 and multiplies by n! (see the
+    module docstring).  The tree is cut into branches below that root only
+    when a pool will run or ``stop_threshold`` is set; otherwise it is
+    counted as one branch.  With a cap, witnesses are the first
+    min(cap, count) columns of :func:`iter_extensions`' walk of the full
+    tree, so they come in full lexicographic order however the count ran.
+    Every mate/extension count in the package funnels through here.
     """
     opts = opts or SearchOptions()
     n = a.order
     _check_limit(n, DEFAULT_ENUM_LIMIT, "extension counting")
-    collect = opts.cap is not None
-    root, weight = ((), 1) if collect else (_root(n), math.factorial(n))
+    root = _root(n)
     keys = _plan_keys(a.rows, n)
     prefixes = _column_prefixes(keys, n, root) if _cut(opts) else [root]
-    state = (_ext_branch, (keys, n, opts.cap), prefixes)
-    return _aggregate(state, opts, collect, weight)
+    res = _aggregate((_chain_branch, (keys, n, 1, root), prefixes), opts, math.factorial(n))
+    return _with_witnesses(res, opts.cap, _completions(keys, n, (), len(keys)))
 
 
 def count_mates(l: LatinSquare, opts: SearchOptions | None = None) -> ExtensionCount:
@@ -666,7 +569,7 @@ def count_mols(n: int, k: int, opts: SearchOptions | None = None) -> ExtensionCo
     keys = _plan_keys(_rows_array(n).rows, n)
     prefixes = _column_prefixes(keys, n, root) if _cut(opts) else [root]
     state = (_chain_branch, (keys, n, k, root), prefixes)
-    return _aggregate(state, opts, False, math.factorial(n) ** k)
+    return _aggregate(state, opts, math.factorial(n) ** k)
 
 
 def _system_arrays(
@@ -714,9 +617,7 @@ def columns_to_system(n: int, cols: Sequence[Sequence[int]]) -> MolsSystem:
     return validate_mols(squares, order=n)
 
 
-def max_extensions(
-    n: int, k: int, opts: SearchOptions | None = None
-) -> tuple[ExtensionCount, Optional[MolsSystem]]:
+def max_extensions(n: int, k: int) -> tuple[ExtensionCount, Optional[MolsSystem]]:
     """Maximum extension count over every k-tuple system of order n, with the
     lexicographically first maximizer as witness.
 
@@ -726,20 +627,18 @@ def max_extensions(
     normalising the first square whose first row is not 0, 1, ..., n-1 makes
     a system lexicographically smaller, so the first maximizer is already
     normalised.  Each array is counted directly and a system is built only
-    for a new maximum.
+    for a new maximum; the counts are tiny and run in-process.
     """
-    opts = opts or SearchOptions()
     if n < 1 or k < 0:
         raise InvalidParams("need n >= 1 and k >= 0")
     _check_limit(n, DEFAULT_MAX_EXT_LIMIT, "system-by-system maximisation")
     best = -1
     best_sys: Optional[MolsSystem] = None
-    seq = SearchOptions()  # inner counts are tiny; keep them in-process
     cols: list[tuple[int, ...]] = []
     for noa in _system_arrays(_rows_array(n), k, cols, _root(n)):
         if len(cols) < k:
             continue
-        c = count_extensions(noa, seq).value.count
+        c = count_extensions(noa).value.count
         if c > best:
             best = c
             best_sys = columns_to_system(n, cols)

@@ -318,6 +318,28 @@ def test_count_sudoku(cli):
     assert f["engines_agree"]["value"] is True
 
 
+@pytest.mark.parametrize(
+    "engine, argv",
+    [
+        ("count_mols_direct", ["count", "mols", "--n", "3", "--k", "1"]),
+        ("count_sudoku_direct", ["count", "sudoku", "--n", "4", "--cap", "3"]),
+    ],
+)
+def test_count_cross_check_disagreement_exits_5(cli, monkeypatch, tmp_path, engine, argv):
+    import molscope.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, engine, lambda *args: 7)
+    outdir = tmp_path / "w"
+    code, out, _ = cli(
+        argv + ["--emit-witnesses", str(outdir), "--format", "structured", "--threads", "1"]
+    )
+    assert code == 5
+    f = fields_by_name(json.loads(out))
+    assert f["direct_count"]["value"] == "7"
+    assert f["engines_agree"]["value"] is False
+    assert not outdir.exists()
+
+
 def test_table_format_shows_elapsed(cli):
     code, out, _ = cli(["count", "mates", "--square", "cayley:3"])
     assert code == 0
@@ -381,6 +403,29 @@ def test_mate_witnesses_verify_and_cap(cli, tmp_path):
     assert code == 0
     files = verify_all(cli, out)
     assert len(files) == 2
+
+
+WITNESS_RUNS = [
+    (["count", "transversals", "--square", "cayley:7", "--cap", "300"], 133),
+    (["count", "partitions", "--square", "cayley:2x2x2", "--threshold", "100", "--cap", "50"], 50),
+    (["count", "mates", "--square", "cayley:2x2", "--cap", "10", "--threshold", "30"], 10),
+    (["count", "sudoku", "--n", "4", "--cap", "50"], 50),
+]
+
+
+@pytest.mark.parametrize("argv, files", WITNESS_RUNS, ids=[argv[1] for argv, _ in WITNESS_RUNS])
+def test_witness_runs_identical_across_threads(cli, tmp_path, argv, files):
+    runs = []
+    for threads in (1, 2):
+        outdir = tmp_path / f"t{threads}"
+        code, out, _ = cli(
+            argv + ["--emit-witnesses", str(outdir), "--format", "structured",
+                    "--threads", str(threads)]
+        )
+        assert code == 0, out.decode()
+        runs.append((out, {f.name: f.read_bytes() for f in sorted(outdir.iterdir())}))
+    assert runs[0] == runs[1]
+    assert len(runs[0][1]) == files
 
 
 def test_sudoku_witnesses_verify(cli, tmp_path):

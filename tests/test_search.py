@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from molscope.arrays import NearlyOrthArray, system_to_noa
-from molscope.construct import GroupSpec, cayley_table, kronecker
+from molscope.construct import GroupSpec, _transversals_through_origin, cayley_table, kronecker
 from molscope.core import (
     Square,
     check_orthogonal,
@@ -21,7 +22,6 @@ from molscope.core import (
 from molscope.errors import InvalidParams, LimitExceeded
 from molscope.search import (
     Exact,
-    LogDomain,
     SearchOptions,
     count_extensions,
     count_latin_direct,
@@ -36,7 +36,6 @@ from molscope.search import (
     iter_extensions,
     iter_latin_direct,
     iter_mols_systems,
-    leq,
     max_extensions,
 )
 
@@ -67,11 +66,6 @@ def test_count_value_types():
     assert Exact(0).ln() == float("-inf")
     with pytest.raises(InvalidParams):
         Exact(-1)
-    assert LogDomain(2.5).ln() == 2.5
-    assert leq(Exact(5), Exact(5))
-    assert not leq(Exact(6), Exact(5))
-    assert leq(Exact(12), LogDomain(2.4849), tol=1e-3)
-    assert not leq(Exact(12), LogDomain(2.4), tol=1e-3)
 
 
 def test_search_options_validation():
@@ -383,6 +377,62 @@ def test_cap_truncates_witnesses_but_not_count():
     assert len(res.witnesses) == 7
     full = count_mates(L(K4), SearchOptions(cap=48))
     assert res.witnesses == full.witnesses[:7]
+
+
+# --------------------------------------------------------------------------
+# branches count, witnesses come from one sequential walk
+
+
+def _isotope(grid, seed):
+    rng = random.Random(seed)
+    n = len(grid)
+    rows, cols, syms = (rng.sample(range(n), n) for _ in range(3))
+    return [[syms[grid[rows[i]][cols[j]]] for j in range(n)] for i in range(n)]
+
+
+TRANSVERSAL_CASES = {
+    "Z5": Z5,
+    "Z7": cayley(7),
+    "Z2^3": Z2_CUBED,
+    "Z7-isotope": _isotope(cayley(7), 1),
+}
+
+
+@pytest.mark.parametrize("name", TRANSVERSAL_CASES)
+def test_transversal_witnesses_are_the_first_leaves(name):
+    grid = TRANSVERSAL_CASES[name]
+    want = oracles.transversals(grid)  # lexicographic in the column tuple
+    cap = 20
+    for threads in (None, 2):
+        for threshold in (None, 7, 30):
+            opts = SearchOptions(
+                cap=cap, stop_threshold=threshold, parallel=threads is not None, threads=threads
+            )
+            res = enumerate_transversals(L(grid), opts)
+            stopped = threshold is not None and threshold <= len(want)
+            count = threshold if stopped else len(want)
+            assert res.value.count == count
+            assert res.exact_flag is not stopped
+            assert res.witnesses == tuple(want[: min(cap, count)])
+
+
+def test_capped_mate_count_is_reduced():
+    # a cap leaves the count reduced (first row fixed, times 7!), and the
+    # witnesses are the first columns of the unreduced walk; an unreduced
+    # count of this tree takes minutes
+    a = system_to_noa(validate_mols([L(cayley(7))], partition_rows(7)))
+    res = count_mates(L(cayley(7)), SearchOptions(cap=5))
+    assert res.value.count == 3200400 and res.exact_flag
+    assert res.witnesses == tuple(itertools.islice(iter_extensions(a), 5))
+
+
+def test_transversals_through_origin_match_oracle():
+    # every order-4 square, and a spread of order-5 squares, whose cells lie
+    # on different numbers of transversals
+    order5 = itertools.islice(iter_latin_direct(5), 0, 20000, 101)
+    for g in itertools.chain(iter_latin_direct(4), order5):
+        want = sum(1 for t in oracles.transversals(g) if (0, 0) in t)
+        assert _transversals_through_origin(L(g)) == want
 
 
 # --------------------------------------------------------------------------
