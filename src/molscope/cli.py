@@ -27,7 +27,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import bounds as bounds_mod
 from . import construct as construct_mod
@@ -52,13 +52,11 @@ from .errors import (
     MolscopeError,
     NotFoundWithinLimit,
     NotPerfectSquare,
-    ViolationAt,
 )
 from .search import (
     ExtensionCount,
     SearchOptions,
     count_extensions,
-    count_latin_direct,
     count_mates,
     count_mols,
     count_mols_direct,
@@ -66,6 +64,7 @@ from .search import (
     count_transversal_partitions,
     enumerate_transversals,
     extension_census,
+    iter_latin_direct,
     max_extensions,
 )
 
@@ -389,20 +388,6 @@ def _count_field(
     )
 
 
-def _cross_check(doc: ReportDocument, res: ExtensionCount, direct: int) -> bool:
-    """Report the direct engine's count next to ``res``; True if they agree."""
-    doc.add(
-        "direct_count",
-        direct,
-        unit="exact count",
-        provenance="direct-backtracking",
-        exact=True,
-    )
-    agree = direct == res.value.count
-    doc.add("engines_agree", agree, provenance="cross-check")
-    return agree
-
-
 # --------------------------------------------------------------------------
 # witness emission
 
@@ -423,21 +408,16 @@ def _write_witnesses(args, docs: list[str]) -> int:
 
 
 def _witness_cap(args) -> Optional[int]:
-    if args.cap is not None:
-        return args.cap
-    if getattr(args, "emit_witnesses", None):
-        return 1000  # default emission cap; override with --cap
-    return None
+    """How many witnesses the search collects: none unless they are emitted."""
+    cap = args.cap if args.cap is not None else 1000  # default emission cap
+    if cap <= 0:
+        raise InvalidParams("cap must be positive")
+    return cap if args.emit_witnesses else None
 
 
 def _search_options(args, cap: Optional[int]) -> SearchOptions:
     threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
-    return SearchOptions(
-        cap=cap,
-        stop_threshold=args.threshold,
-        parallel=threads > 1,
-        threads=threads,
-    )
+    return SearchOptions(cap=cap, stop_threshold=args.threshold, threads=threads)
 
 
 # --------------------------------------------------------------------------
@@ -474,135 +454,122 @@ def cmd_verify(args) -> int:
 # subcommand: count
 
 
-def _system_from_args(args) -> MolsSystem:
-    if getattr(args, "system", None):
+def _read_square(args) -> tuple[LatinSquare, dict]:
+    if not args.square or len(args.square) != 1:
+        raise InvalidParams("this operation takes exactly one --square")
+    return resolve_square_spec(args.square[0]), {"square": args.square[0]}
+
+
+def _read_system(args) -> tuple[MolsSystem, dict]:
+    params = {k: v for k, v in (("system", args.system), ("squares", args.square),
+                                ("partition", args.partition)) if v}
+    if args.system:
         doc = parse_document(_read_file(args.system))
         latins = [validate_latin(s) for s in doc.squares]
         partition = doc.partition
         if partition is None:
             partition = partition_rows(latins[0].order if latins else 1)
-        return validate_mols(latins, partition)
+        return validate_mols(latins, partition), params
     squares = [resolve_square_spec(s) for s in args.square or []]
-    if not squares and not getattr(args, "partition", None):
+    if not squares and not args.partition:
         raise InvalidParams("need --system, --square, or --partition")
-    if getattr(args, "partition", None):
+    if args.partition:
         partition = resolve_partition_spec(args.partition)
     else:
         partition = partition_rows(squares[0].order)
     order = squares[0].order if squares else partition.order
-    return validate_mols(squares, partition, order=order)
+    return validate_mols(squares, partition, order=order), params
 
 
-def _single_square_arg(args) -> str:
-    if not args.square or len(args.square) != 1:
-        raise InvalidParams("this operation takes exactly one --square")
-    return args.square[0]
+def _read_n(args) -> int:
+    if args.n is None:
+        raise InvalidParams(f"count {args.kind} needs --n")
+    return args.n
+
+
+def _count_system(system: MolsSystem, opts: SearchOptions) -> ExtensionCount:
+    return count_extensions(system_to_noa(system), opts)
+
+
+def _mols_direct(n: int, k: int) -> Optional[int]:
+    return count_mols_direct(n, k) if k <= 1 or (k == 2 and n <= 4) else None
+
+
+def _partition_doc(square: LatinSquare, parts) -> str:
+    labels = [0] * (square.order**2)
+    for t, part in enumerate(parts):
+        for i, j in part:
+            labels[i * square.order + j] = t
+    return format_document([square.grid], partition=RegionPartition(square.order, labels))
+
+
+def _extension_doc(system: MolsSystem, col) -> str:
+    grids = [s.grid for s in system.squares] + [_column_grid(col, system.order)]
+    return format_document(grids, partition=system.partition)
+
+
+@dataclass(frozen=True)
+class CountKind:
+    """One ``count`` kind.  ``read`` gives the engine's input and the report
+    params; ``witness_doc`` formats one witness; ``direct`` recounts the input
+    with an engine that shares no code with ``engine``, or gives None where
+    that would take too long.  Rows call engines through lambdas, which look
+    them up by name at each call, so a test or tracer can substitute one."""
+
+    read: Callable
+    engine: Callable
+    field: str
+    provenance: str
+    witness_doc: Optional[Callable] = None
+    direct: Optional[Callable] = None
+
+
+COUNT_KINDS = {
+    "transversals": CountKind(
+        _read_square, lambda sq, opts: enumerate_transversals(sq, opts),
+        "transversals", "row-backtracking",
+        lambda sq, cells: format_document([sq.grid], transversal=cells)),
+    "partitions": CountKind(
+        _read_square, lambda sq, opts: count_transversal_partitions(sq, opts),
+        "transversal_partitions", "exact-cover", _partition_doc),
+    "mates": CountKind(
+        _read_square, lambda sq, opts: count_mates(sq, opts), "mates", "extension-engine",
+        lambda sq, col: format_document([sq.grid, _column_grid(col, sq.order)])),
+    "extensions": CountKind(
+        _read_system, _count_system, "extensions", "extension-engine", _extension_doc),
+    "mols": CountKind(
+        lambda args: ((_read_n(args), args.k), {"n": args.n, "k": args.k}),
+        lambda nk, opts: count_mols(*nk, opts), "count", "chained-extension-engine",
+        direct=lambda nk: _mols_direct(*nk)),
+    # a Sudoku square is an extension of the empty system on the boxes
+    "sudoku": CountKind(
+        lambda args: (validate_mols([], partition_boxes(_read_n(args))), {"n": args.n}),
+        _count_system, "sudoku_squares", "extension-engine", _extension_doc,
+        direct=lambda system: count_sudoku_direct(system.order)),
+}
 
 
 def cmd_count(args) -> int:
     started = time.monotonic()
-    kind = args.kind
-    cap = _witness_cap(args)
-    opts = _search_options(args, cap)
-    witness_docs: list[str] = []
+    kind = COUNT_KINDS[args.kind]
+    opts = _search_options(args, _witness_cap(args))
+    source, params = kind.read(args)
+    doc = ReportDocument(f"count {args.kind}", params)
+    res = kind.engine(source, opts)
+    _count_field(doc, kind.field, res, kind.provenance)
+    if args.kind == "partitions" and res.exact_flag:
+        doc.add("mates_implied", res.value.count * math.factorial(source.order),
+                unit="exact count", provenance="partitions-times-factorial", exact=True)
     code = EXIT_OK
-
-    if kind == "transversals":
-        spec = _single_square_arg(args)
-        square = resolve_square_spec(spec)
-        doc = ReportDocument("count transversals", {"square": spec})
-        res = enumerate_transversals(square, opts)
-        _count_field(doc, "transversals", res, "row-backtracking")
-        if args.emit_witnesses and res.witnesses:
-            witness_docs = [
-                format_document([square.grid], transversal=w) for w in res.witnesses
-            ]
-    elif kind == "partitions":
-        spec = _single_square_arg(args)
-        square = resolve_square_spec(spec)
-        doc = ReportDocument("count partitions", {"square": spec})
-        res = count_transversal_partitions(square, opts)
-        _count_field(doc, "transversal_partitions", res, "exact-cover")
-        if res.exact_flag:
-            mates = res.value.count * math.factorial(square.order)
-            doc.add(
-                "mates_implied",
-                mates,
-                unit="exact count",
-                provenance="partitions-times-factorial",
-                exact=True,
-            )
-        if args.emit_witnesses and res.witnesses:
-            for partition_cells in res.witnesses:
-                labels = [0] * (square.order**2)
-                for t, part in enumerate(partition_cells):
-                    for i, j in part:
-                        labels[i * square.order + j] = t
-                witness_docs.append(
-                    format_document(
-                        [square.grid],
-                        partition=RegionPartition(square.order, labels),
-                    )
-                )
-    elif kind == "mates":
-        spec = _single_square_arg(args)
-        square = resolve_square_spec(spec)
-        doc = ReportDocument("count mates", {"square": spec})
-        res = count_mates(square, opts)
-        _count_field(doc, "mates", res, "extension-engine")
-        if args.emit_witnesses and res.witnesses:
-            for col in res.witnesses:
-                mate = _column_grid(col, square.order)
-                witness_docs.append(format_document([square.grid, mate]))
-    elif kind == "extensions":
-        system = _system_from_args(args)
-        noa = system_to_noa(system)
-        params = {}
-        if getattr(args, "system", None):
-            params["system"] = args.system
-        if getattr(args, "square", None):
-            params["squares"] = list(args.square)
-        if getattr(args, "partition", None):
-            params["partition"] = args.partition
-        doc = ReportDocument("count extensions", params)
-        res = count_extensions(noa, opts)
-        _count_field(doc, "extensions", res, "extension-engine")
-        if args.emit_witnesses and res.witnesses:
-            for col in res.witnesses:
-                grids = [s.grid for s in system.squares]
-                grids.append(_column_grid(col, system.order))
-                witness_docs.append(
-                    format_document(grids, partition=system.partition)
-                )
-    elif kind == "mols":
-        if args.n is None:
-            raise InvalidParams("count mols needs --n")
-        doc = ReportDocument("count mols", {"n": args.n, "k": args.k})
-        res = count_mols(args.n, args.k, opts)
-        _count_field(doc, "count", res, "chained-extension-engine")
-        if res.exact_flag and (args.k <= 1 or (args.k == 2 and args.n <= 4)):
-            if not _cross_check(doc, res, count_mols_direct(args.n, args.k)):
-                code = EXIT_VIOLATION
-    elif kind == "sudoku":
-        if args.n is None:
-            raise InvalidParams("count sudoku needs --n")
-        doc = ReportDocument("count sudoku", {"n": args.n})
-        base = validate_mols([], partition_boxes(args.n))
-        res = count_extensions(system_to_noa(base), opts)
-        _count_field(doc, "sudoku_squares", res, "extension-engine")
-        if res.exact_flag and not _cross_check(doc, res, count_sudoku_direct(args.n)):
+    direct = kind.direct(source) if kind.direct and res.exact_flag else None
+    if direct is not None:
+        doc.add("direct_count", direct, unit="exact count",
+                provenance="direct-backtracking", exact=True)
+        doc.add("engines_agree", direct == res.value.count, provenance="cross-check")
+        if direct != res.value.count:
             code = EXIT_VIOLATION
-        if args.emit_witnesses and res.witnesses:
-            for col in res.witnesses:
-                grid = _column_grid(col, args.n)
-                witness_docs.append(
-                    format_document([grid], partition=partition_boxes(args.n))
-                )
-    else:
-        raise InvalidParams(f"unknown count kind {kind!r}")
-
-    if code == EXIT_OK and args.emit_witnesses and witness_docs:
-        written = _write_witnesses(args, witness_docs)
+    if code == EXIT_OK and args.emit_witnesses and res.witnesses and kind.witness_doc:
+        written = _write_witnesses(args, [kind.witness_doc(source, w) for w in res.witnesses])
         doc.notes.append(f"wrote {written} witness files")
     _emit(doc, args, started)
     return code
@@ -664,6 +631,20 @@ def cmd_bound(args) -> int:
 # subcommand: certify
 
 
+def _dominance(doc: ReportDocument, prefix: str, k: int, systems: int, systems_from: str,
+               mx: int, bound: float, bound_from: str, tol: float) -> bool:
+    """Report the systems counted, their maximum extension count ``mx`` and
+    the bound for width k; True if ln(mx) <= bound + tol."""
+    ok = (math.log(mx) if mx else float("-inf")) <= bound + tol
+    doc.add(f"{prefix}systems_k{k}", systems, unit="exact count", provenance=systems_from,
+            exact=True)
+    doc.add(f"{prefix}max_extensions_k{k}", mx, unit="exact count",
+            provenance="extension-engine", exact=True)
+    doc.add(f"{prefix}bound_k{k}", bound, unit="nats", provenance=bound_from)
+    doc.add(f"{prefix}dominates_k{k}", ok, provenance="comparison")
+    return ok
+
+
 def cmd_certify(args) -> int:
     started = time.monotonic()
     target = args.target
@@ -674,26 +655,20 @@ def cmd_certify(args) -> int:
         if args.n is None:
             raise InvalidParams("certify extension needs --n")
         n = args.n
-        ks = list(range(0, max(n - 1, 1))) if args.all_k else [args.k or 0]
+        ks = list(range(n - 1)) if args.all_k else [args.k or 0]
         doc = ReportDocument(
             "certify extension", {"n": n, "k": "all" if args.all_k else ks[0]}
         )
+        ks = [k for k in ks if k <= n - 2]
+        if not ks:
+            raise InvalidParams(f"certify extension --n {n}: nothing to compare, "
+                                f"since k must be at most n - 2 = {n - 2}")
         for k in ks:
-            if k > n - 2:
-                continue
             systems = count_mols(n, k).value.count
             res, _witness = max_extensions(n, k)
-            bound = bounds_mod.extension_bound_mols(n, k)
-            mx = res.value.count
-            ok = (math.log(mx) if mx else float("-inf")) <= bound + tol
-            ok_all &= ok
-            doc.add(f"systems_k{k}", systems, unit="exact count",
-                    provenance="chained-extension-engine", exact=True)
-            doc.add(f"max_extensions_k{k}", mx, unit="exact count",
-                    provenance="extension-engine", exact=True)
-            doc.add(f"bound_k{k}", bound, unit="nats",
-                    provenance="per-cell-integral")
-            doc.add(f"dominates_k{k}", ok, provenance="comparison")
+            ok_all &= _dominance(
+                doc, "", k, systems, "chained-extension-engine", res.value.count,
+                bounds_mod.extension_bound_mols(n, k), "per-cell-integral", tol)
     elif target == "gerechte":
         if args.n is None:
             raise InvalidParams("certify gerechte needs --n")
@@ -707,42 +682,26 @@ def cmd_certify(args) -> int:
             m = math.isqrt(n)
             if m * m == n and n >= 4:
                 suites.append(("boxes", [partition_boxes(n)]))
-            from .search import iter_latin_direct
-
             classes = [
                 partition_from_square(Square(g)) for g in iter_latin_direct(n)
             ]
             suites.append(("symbol-classes", classes))
         for label, partitions in suites:
+            profiles = [cell_profile(system_to_noa(validate_mols([], p))) for p in partitions]
+            if len({(prof.r, prof.c) for prof in profiles}) > 1:
+                raise InvalidParams("partitions in one suite must share a profile")
             per_k_max = [0] * (kmax + 1)
             per_k_systems = [0] * (kmax + 1)
-            profile = cell_profile(
-                system_to_noa(validate_mols([], partitions[0]))
-            )
             for p in partitions:
-                prof = cell_profile(system_to_noa(validate_mols([], p)))
-                if (prof.r, prof.c) != (profile.r, profile.c):
-                    raise InvalidParams(
-                        "partitions in one suite must share a profile"
-                    )
-                census = extension_census(p, kmax)
-                for k, hist in enumerate(census):
+                for k, hist in enumerate(extension_census(p, kmax)):
                     for cnt, mult in hist.items():
                         per_k_systems[k] += mult
                         per_k_max[k] = max(per_k_max[k], cnt)
             for k in range(kmax + 1):
-                bound = bounds_mod.extension_bound_general(profile, k + 3)
-                mx = per_k_max[k]
-                ok = (math.log(mx) if mx else float("-inf")) <= bound + tol
-                ok_all &= ok
-                doc.add(f"{label}_systems_k{k}", per_k_systems[k],
-                        unit="exact count", provenance="extension-engine",
-                        exact=True)
-                doc.add(f"{label}_max_extensions_k{k}", mx, unit="exact count",
-                        provenance="extension-engine", exact=True)
-                doc.add(f"{label}_bound_k{k}", bound, unit="nats",
-                        provenance="general-profile-bound")
-                doc.add(f"{label}_dominates_k{k}", ok, provenance="comparison")
+                ok_all &= _dominance(
+                    doc, f"{label}_", k, per_k_systems[k], "extension-engine", per_k_max[k],
+                    bounds_mod.extension_bound_general(profiles[0], k + 3),
+                    "general-profile-bound", tol)
     elif target == "product":
         if not args.base:
             raise InvalidParams("certify product needs --base")
@@ -861,21 +820,22 @@ def cmd_construct(args) -> int:
         raise InvalidParams("construct power needs --base")
     if kind == "constant" and args.constant is None:
         raise InvalidParams("construct constant needs --constant")
+    doc = ReportDocument(f"construct {kind}", {})
     if kind == "cayley":
         dims = [_spec_int(d, "--group") for d in args.group.split("x")]
         square = construct_mod.cayley_table(construct_mod.GroupSpec(dims))
         text = format_square(square.grid)
-        params = {"group": args.group}
+        doc.params = {"group": args.group}
     elif kind == "kron":
         square = construct_mod.kronecker(
             resolve_square_spec(args.a), resolve_square_spec(args.b)
         )
         text = format_square(square.grid)
-        params = {"a": args.a, "b": args.b}
+        doc.params = {"a": args.a, "b": args.b}
     elif kind == "power":
         square = construct_mod.power(resolve_square_spec(args.base), args.k)
         text = format_square(square.grid)
-        params = {"base": args.base, "k": args.k}
+        doc.params = {"base": args.base, "k": args.k}
     elif kind == "translate-mates":
         dims = [_spec_int(d, "--group") for d in args.group.split("x")]
         g = construct_mod.GroupSpec(dims)
@@ -894,60 +854,41 @@ def cmd_construct(args) -> int:
             cells = list(res.witnesses[0])
         t = Transversal.of(table, cells)
         partition, mates = construct_mod.translate_mates(g, t, args.count)
-        blocks = [format_document([table.grid], partition=partition,
-                                  transversal=t.sorted_cells())]
-        emitted = 0
-        witness_docs = []
-        for mate in mates:
-            witness_docs.append(format_document([table.grid, mate.grid]))
-            emitted += 1
+        witness_docs = [format_document([table.grid, mate.grid]) for mate in mates]
         if args.emit_witnesses:
             _write_witnesses(args, witness_docs)
-        text = blocks[0]
-        params = {"group": args.group, "count": args.count}
-        doc = ReportDocument("construct translate-mates", params)
-        doc.add("mates_emitted", emitted, unit="exact count",
+        text = format_document([table.grid], partition=partition,
+                               transversal=t.sorted_cells())
+        doc.params = {"group": args.group, "count": args.count}
+        doc.add("mates_emitted", len(witness_docs), unit="exact count",
                 provenance="translate-construction", exact=True)
         doc.add("partition_parts", partition.order, provenance="translate-construction")
-        if args.format == "structured":
-            doc.fields.append(ReportField("document", text))
-            _emit(doc, args, started)
-        else:
-            sys.stdout.write(text)
-            _emit(doc, args, started)
-        return EXIT_OK
     elif kind == "constant":
         cert = construct_mod.construct_for_constant(
             args.constant, args.limit, args.power
         )
         text = format_square(cert.base.grid)
-        params = {
+        doc.params = {
             "constant": args.constant,
             "limit": args.limit,
             "power": args.power,
         }
-        doc = ReportDocument("construct constant", params)
         doc.add("construction", cert.description, provenance=cert.derivation)
         doc.add("base_mates", cert.base_mates, unit="exact count",
                 provenance="exact-cover", exact=True)
         doc.add("certified_log_mates", cert.log_lower_bound, unit="nats",
                 provenance=cert.derivation)
-        if args.format == "structured":
-            doc.fields.append(ReportField("document", text))
-            _emit(doc, args, started)
-        else:
-            sys.stdout.write(text)
-            _emit(doc, args, started)
-        return EXIT_OK
     else:
         raise InvalidParams(f"unknown construct kind {kind!r}")
 
+    # The table format writes the document itself, then any result fields.
     if args.format == "structured":
-        doc = ReportDocument(f"construct {kind}", params)
         doc.fields.append(ReportField("document", text))
         _emit(doc, args, started)
     else:
         sys.stdout.write(text)
+        if doc.fields:
+            _emit(doc, args, started)
     return EXIT_OK
 
 
@@ -957,11 +898,12 @@ def cmd_construct(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=int, default=None,
-                   help="worker processes (default: all cores); certify "
-                        "runs in-process whatever this says, since its "
-                        "searches are many small counts")
+                   help="worker processes (default: all cores); of the "
+                        "certify targets only product uses them, the others "
+                        "run many small counts in-process")
     p.add_argument("--cap", type=int, default=None,
-                   help="max witnesses to collect")
+                   help="max witness files to emit with --emit-witnesses "
+                        "(default 1000); ignored without it")
     p.add_argument("--threshold", type=int, default=None,
                    help="stop counting once at least this many are found")
     p.add_argument("--tol", type=float, default=None,
@@ -987,8 +929,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("count", help="exact enumeration")
-    p.add_argument("kind", choices=(
-        "transversals", "partitions", "mates", "extensions", "mols", "sudoku"))
+    p.add_argument("kind", choices=tuple(COUNT_KINDS))
     p.add_argument("--square", action="append",
                    help="square spec (file or generator); repeatable")
     p.add_argument("--system", help="system document file")

@@ -137,6 +137,8 @@ def translate_mates(
     Returns the tiling as a partition plus a generator of mates in
     lexicographic symbol-assignment order (up to ``count_to_emit``).
     """
+    if count_to_emit is not None and count_to_emit < 0:
+        raise InvalidParams(f"cannot emit a negative number of mates ({count_to_emit})")
     n = g.order
     table = cayley_table(g)
     if t.order != n or not is_transversal(table, t.cells):

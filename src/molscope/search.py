@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 from itertools import islice
 from typing import Iterator, Optional, Sequence
 
@@ -90,16 +90,18 @@ class SearchOptions:
     ``cap`` limits how many witnesses are collected (None: collect none).
     ``stop_threshold`` lets a count stop early once it is known to be at
     least that large; the result is then reported as exactly the threshold
-    with ``exact_flag`` False ("at least").  ``parallel`` distributes
-    top-level branches over ``threads`` worker processes.
+    with ``exact_flag`` False ("at least").  ``threads`` above 1
+    distributes top-level branches over that many worker processes; None or
+    1 runs in-process.  ``parallel`` is accepted and ignored: older callers,
+    the benchmark's tracing scripts among them, still pass it.
     """
 
     cap: Optional[int] = None
     stop_threshold: Optional[int] = None
-    parallel: bool = False
     threads: Optional[int] = None
+    parallel: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, parallel):
         if self.cap is not None and self.cap <= 0:
             raise InvalidParams("cap must be positive")
         if self.stop_threshold is not None and self.stop_threshold <= 0:
@@ -288,7 +290,7 @@ def _cut(opts: SearchOptions) -> bool:
     threshold stop has any use for them."""
     if opts.stop_threshold is not None:
         return True
-    return opts.parallel and (opts.threads or os.cpu_count() or 1) > 1
+    return (opts.threads or 1) > 1
 
 
 def _aggregate(state, opts: SearchOptions, weight: int = 1) -> ExtensionCount:
@@ -307,7 +309,7 @@ def _aggregate(state, opts: SearchOptions, weight: int = 1) -> ExtensionCount:
         total += sub * weight
         return threshold is not None and total >= threshold
 
-    procs = min(opts.threads or os.cpu_count() or 1, nbranches) if opts.parallel else 1
+    procs = min(opts.threads or 1, nbranches)
     if procs > 1:
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(procs, initializer=_worker_init, initargs=(state,)) as pool:

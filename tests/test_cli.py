@@ -182,6 +182,12 @@ def test_exit_limit_and_params(cli):
     assert code == 4
     code, _, _ = cli(["certify", "power", "--m", "3", "--k", "2"])
     assert code == 4
+    # no k in 0..n-2: a certificate that compares nothing is no pass
+    for argv in (["--n", "4", "--k", "5"], ["--n", "1", "--all-k"]):
+        code, out, _ = cli(["certify", "extension", *argv])
+        assert (code, out) == (4, b"")
+    code, out, _ = cli(["construct", "translate-mates", "--group", "3", "--count", "-1"])
+    assert (code, out) == (4, b"")
 
 
 @pytest.mark.parametrize(
@@ -338,6 +344,23 @@ def test_count_cross_check_disagreement_exits_5(cli, monkeypatch, tmp_path, engi
     assert f["direct_count"]["value"] == "7"
     assert f["engines_agree"]["value"] is False
     assert not outdir.exists()
+
+
+def test_cap_applies_only_to_emitted_witnesses(cli, monkeypatch, tmp_path):
+    import molscope.cli as cli_mod
+
+    caps = []
+    engine = cli_mod.enumerate_transversals
+
+    def spy(square, opts):
+        caps.append(opts.cap)
+        return engine(square, opts)
+
+    monkeypatch.setattr(cli_mod, "enumerate_transversals", spy)
+    argv = ["count", "transversals", "--square", "cayley:5", "--cap", "7", "--threads", "1"]
+    assert cli(argv)[0] == 0
+    assert cli(argv + ["--emit-witnesses", str(tmp_path / "w")])[0] == 0
+    assert caps == [None, 7]
 
 
 def test_table_format_shows_elapsed(cli):

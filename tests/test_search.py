@@ -165,7 +165,7 @@ def test_reference_order_counts_match_oracle():
 @pytest.mark.parametrize("grid", [K4, Z5, Z2_CUBED], ids=["K4", "Z5", "Z2^3"])
 def test_cover_pooled_equals_sequential(grid):
     seq = count_transversal_partitions(L(grid), SearchOptions(cap=1000))
-    par = count_transversal_partitions(L(grid), SearchOptions(cap=1000, parallel=True, threads=2))
+    par = count_transversal_partitions(L(grid), SearchOptions(cap=1000, threads=2))
     assert seq == par
     assert seq.exact_flag
 
@@ -173,7 +173,7 @@ def test_cover_pooled_equals_sequential(grid):
 def test_cover_threshold_reports_exactly_threshold():
     full = count_transversal_partitions(L(Z2_CUBED), SearchOptions(cap=50))
     for threads in (None, 2):
-        opts = SearchOptions(cap=50, stop_threshold=1000, parallel=threads is not None, threads=threads)
+        opts = SearchOptions(cap=50, stop_threshold=1000, threads=threads)
         res = count_transversal_partitions(L(Z2_CUBED), opts)
         assert res.value.count == 1000
         assert not res.exact_flag
@@ -187,7 +187,7 @@ def test_cover_threshold_on_product_square():
     runs = [
         count_transversal_partitions(
             L(Z3_BY_Z3),
-            SearchOptions(cap=20, stop_threshold=46656, parallel=threads is not None, threads=threads),
+            SearchOptions(cap=20, stop_threshold=46656, threads=threads),
         )
         for threads in (None, 2)
     ]
@@ -333,13 +333,13 @@ def test_count_sudoku_direct():
 
 def test_parallel_equals_sequential():
     seq = count_mates(L(K4))
-    par = count_mates(L(K4), SearchOptions(parallel=True, threads=3))
+    par = count_mates(L(K4), SearchOptions(threads=3))
     assert par.value == seq.value
     assert par.exact_flag and seq.exact_flag
 
     seqw = enumerate_transversals(L(K4), SearchOptions(cap=5))
     parw = enumerate_transversals(
-        L(K4), SearchOptions(cap=5, parallel=True, threads=3)
+        L(K4), SearchOptions(cap=5, threads=3)
     )
     assert seqw.witnesses == parw.witnesses
     assert seqw.value == parw.value
@@ -347,11 +347,7 @@ def test_parallel_equals_sequential():
 
 def test_threshold_reports_exactly_threshold():
     for threads in (None, 3):
-        opts = SearchOptions(
-            stop_threshold=10,
-            parallel=threads is not None,
-            threads=threads,
-        )
+        opts = SearchOptions(stop_threshold=10, threads=threads)
         res = count_mates(L(K4), opts)
         assert res.value.count == 10
         assert not res.exact_flag
@@ -406,7 +402,7 @@ def test_transversal_witnesses_are_the_first_leaves(name):
     for threads in (None, 2):
         for threshold in (None, 7, 30):
             opts = SearchOptions(
-                cap=cap, stop_threshold=threshold, parallel=threads is not None, threads=threads
+                cap=cap, stop_threshold=threshold, threads=threads
             )
             res = enumerate_transversals(L(grid), opts)
             stopped = threshold is not None and threshold <= len(want)
@@ -466,21 +462,21 @@ def test_arrays_4_reach_symbol_columns():
 @pytest.mark.parametrize("name, a", ARRAYS_4, ids=[f"{n}-w{a.width}" for n, a in ARRAYS_4])
 def test_one_branch_equals_pooled(name, a):
     exts = list(iter_extensions(a))
-    pooled = SearchOptions(parallel=True, threads=2)
+    pooled = SearchOptions(threads=2)
     seq = count_extensions(a)
     assert seq == count_extensions(a, pooled)
     assert seq.value.count == len(exts) and seq.exact_flag
 
     cap = 5
     seqw = count_extensions(a, SearchOptions(cap=cap))
-    parw = count_extensions(a, SearchOptions(cap=cap, parallel=True, threads=2))
+    parw = count_extensions(a, SearchOptions(cap=cap, threads=2))
     assert seqw == parw
     assert seqw.witnesses == tuple(exts[:cap])
 
     for threshold in (1, max(len(exts) // 2, 1), len(exts) + 1):
         one = count_extensions(a, SearchOptions(stop_threshold=threshold, cap=cap))
         two = count_extensions(
-            a, SearchOptions(stop_threshold=threshold, cap=cap, parallel=True, threads=2)
+            a, SearchOptions(stop_threshold=threshold, cap=cap, threads=2)
         )
         assert one == two
         stopped = threshold <= len(exts)
@@ -513,10 +509,9 @@ def test_one_branch_matches_enumeration(index, cap, threshold):
 
 @pytest.mark.parametrize("threads", [None, 2])
 def test_chain_paths_agree(threads):
-    pooled = threads is not None
-    opts = SearchOptions(parallel=pooled, threads=threads)
+    opts = SearchOptions(threads=threads)
     assert count_mols(4, 2, opts).value.count == 6912
-    stopped = count_mols(4, 2, SearchOptions(stop_threshold=1000, parallel=pooled, threads=threads))
+    stopped = count_mols(4, 2, SearchOptions(stop_threshold=1000, threads=threads))
     assert stopped.value.count == 1000 and not stopped.exact_flag
 
 
@@ -553,12 +548,11 @@ REDUCED_CASES = (
 def test_reduced_count_equals_enumeration(name, a):
     want = len(list(iter_extensions(a)))
     for threads in (None, 2):
-        pooled = threads is not None
-        res = count_extensions(a, SearchOptions(parallel=pooled, threads=threads))
+        res = count_extensions(a, SearchOptions(threads=threads))
         assert res == count_extensions(a) and res.value.count == want and res.exact_flag
         for threshold in (1, max(want // 2, 1), max(want, 1), want + 1):
             stop = count_extensions(
-                a, SearchOptions(stop_threshold=threshold, parallel=pooled, threads=threads)
+                a, SearchOptions(stop_threshold=threshold, threads=threads)
             )
             stopped = threshold <= want
             assert stop.value.count == (threshold if stopped else want)
