@@ -54,8 +54,10 @@ from .errors import (
     NotPerfectSquare,
 )
 from .search import (
+    DEFAULT_MAX_EXT_LIMIT,
     ExtensionCount,
     SearchOptions,
+    _check_limit,
     count_extensions,
     count_mates,
     count_mols,
@@ -491,10 +493,6 @@ def _count_system(system: MolsSystem, opts: SearchOptions) -> ExtensionCount:
     return count_extensions(system_to_noa(system), opts)
 
 
-def _mols_direct(n: int, k: int) -> Optional[int]:
-    return count_mols_direct(n, k) if k <= 1 or (k == 2 and n <= 4) else None
-
-
 def _partition_doc(square: LatinSquare, parts) -> str:
     labels = [0] * (square.order**2)
     for t, part in enumerate(parts):
@@ -512,9 +510,10 @@ def _extension_doc(system: MolsSystem, col) -> str:
 class CountKind:
     """One ``count`` kind.  ``read`` gives the engine's input and the report
     params; ``witness_doc`` formats one witness; ``direct`` recounts the input
-    with an engine that shares no code with ``engine``, or gives None where
-    that would take too long.  Rows call engines through lambdas, which look
-    them up by name at each call, so a test or tracer can substitute one."""
+    with an engine that shares no code with ``engine``, or raises
+    ``LimitExceeded`` where that engine does not reach.  Rows call engines
+    through lambdas, which look them up by name at each call, so a test or
+    tracer can substitute one."""
 
     read: Callable
     engine: Callable
@@ -540,7 +539,7 @@ COUNT_KINDS = {
     "mols": CountKind(
         lambda args: ((_read_n(args), args.k), {"n": args.n, "k": args.k}),
         lambda nk, opts: count_mols(*nk, opts), "count", "chained-extension-engine",
-        direct=lambda nk: _mols_direct(*nk)),
+        direct=lambda nk: count_mols_direct(*nk)),
     # a Sudoku square is an extension of the empty system on the boxes
     "sudoku": CountKind(
         lambda args: (validate_mols([], partition_boxes(_read_n(args))), {"n": args.n}),
@@ -561,14 +560,22 @@ def cmd_count(args) -> int:
         doc.add("mates_implied", res.value.count * math.factorial(source.order),
                 unit="exact count", provenance="partitions-times-factorial", exact=True)
     code = EXIT_OK
-    direct = kind.direct(source) if kind.direct and res.exact_flag else None
+    direct = None
+    if kind.direct and res.exact_flag:
+        try:
+            direct = kind.direct(source)
+        except LimitExceeded as exc:
+            doc.notes.append(f"direct cross-check skipped: {exc}")
     if direct is not None:
         doc.add("direct_count", direct, unit="exact count",
                 provenance="direct-backtracking", exact=True)
         doc.add("engines_agree", direct == res.value.count, provenance="cross-check")
         if direct != res.value.count:
             code = EXIT_VIOLATION
-    if code == EXIT_OK and args.emit_witnesses and res.witnesses and kind.witness_doc:
+    if code == EXIT_OK and args.emit_witnesses and kind.witness_doc is None:
+        # refused here, not up front, so that a disagreement still exits 5
+        raise InvalidParams(f"count {args.kind} has no witnesses to emit")
+    if code == EXIT_OK and args.emit_witnesses and res.witnesses:
         written = _write_witnesses(args, [kind.witness_doc(source, w) for w in res.witnesses])
         doc.notes.append(f"wrote {written} witness files")
     _emit(doc, args, started)
@@ -679,6 +686,8 @@ def cmd_certify(args) -> int:
         if args.partition:
             suites.append((args.partition, [resolve_partition_spec(args.partition)]))
         else:
+            # both suites walk every system of order n: refuse before building them
+            _check_limit(n, DEFAULT_MAX_EXT_LIMIT, "census over all systems")
             m = math.isqrt(n)
             if m * m == n and n >= 4:
                 suites.append(("boxes", [partition_boxes(n)]))

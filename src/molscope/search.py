@@ -3,9 +3,13 @@
 One engine does the real work: counting the columns that extend a nearly
 orthogonal array by one.  Orthogonal mates, gerechte mates, and k-tuple
 extensions are all the same search with a different starting array.  A
-second, structurally different backtracking enumerator over plain grids is
-kept alongside it so headline counts can be confirmed by two engines that
-share no code path.
+second, structurally different engine over plain grids is kept alongside it
+so headline counts can be confirmed by two engines that share no code path.
+It builds each square row by row, every row one of the n! permutations,
+and keeps a row when its column code (and, for gerechte or Sudoku squares,
+its region code) misses those of the rows above; a pair of squares is
+orthogonal when every symbol class of the second is in the first's set of
+transversal cell masks.
 
 Transversal partitions are counted by exact cover (Knuth's Algorithm X,
 arXiv cs/0011047) over bitsets: cells are the items, the square's T
@@ -24,8 +28,8 @@ distinct symbols and each orbit has exactly one member whose row 0 reads
 root, :func:`_root`) and weighs its count by n!; the chained tuple count
 fixes the first row of every square and weighs by (n!)^k.  Witnesses come
 from a separate walk of the full tree, so they keep their full
-lexicographic order.  The direct engines are never reduced, so they stay
-an independent check.
+lexicographic order.  The direct engine is never reduced (every square is
+one leaf of its walk), so it stays an independent check.
 
 Determinism contract: results never depend on thread count.  Branches
 return counts; witnesses are the first min(cap, count) leaves of one
@@ -49,7 +53,7 @@ import math
 import multiprocessing
 import os
 from dataclasses import InitVar, dataclass, replace
-from itertools import islice
+from itertools import islice, permutations
 from typing import Iterator, Optional, Sequence
 
 from .arrays import NearlyOrthArray, system_to_noa
@@ -58,9 +62,7 @@ from .core import (
     MolsSystem,
     RegionPartition,
     Square,
-    partition_from_square,
     partition_rows,
-    validate_gerechte,
     validate_mols,
 )
 from .errors import InvalidParams, LimitExceeded
@@ -685,101 +687,95 @@ def extension_census(
 # the independent direct engine (no array machinery)
 
 
+def _direct_walk(perms: Sequence[tuple[int, ...]], n: int, labels=None):
+    """The row-wise walk over the Latin squares of order n.  ``perms`` are
+    the n! permutations of range(n) in lexicographic order; a row is an
+    index into them.
+
+    Row p has the column code with bit j*n + p[j] per column j; a node walks
+    its candidates in order and passes down those whose code misses the
+    chosen row's.  ``labels``, an optional n x n grid of region labels, gives
+    row i of p the region code with bit labels[i][j]*n + p[j], which must
+    miss those of the rows above; without it the rows are the regions and
+    cost nothing more.  Yields ``(rows, last)`` per node at row n-1, in
+    lexicographic order: rows 0..n-2 (a reused buffer) and every row
+    completing them.  Nothing is reduced: each square is one leaf.
+    """
+    code = [sum(1 << (j * n + p[j]) for j in range(n)) for p in perms]
+    region = None
+    if labels is not None:
+        region = [[sum(1 << (lab[j] * n + p[j]) for j in range(n)) for p in perms]
+                  for lab in labels]
+    rows = [0] * (n - 1)
+    last = n - 1
+    if n == 1:
+        return iter([(rows, [0])])
+
+    def rec(i, cands, used):
+        reg = None if region is None else region[i]
+        for r in cands:
+            u = used
+            if reg is not None:
+                if reg[r] & used:
+                    continue
+                u |= reg[r]
+            rows[i] = r
+            cr = code[r]
+            nxt = [c for c in cands if not code[c] & cr]
+            if i + 1 < last:
+                yield from rec(i + 1, nxt, u)
+            else:
+                if region is not None:
+                    below = region[last]
+                    nxt = [c for c in nxt if not below[c] & u]
+                yield rows, nxt
+
+    return rec(0, list(range(len(perms))), 0)
+
+
+def _count_direct(n: int, labels=None) -> int:
+    perms = list(permutations(range(n)))
+    return sum(len(last) for _, last in _direct_walk(perms, n, labels))
+
+
 def iter_latin_direct(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Straight cell-by-cell backtracking over grids with row and column
-    bitmasks.  Shares nothing with the extension engine."""
+    """Every Latin square of order n, rows as tuples, in lexicographic
+    order, from the row-wise walk :func:`_direct_walk`.  Shares nothing
+    with the extension engine."""
     if n < 1:
         raise InvalidParams("order must be positive")
-    full = (1 << n) - 1
-    rowmask = [0] * n
-    colmask = [0] * n
-    grid = [[0] * n for _ in range(n)]
-
-    def rec(cell):
-        if cell == n * n:
-            yield tuple(tuple(r) for r in grid)
-            return
-        i, j = divmod(cell, n)
-        m = full & ~(rowmask[i] | colmask[j])
-        while m:
-            b = m & -m
-            m -= b
-            grid[i][j] = b.bit_length() - 1
-            rowmask[i] |= b
-            colmask[j] |= b
-            yield from rec(cell + 1)
-            rowmask[i] &= ~b
-            colmask[j] &= ~b
-
-    yield from rec(0)
+    perms = list(permutations(range(n)))
+    for rows, last in _direct_walk(perms, n):
+        head = tuple(perms[r] for r in rows)
+        for c in last:
+            yield head + (perms[c],)
 
 
 def count_latin_direct(n: int) -> int:
     """Count Latin squares by the direct engine (fast, no witnesses)."""
     if n < 1:
         raise InvalidParams("order must be positive")
-    full = (1 << n) - 1
-    rowmask = [0] * n
-    colmask = [0] * n
-    ncells = n * n
-
-    def rec(cell):
-        i, j = divmod(cell, n)
-        m = full & ~(rowmask[i] | colmask[j])
-        if cell + 1 == ncells:
-            return m.bit_count()
-        total = 0
-        while m:
-            b = m & -m
-            m -= b
-            rowmask[i] |= b
-            colmask[j] |= b
-            total += rec(cell + 1)
-            rowmask[i] &= ~b
-            colmask[j] &= ~b
-        return total
-
-    return rec(0) if n > 1 else 1
+    return _count_direct(n)
 
 
 def count_sudoku_direct(n: int) -> int:
-    """Count order-n box-balanced Latin squares directly (three bitmasks)."""
+    """Count order-n box-balanced Latin squares directly: the row-wise walk
+    with the boxes as regions."""
     m = math.isqrt(n)
     if m * m != n:
         raise InvalidParams(f"order {n} is not a perfect square")
-    full = (1 << n) - 1
-    rowmask = [0] * n
-    colmask = [0] * n
-    boxmask = [0] * n
-    ncells = n * n
-
-    def rec(cell):
-        i, j = divmod(cell, n)
-        bx = (i // m) * m + (j // m)
-        free = full & ~(rowmask[i] | colmask[j] | boxmask[bx])
-        if cell + 1 == ncells:
-            return free.bit_count()
-        total = 0
-        while free:
-            b = free & -free
-            free -= b
-            rowmask[i] |= b
-            colmask[j] |= b
-            boxmask[bx] |= b
-            total += rec(cell + 1)
-            rowmask[i] &= ~b
-            colmask[j] &= ~b
-            boxmask[bx] &= ~b
-        return total
-
-    return rec(0) if n > 1 else 1
+    return _count_direct(n, [[(i // m) * m + j // m for j in range(n)] for i in range(n)])
 
 
 def count_mols_direct(n: int, k: int) -> int:
     """Tuple counts by the direct engine: full grids first, then pair checks.
 
     Supported for k <= 1 at any permitted order and k = 2 up to order 4;
-    the cost is quadratic in the number of squares beyond that.
+    the cost is quadratic in the number of squares beyond that.  Every
+    ordered pair (a, b) is checked: b is orthogonal to a exactly when the
+    cell mask of each symbol class of b is in a's set of transversal masks
+    (the permutations p whose cells (i, p[i]) hold distinct symbols of a).
+    Most pairs fail at the first lookup.
     """
     if k == 0:
         return 1
@@ -787,21 +783,16 @@ def count_mols_direct(n: int, k: int) -> int:
         _check_limit(n, DEFAULT_MOLS_LIMIT, "direct tuple counting")
         return count_latin_direct(n)
     if k == 2 and n <= 4:
+        perms = list(permutations(range(n)))
+        cells = [sum(1 << (i * n + j) for i, j in enumerate(p)) for p in perms]
         squares = list(iter_latin_direct(n))
-        flat = [tuple(x for row in g for x in row) for g in squares]
+        classes = [[sum(1 << (i * n + row.index(s)) for i, row in enumerate(b)) for s in range(n)]
+                   for b in squares]
         total = 0
-        for a in flat:
-            for b in flat:
-                seen = 0
-                ok = True
-                for xa, xb in zip(a, b):
-                    bit = 1 << (xa * n + xb)
-                    if seen & bit:
-                        ok = False
-                        break
-                    seen |= bit
-                if ok:
-                    total += 1
+        for a in squares:
+            trans = {mask for mask, p in zip(cells, perms)
+                     if len({row[j] for row, j in zip(a, p)}) == n}
+            total += sum(map(trans.issuperset, classes))
         return total
     raise LimitExceeded(
         f"direct engine supports k <= 1 (any order) or k = 2 up to order 4; "
@@ -810,11 +801,6 @@ def count_mols_direct(n: int, k: int) -> int:
 
 
 def gerechte_mates_direct(l: LatinSquare) -> int:
-    """Mates of ``l`` by direct enumeration and symbol-class filtering."""
-    p = partition_from_square(l.square)
-    total = 0
-    for g in iter_latin_direct(l.order):
-        m = LatinSquare(Square(g))
-        if validate_gerechte(m, p):
-            total += 1
-    return total
+    """Mates of ``l`` by the row-wise walk with ``l``'s symbol classes as
+    the regions: a square is a mate exactly when it is gerechte for them."""
+    return _count_direct(l.order, l.grid)

@@ -37,6 +37,22 @@ def brute_latin_squares(n):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def product_latin_squares(n):
+    """All order-n Latin squares, lexicographic: every n-tuple of row
+    permutations, kept when each column holds n distinct symbols."""
+    perms = list(itertools.permutations(range(n)))
+    return tuple(rows for rows in itertools.product(perms, repeat=n)
+                 if all(len(set(col)) == n for col in zip(*rows)))
+
+
+def orthogonal_pairs(squares):
+    """Ordered pairs (a, b) from ``squares`` that are orthogonal, checked
+    cell by cell: the n*n cells must carry n*n distinct symbol pairs."""
+    flat = [tuple(x for row in s for x in row) for s in squares]
+    return sum(len(set(zip(a, b))) == len(a) for a in flat for b in flat)
+
+
 def is_latin(grid):
     n = len(grid)
     want = set(range(n))

@@ -169,7 +169,7 @@ def test_verify_orthogonal_pair(cli, tmp_path):
     assert cli(["verify", str(twice)])[0] == 1  # not orthogonal to itself
 
 
-def test_exit_limit_and_params(cli):
+def test_exit_limit_and_params(cli, tmp_path):
     code, _, _ = cli(["construct", "cayley", "--group", "9x9"])
     assert code == 3
     code, _, _ = cli(["construct", "translate-mates", "--group", "2"])
@@ -188,6 +188,11 @@ def test_exit_limit_and_params(cli):
         assert (code, out) == (4, b"")
     code, out, _ = cli(["construct", "translate-mates", "--group", "3", "--count", "-1"])
     assert (code, out) == (4, b"")
+    # count mols has no witness formatter: asking for witnesses is an error
+    outdir = tmp_path / "w"
+    code, out, _ = cli(["count", "mols", "--n", "3", "--k", "1", "--emit-witnesses", str(outdir)])
+    assert (code, out) == (4, b"")
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize(
@@ -305,6 +310,27 @@ def test_count_mols_cross_checks(cli):
     assert f["count"]["value"] == "576"
     assert f["direct_count"]["value"] == "576"
     assert f["engines_agree"]["value"] is True
+
+
+@pytest.mark.parametrize("n, k, value", [("4", "3", "165888"), ("5", "2", "6220800")])
+def test_count_mols_says_when_it_skips_the_cross_check(cli, n, k, value):
+    doc = run_structured(cli, ["count", "mols", "--n", n, "--k", k])
+    f = fields_by_name(doc)
+    assert f["count"]["value"] == value
+    assert "direct_count" not in f
+    assert doc["notes"] == [
+        "direct cross-check skipped: direct engine supports k <= 1 (any order) "
+        f"or k = 2 up to order 4; got n={n}, k={k}"
+    ]
+
+
+@pytest.mark.parametrize("n", ["5", "6"])
+def test_certify_gerechte_checks_the_order_limit_first(cli, capsys, n):
+    # the symbol-class suite would enumerate every Latin square of order n
+    code, out, seconds = cli(["certify", "gerechte", "--n", n])
+    assert (code, out) == (3, b"")
+    assert "exceeds the configured limit" in capsys.readouterr().err
+    assert seconds < 0.5
 
 
 def test_count_mols_threshold_is_not_exact(cli):

@@ -327,6 +327,34 @@ def test_count_sudoku_direct():
     assert count_sudoku_direct(1) == 1
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_iter_latin_direct_matches_product_oracle(n):
+    # same squares, same lexicographic order
+    assert tuple(iter_latin_direct(n)) == oracles.product_latin_squares(n)
+
+
+def test_count_mols_direct_matches_naive_pair_check():
+    assert count_mols_direct(4, 2) == oracles.orthogonal_pairs(oracles.product_latin_squares(4))
+
+
+def test_direct_engines_share_no_code(monkeypatch):
+    import molscope.search as search
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a direct engine called the extension or cover engine")
+
+    for name in ("_walk", "_count_rec", "_completions", "_chain_branch", "_plan_keys",
+                 "_transversals", "_cover_branch"):
+        monkeypatch.setattr(search, name, forbidden)
+    assert [count_latin_direct(n) for n in range(1, 6)] == [1, 2, 12, 576, 161280]
+    assert count_mols_direct(3, 2) == 72
+    assert count_mols_direct(4, 2) == 6912
+    assert count_sudoku_direct(4) == 288
+    squares = list(iter_latin_direct(4))
+    grids = [squares[0], squares[1], squares[100], squares[575], Z4, K4]
+    assert [gerechte_mates_direct(L(g)) for g in grids] == [48, 0, 48, 48, 0, 48]
+
+
 # --------------------------------------------------------------------------
 # determinism, thresholds, caps, parallelism
 

@@ -2,10 +2,10 @@
 stay byte-identical to the files under ``tests/snapshots/``.
 
 The snapshots cover the structured reports of the acceptance runs
-(``CLI_RUNS``), one ``count`` command per kind with ``--emit-witnesses``
-(report, then each witness file under a ``--- witness-NNNNNN.txt`` line),
-and ``construct constant`` in both formats (the table without its
-``elapsed:`` line).  To rewrite every snapshot from the current code, run
+(``CLI_RUNS``), one ``count`` command per kind that has witnesses, with
+``--emit-witnesses`` (report, then each witness file under a
+``--- witness-NNNNNN.txt`` line), and ``construct constant`` in both
+formats (the table without its ``elapsed:`` line).  To rewrite every snapshot from the current code, run
 
     PYTHONPATH=src python tests/test_snapshots.py
 
@@ -29,7 +29,6 @@ WITNESS_RUNS = {
     "count-mates": ["count", "mates", "--square", "cayley:3"],
     "count-extensions": ["count", "extensions", "--square", "kron:(cayley:2,cayley:2)",
                          "--partition", "rows:4", "--cap", "4"],
-    "count-mols": ["count", "mols", "--n", "3", "--k", "1"],
     "count-sudoku": ["count", "sudoku", "--n", "4", "--cap", "3"],
 }
 CONSTANT = ["construct", "constant", "--constant", "1.2", "--limit", "3"]
