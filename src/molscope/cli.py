@@ -829,6 +829,8 @@ def cmd_construct(args) -> int:
         raise InvalidParams("construct power needs --base")
     if kind == "constant" and args.constant is None:
         raise InvalidParams("construct constant needs --constant")
+    if args.emit_witnesses and kind != "translate-mates":
+        raise InvalidParams(f"construct {kind} has no witnesses to emit")
     doc = ReportDocument(f"construct {kind}", {})
     if kind == "cayley":
         dims = [_spec_int(d, "--group") for d in args.group.split("x")]
@@ -905,20 +907,26 @@ def cmd_construct(args) -> int:
 # argument parsing
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+_FLAGS = {
+    "--cap": dict(type=int, default=None,
+                  help="max witness files to emit with --emit-witnesses "
+                       "(default 1000); ignored without it"),
+    "--threshold": dict(type=int, default=None,
+                        help="stop counting once at least this many are found"),
+    "--tol": dict(type=float, default=None, help="quadrature / comparison tolerance"),
+    "--emit-witnesses": dict(metavar="DIR", default=None,
+                             help="write witness files to this directory"),
+}
+
+
+def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
+    """Add ``--threads``, ``--format`` and those of ``_FLAGS`` the command reads."""
     p.add_argument("--threads", type=int, default=None,
                    help="worker processes (default: all cores); of the "
                         "certify targets only product uses them, the others "
                         "run many small counts in-process")
-    p.add_argument("--cap", type=int, default=None,
-                   help="max witness files to emit with --emit-witnesses "
-                        "(default 1000); ignored without it")
-    p.add_argument("--threshold", type=int, default=None,
-                   help="stop counting once at least this many are found")
-    p.add_argument("--tol", type=float, default=None,
-                   help="quadrature / comparison tolerance")
-    p.add_argument("--emit-witnesses", metavar="DIR", default=None,
-                   help="write witness files to this directory")
+    for flag in flags:
+        p.add_argument(flag, **_FLAGS[flag])
     p.add_argument("--format", choices=("table", "structured"),
                    default="table", help="report format")
 
@@ -945,14 +953,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition", help="partition spec")
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int, default=1)
-    _add_common(p)
+    _add_common(p, "--cap", "--threshold", "--emit-witnesses")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("bound", help="numeric bound evaluation")
     p.add_argument("kind", choices=("extension", "mols-count", "sudoku", "reference"))
     p.add_argument("--n", type=float, required=True)
     p.add_argument("--k", type=int, default=1)
-    _add_common(p)
+    _add_common(p, "--tol")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("certify", help="check a bound against exact counts")
@@ -969,7 +977,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, default=5, help="max base order")
     p.add_argument("--power", type=int, default=2, help="power for the certificate")
     p.add_argument("--max-n", type=int, default=50, help="estimate sweep limit")
-    _add_common(p)
+    _add_common(p, "--threshold", "--tol")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("construct", help="emit constructed objects")
@@ -986,7 +994,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--constant", type=float)
     p.add_argument("--limit", type=int, default=5)
     p.add_argument("--power", type=int, default=2)
-    _add_common(p)
+    _add_common(p, "--emit-witnesses")
     p.set_defaults(func=cmd_construct)
 
     return ap

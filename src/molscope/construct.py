@@ -25,7 +25,6 @@ from .core import (
 )
 from .errors import (
     InvalidParams,
-    LimitExceeded,
     NotATransversal,
     NotFoundWithinLimit,
     TranslatesNotDisjoint,
@@ -33,11 +32,12 @@ from .errors import (
 from .bounds import log_factorial
 from .search import (
     SearchOptions,
+    _check_limit,
+    _symbol_codes,
     _transversals,
     count_transversal_partitions,
     iter_latin_direct,
     count_latin_direct,
-    order_limit,
 )
 
 DEFAULT_CONSTRUCT_LIMIT = 64
@@ -77,19 +77,10 @@ class GroupSpec:
         return tuple((x + y) % m for x, y, m in zip(a, b, self.factors))
 
 
-def _check_construct_limit(order: int) -> None:
-    lim = order_limit(DEFAULT_CONSTRUCT_LIMIT)
-    if order > lim:
-        raise LimitExceeded(
-            f"construction of order {order} exceeds the configured limit {lim} "
-            f"(set MOLSCOPE_LIMIT_N to override)"
-        )
-
-
 def cayley_table(g: GroupSpec) -> LatinSquare:
     """grid[a][b] = index of (element a + element b), elements lexicographic."""
     n = g.order
-    _check_construct_limit(n)
+    _check_limit(n, DEFAULT_CONSTRUCT_LIMIT, "construction")
     elems = g.elements()
     grid = [[g.index_of(g.add(a, b)) for b in elems] for a in elems]
     return LatinSquare(Square(grid))
@@ -104,7 +95,7 @@ def kronecker(a: LatinSquare, b: LatinSquare) -> LatinSquare:
     """
     n1, n2 = a.order, b.order
     n = n1 * n2
-    _check_construct_limit(n)
+    _check_limit(n, DEFAULT_CONSTRUCT_LIMIT, "construction")
     grid = [[0] * n for _ in range(n)]
     for i1 in range(n1):
         for j1 in range(n2):
@@ -120,7 +111,7 @@ def power(l: LatinSquare, k: int) -> LatinSquare:
     """Left-associated k-fold block product of ``l`` with itself."""
     if k < 1:
         raise InvalidParams("power needs k >= 1")
-    _check_construct_limit(l.order**k)
+    _check_limit(l.order**k, DEFAULT_CONSTRUCT_LIMIT, "construction")
     out = l
     for _ in range(k - 1):
         out = kronecker(out, l)
@@ -307,4 +298,4 @@ def construct_for_constant(
 def _transversals_through_origin(l: LatinSquare) -> int:
     """Transversals containing cell (0, 0) — a cheap upper-bound gate, since
     every partition into transversals uses exactly one of them."""
-    return sum(1 for _ in _transversals(l.grid, l.order, (0,), l.order))
+    return sum(1 for _ in _transversals(_symbol_codes(l), l.order, (0,), l.order))

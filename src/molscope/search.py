@@ -1,8 +1,12 @@
 """Exact enumeration: transversals, partitions, extension columns, systems.
 
-One engine does the real work: counting the columns that extend a nearly
-orthogonal array by one.  Orthogonal mates, gerechte mates, and k-tuple
-extensions are all the same search with a different starting array.  A
+One engine does the counting: exact cover of the n x n cells by array
+transversals.  A column extends a nearly orthogonal array exactly when each
+of its symbol classes is an *array transversal*: n cells, one per row, with
+distinct values in every other column of the array.  For the rows array of
+one square these are its Latin transversals; with a region column they also
+meet each region once.  Orthogonal mates, gerechte mates, k-tuples and
+transversal partitions are all covers of some array's transversals.  A
 second, structurally different engine over plain grids is kept alongside it
 so headline counts can be confirmed by two engines that share no code path.
 It builds each square row by row, every row one of the n! permutations,
@@ -11,40 +15,41 @@ its region code) misses those of the rows above; a pair of squares is
 orthogonal when every symbol class of the second is in the first's set of
 transversal cell masks.
 
-Transversal partitions are counted by exact cover (Knuth's Algorithm X,
-arXiv cs/0011047) over bitsets: cells are the items, the square's T
-transversals the options, and every set of options is an integer with one
-bit per transversal index.  Two tables are built once per call and shared
-by every branch: ``through[c]``, the options containing cell ``c``, and
-``disjoint[t]``, the options sharing no cell with ``t`` (the complement of
-the OR of ``through`` over the n cells of ``t``).  ``disjoint`` takes T²/8
-bytes, about 0.6 MB at the order-9 maximum T = 2,241.
+The cover is Knuth's Algorithm X (arXiv cs/0011047) over bitsets: cells
+are the items, the T transversals the options, and every set of options is
+an integer with one bit per transversal index.  Two tables are built once
+per call and shared by every branch: ``through[c]``, the options containing
+cell ``c``, and ``disjoint[t]``, the options sharing no cell with ``t``
+(the complement of the OR of ``through`` over the n cells of ``t``).
+``disjoint`` takes T²/8 bytes, about 0.6 MB at the order-9 maximum
+T = 2,241.
 
-Symmetry reduction: relabelling the symbols of the new column maps
-extensions to extensions, so the symmetric group S_n acts freely on them.
-The row column comes first in every array, so the n cells of row 0 hold
-distinct symbols and each orbit has exactly one member whose row 0 reads
-0, 1, ..., n-1.  Every extension count therefore starts from that row (the
-root, :func:`_root`) and weighs its count by n!; the chained tuple count
-fixes the first row of every square and weighs by (n!)^k.  Witnesses come
-from a separate walk of the full tree, so they keep their full
-lexicographic order.  The direct engine is never reduced (every square is
-one leaf of its walk), so it stays an independent check.
+Symmetry reduction: relabelling the symbols of a new column maps extensions
+to extensions, so the symmetric group S_n acts freely on them.  A cover is
+an unordered partition into n transversals, one orbit: giving part s symbol
+s, with the parts in order of their lowest cells, makes row 0 read 0, 1,
+..., n-1.  So an extension count is n! times the covers, and a chain of k
+covers, each using only the transversals that meet every part of the covers
+before it, is a k-tuple of squares worth (n!)^k.  Walks that produce
+objects (witnesses, :func:`iter_extensions`, and the walk over systems of
+the census) keep a cell-by-cell walk in lexicographic order, whose root
+(:func:`_root`) fixes row 0 where only counts are needed.  The direct
+engine is never reduced (every square is one leaf of its walk), so it stays
+an independent check.
 
 Determinism contract: results never depend on thread count.  Branches
 return counts; witnesses are the first min(cap, count) leaves of one
 sequential lexicographic walk of the whole tree, taken after the count and
-only that far.  A search tree is cut into branches only where the branches
-are used: when a process pool will run or a ``stop_threshold`` is set.  The
-cut is a fixed number of cells below the root that depends on the instance
-alone, never on the thread count.  Otherwise the whole tree below the root
-is one branch.  (The exact-cover search always branches on the part
-through cell 0, which costs no extra set-up.)  Branches are processed in
-lexicographic order and their counts added in that order.  Early stopping
-happens only at whole-branch granularity, and a threshold-stopped count
-always reports exactly the threshold (flagged inexact), so schedules cannot
-leak into output: the count is min(threshold, total) and the witnesses are
-the first min(cap, threshold, total) leaves, however the tree was cut.
+only that far.  The exact cover always branches on the part through cell
+0, which costs no extra set-up.  Transversal enumeration is cut into
+branches only where the branches are used, when a process pool will run or
+a ``stop_threshold`` is set, at a depth that depends on the instance alone,
+never on the thread count.  Branches are processed in order and their
+counts added in that order.  Early stopping happens only at whole-branch
+granularity, and a threshold-stopped count always reports exactly the
+threshold (flagged inexact), so schedules cannot leak into output: the
+count is min(threshold, total) and the witnesses are the first
+min(cap, threshold, total) leaves, however the tree was cut.
 """
 
 from __future__ import annotations
@@ -148,9 +153,7 @@ def _check_limit(n: int, default: int, what: str) -> None:
 
 
 # --------------------------------------------------------------------------
-# the column-extension engine
-
-_MIN_BRANCHES = 32  # fixed fan-out target so branch sets never depend on threads
+# the column walk (witnesses and walks over systems)
 
 
 def _plan_keys(rows: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
@@ -162,38 +165,6 @@ def _plan_keys(rows: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
     """
     distinct = dict.fromkeys(zip(*rows))
     return list(zip(*[[b * n + x for x in col] for b, col in enumerate(distinct)]))
-
-
-def _availability(keys: Sequence[tuple[int, ...]], n: int) -> list[int]:
-    """Per slot, the bitmask of new-column symbols still available."""
-    return [(1 << n) - 1] * (len(keys[0]) * n)
-
-
-def _apply_prefix(av: list[int], keys: Sequence[tuple[int, ...]], prefix: Sequence[int]) -> None:
-    for l, sym in enumerate(prefix):
-        bit = 1 << sym
-        for t in keys[l]:
-            av[t] &= ~bit
-
-
-def _count_rec(av: list[int], keys, cell: int, ncells: int) -> int:
-    ks = keys[cell]
-    m = av[ks[0]]
-    for t in ks[1:]:
-        m &= av[t]
-    if cell + 1 == ncells:
-        return m.bit_count()
-    total = 0
-    while m:
-        b = m & -m
-        m -= b
-        nb = ~b
-        for t in ks:
-            av[t] &= nb
-        total += _count_rec(av, keys, cell + 1, ncells)
-        for t in ks:
-            av[t] |= b
-    return total
 
 
 def _walk(av, keys, cell, stop, buf) -> Iterator[None]:
@@ -220,7 +191,7 @@ def _walk(av, keys, cell, stop, buf) -> Iterator[None]:
 
 
 def _root(n: int) -> tuple[int, ...]:
-    """The prefix of every column counted up to symbol relabelling.
+    """The prefix of every column walked up to symbol relabelling.
 
     It fixes row 0 to 0, 1, ..., n-1.  Only its first n-1 cells are
     written: the row constraint forces n-1 into the last one, so the tree
@@ -231,35 +202,15 @@ def _root(n: int) -> tuple[int, ...]:
 
 def _completions(keys, n: int, root: tuple[int, ...], stop: int) -> Iterator[tuple[int, ...]]:
     """Every valid assignment of cells ``0 .. stop-1`` that starts with
-    ``root``, in lexicographic order."""
-    av = _availability(keys, n)
-    _apply_prefix(av, keys, root)
+    ``root``, in lexicographic order.  Each slot of ``keys`` holds the
+    bitmask of new-column symbols still available."""
+    av = [(1 << n) - 1] * (len(keys[0]) * n)
+    for l, sym in enumerate(root):
+        for t in keys[l]:
+            av[t] &= ~(1 << sym)
     buf = list(root) + [0] * (stop - len(root))
     for _ in _walk(av, keys, len(root), stop, buf):
         yield tuple(buf)
-
-
-def _column_prefixes(
-    keys: Sequence[tuple[int, ...]],
-    n: int,
-    root: tuple[int, ...],
-    min_branches: int = _MIN_BRANCHES,
-) -> list[tuple[int, ...]]:
-    """Valid assignments of the first few cells below ``root``, in
-    lexicographic order.
-
-    The depth is the smallest one reaching ``min_branches`` prefixes (capped
-    at one full row below the root, and short of the last cell) — a
-    function of the instance only, never of the thread count, so every run
-    cuts the tree identically.  Order 1 has a single cell and is never cut.
-    """
-    out = [root]
-    s = len(root)
-    for depth in range(s + 1, min(s + n, len(keys) - 1) + 1):
-        out = list(_completions(keys, n, root, depth))
-        if len(out) >= min_branches or not out:
-            break
-    return out
 
 
 def iter_extensions(a: NearlyOrthArray) -> Iterator[tuple[int, ...]]:
@@ -287,14 +238,6 @@ def _worker_run(idx: int) -> int:
     return branch(*shared, items[idx])
 
 
-def _cut(opts: SearchOptions) -> bool:
-    """Whether to cut the tree into branches: only a process pool or a
-    threshold stop has any use for them."""
-    if opts.stop_threshold is not None:
-        return True
-    return (opts.threads or 1) > 1
-
-
 def _aggregate(state, opts: SearchOptions, weight: int = 1) -> ExtensionCount:
     """Run all branches in order and add their subcounts, each leaf counting
     ``weight`` objects, until the total reaches the threshold.
@@ -302,7 +245,7 @@ def _aggregate(state, opts: SearchOptions, weight: int = 1) -> ExtensionCount:
     The accumulation loop is the same code for one process and many.  The
     result carries no witnesses; see :func:`_with_witnesses`.
     """
-    nbranches = len(state[2])
+    branch, shared, items = state
     threshold = opts.stop_threshold
     total = 0
 
@@ -311,33 +254,23 @@ def _aggregate(state, opts: SearchOptions, weight: int = 1) -> ExtensionCount:
         total += sub * weight
         return threshold is not None and total >= threshold
 
-    procs = min(opts.threads or 1, nbranches)
+    procs = min(opts.threads or 1, len(items))
     if procs > 1:
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(procs, initializer=_worker_init, initargs=(state,)) as pool:
-            for sub in pool.imap(_worker_run, range(nbranches)):
+            for sub in pool.imap(_worker_run, range(len(items))):
                 if consume(sub):
                     pool.terminate()
                     break
     else:
-        _sequential(state, nbranches, consume)
+        for item in items:
+            if consume(branch(*shared, item)):
+                break
 
     if threshold is not None and total >= threshold:
         # Report exactly the threshold: the deterministic "at least" value.
         return ExtensionCount(Exact(threshold), False)
     return ExtensionCount(Exact(total), True)
-
-
-def _sequential(state, nbranches, consume):
-    global _WORKER_STATE
-    saved = _WORKER_STATE
-    _WORKER_STATE = state
-    try:
-        for idx in range(nbranches):
-            if consume(_worker_run(idx)):
-                break
-    finally:
-        _WORKER_STATE = saved
 
 
 def _with_witnesses(res: ExtensionCount, cap: Optional[int], leaves: Iterator) -> ExtensionCount:
@@ -349,75 +282,109 @@ def _with_witnesses(res: ExtensionCount, cap: Optional[int], leaves: Iterator) -
     return replace(res, witnesses=tuple(islice(leaves, min(cap, res.value.count))))
 
 
-# branch bodies -------------------------------------------------------------
+# --------------------------------------------------------------------------
+# transversals and exact covers
+
+_MIN_BRANCHES = 32  # fixed fan-out target so branch sets never depend on threads
 
 
-def _chain_branch(keys, n, squares, root, prefix):
-    """Chains of ``squares`` columns: one extending ``prefix``, then each
-    next one starting with ``root`` and extending the array grown by those
-    before it.  Returns the number of completed chains."""
-    ncells = len(keys)
-    av = _availability(keys, n)
-    _apply_prefix(av, keys, prefix)
-    s = len(prefix)
-    if squares == 1:
-        return _count_rec(av, keys, s, ncells)
-    base = len(keys[0]) * n  # the new column's block of slots
-    buf = list(prefix) + [0] * (ncells - s)
-    total = 0
-    for _ in _walk(av, keys, s, ncells, buf):
-        grown = [ks + (base + buf[l],) for l, ks in enumerate(keys)]
-        total += _chain_branch(grown, n, squares - 1, root, root)
-    return total
+def _symbol_codes(l: LatinSquare) -> list[list[int]]:
+    """Per cell, one bit for its symbol: the transversals of these codes
+    are the Latin transversals of ``l``."""
+    return [[1 << x for x in row] for row in l.grid]
 
 
-def _transversals(grid, n: int, prefix: tuple[int, ...], stop: int) -> Iterator[tuple[int, ...]]:
+def _array_codes(a: NearlyOrthArray) -> list[list[int]]:
+    """Per cell, bit b*n + x for value x of column b + 2 of ``a``: the
+    transversals of these codes are the array transversals of ``a``, the
+    n cells meeting every value of every column once."""
+    n = a.order
+    codes = [sum(1 << (b * n + x) for b, x in enumerate(r[2:])) for r in a.rows]
+    return [codes[i * n : (i + 1) * n] for i in range(n)]
+
+
+def _transversals(codes, n: int, prefix: tuple[int, ...], stop: int) -> Iterator[tuple[int, ...]]:
     """Every partial transversal of rows ``0 .. stop-1`` that starts with the
     partial transversal ``prefix``, as its column per row, in lexicographic
-    order.  Each row tries the free columns in increasing order and skips
-    those holding a symbol already used."""
+    order.  ``codes[i][j]`` is the bitmask of the values cell (i, j) holds
+    beyond its row and column; each row tries the free columns in increasing
+    order and skips cells whose code meets those of the cells above."""
     free = (1 << n) - 1
-    syms = 0
+    used = 0
     for i, j in enumerate(prefix):
         free ^= 1 << j
-        syms |= 1 << grid[i][j]
+        used |= codes[i][j]
     if len(prefix) == stop:
         yield tuple(prefix)
         return
     cols = list(prefix) + [0] * (stop - len(prefix))
     last = stop - 1
 
-    def rec(i, free, syms):
-        row = grid[i]
+    def rec(i, free, used):
+        row = codes[i]
         m = free
         while m:
             b = m & -m
             m ^= b
             j = b.bit_length() - 1
-            sb = 1 << row[j]
-            if syms & sb:
+            c = row[j]
+            if used & c:
                 continue
             cols[i] = j
             if i == last:
                 yield tuple(cols)
             else:
-                yield from rec(i + 1, free ^ b, syms | sb)
+                yield from rec(i + 1, free ^ b, used | c)
 
-    yield from rec(len(prefix), free, syms)
+    yield from rec(len(prefix), free, used)
 
 
-def _transversal_branch(grid, n, prefix):
+def _transversal_branch(codes, n, prefix):
     """The number of transversals extending ``prefix``."""
-    return sum(1 for _ in _transversals(grid, n, prefix, n))
+    return sum(1 for _ in _transversals(codes, n, prefix, n))
 
 
-def _cover_branch(masks, through, disjoint, full, first):
-    """Exact covers of the cells that contain option ``first``.
+def _cover_tables(options: Sequence[tuple[int, ...]], n: int) -> tuple[list[int], list[int], list[int]]:
+    """The exact-cover tables of ``options`` (transversals as their column
+    per row): each option's cell mask, ``through`` and ``disjoint``."""
+    masks = [sum(1 << (i * n + j) for i, j in enumerate(cols)) for cols in options]
+    through = [0] * (n * n)
+    for t, cols in enumerate(options):
+        for i, j in enumerate(cols):
+            through[i * n + j] |= 1 << t
+    every = (1 << len(options)) - 1
+    disjoint = []
+    for cols in options:
+        meets = 0
+        for i, j in enumerate(cols):
+            meets |= through[i * n + j]
+        disjoint.append(every & ~meets)
+    return masks, through, disjoint
+
+
+def _cover_branch(masks, through, disjoint, squares, allowed, first):
+    """Chains of ``squares`` exact covers of the cells by options in
+    ``allowed``, the first cover containing option ``first``.
 
     A node covers the lowest uncovered cell with each still-allowed option
-    through it, in increasing option index; ``allowed`` holds the options
-    disjoint from every chosen one, so no overlap test is needed.
+    through it, in increasing option index, and passes down the options
+    disjoint from every chosen one, so no overlap test is needed.  Each
+    later cover uses only the options meeting every part of the covers
+    before it: n cells meeting all n parts meet each once.
     """
+    uncov = ((1 << len(through)) - 1) ^ masks[first]
+    if squares > 1:
+        total = 0
+        for cover in _covers(masks, through, disjoint, uncov, allowed & disjoint[first]):
+            nxt = allowed & ~disjoint[first]
+            for t in cover:
+                nxt &= ~disjoint[t]
+            m = through[0] & nxt
+            while m:
+                b = m & -m
+                m ^= b
+                total += _cover_branch(masks, through, disjoint, squares - 1, nxt, b.bit_length() - 1)
+        return total
 
     def rec(uncov, allowed):
         if not uncov:
@@ -431,7 +398,7 @@ def _cover_branch(masks, through, disjoint, full, first):
             total += rec(uncov ^ masks[t], allowed & disjoint[t])  # masks[t] lies in uncov
         return total
 
-    return rec(full ^ masks[first], disjoint[first])
+    return rec(uncov, allowed & disjoint[first])
 
 
 def _covers(masks, through, disjoint, uncov, allowed) -> Iterator[tuple[int, ...]]:
@@ -449,6 +416,31 @@ def _covers(masks, through, disjoint, uncov, allowed) -> Iterator[tuple[int, ...
             yield (t,) + rest
 
 
+def _count_covers(tables, opts: SearchOptions, squares: int = 1, weight: int = 1) -> ExtensionCount:
+    """Count chains of ``squares`` exact covers by the options of
+    ``tables``, each chain worth ``weight``, with one branch per option
+    through cell 0 (every cover has exactly one)."""
+    masks = tables[0]
+    every = (1 << len(masks)) - 1
+    branches = [t for t, m in enumerate(masks) if m & 1]
+    return _aggregate((_cover_branch, (*tables, squares, every), branches), opts, weight)
+
+
+def _count_chains(a: NearlyOrthArray, squares: int, opts: SearchOptions) -> ExtensionCount:
+    """Ordered ``squares``-tuples of new columns that together extend ``a``.
+
+    A column extends ``a`` exactly when each of its symbol classes is an
+    array transversal, so the tuples are the chains of exact covers by
+    array transversals, with part s of each cover getting symbol s: the
+    parts come in order of their lowest cells, so part s holds cell (0, s)
+    and row 0 of every new square reads 0, 1, ..., n-1.  Relabelling each
+    square's symbols gives the rest, so each chain is worth (n!)^squares.
+    """
+    n = a.order
+    options = list(_transversals(_array_codes(a), n, (), n))
+    return _count_covers(_cover_tables(options, n), opts, squares, math.factorial(n) ** squares)
+
+
 # --------------------------------------------------------------------------
 # public operations
 
@@ -457,23 +449,24 @@ def enumerate_transversals(l: LatinSquare, opts: SearchOptions | None = None) ->
     """Count (and optionally collect) all transversals of ``l``.
 
     Row-by-row backtracking over column choices with column and symbol
-    bitmasks (:func:`_transversals`).  Branches count the transversals
-    below each cut prefix; witnesses, cell tuples sorted by row, are the
-    first min(cap, count) transversals of one sequential walk in
-    lexicographic order of their columns.
+    bitmasks (:func:`_transversals`).  The walk is cut into branches, the
+    transversals below each of a fixed set of prefixes, only when a pool
+    will run or ``stop_threshold`` is set; witnesses, cell tuples sorted by
+    row, are the first min(cap, count) transversals of one sequential walk
+    in lexicographic order of their columns.
     """
     opts = opts or SearchOptions()
     n = l.order
     _check_limit(n, DEFAULT_ENUM_LIMIT, "transversal enumeration")
-    grid = l.grid
+    codes = _symbol_codes(l)
     prefixes: list[tuple[int, ...]] = [()]
-    if _cut(opts):
+    if opts.stop_threshold is not None or (opts.threads or 1) > 1:
         for depth in range(1, n + 1):
-            prefixes = list(_transversals(grid, n, (), depth))
+            prefixes = list(_transversals(codes, n, (), depth))
             if len(prefixes) >= _MIN_BRANCHES or not prefixes:
                 break
-    res = _aggregate((_transversal_branch, (grid, n), prefixes), opts)
-    return _with_witnesses(res, opts.cap, (tuple(enumerate(c)) for c in _transversals(grid, n, (), n)))
+    res = _aggregate((_transversal_branch, (codes, n), prefixes), opts)
+    return _with_witnesses(res, opts.cap, (tuple(enumerate(c)) for c in _transversals(codes, n, (), n)))
 
 
 def count_transversal_partitions(
@@ -497,38 +490,20 @@ def count_transversal_partitions(
     opts = opts or SearchOptions()
     n = l.order
     _check_limit(n, DEFAULT_ENUM_LIMIT, "partition enumeration")
-    cells = [tuple(enumerate(c)) for c in _transversals(l.grid, n, (), n)]
-    masks = [sum(1 << (i * n + j) for i, j in tcells) for tcells in cells]
-    through = [0] * (n * n)
-    for t, tcells in enumerate(cells):
-        for i, j in tcells:
-            through[i * n + j] |= 1 << t
-    every = (1 << len(cells)) - 1
-    disjoint = []
-    for tcells in cells:
-        meets = 0
-        for i, j in tcells:
-            meets |= through[i * n + j]
-        disjoint.append(every & ~meets)
-    full = (1 << n * n) - 1
-    # every partition has exactly one part through cell 0
-    branches = [t for t, m in enumerate(masks) if m & 1]
-    res = _aggregate((_cover_branch, (masks, through, disjoint, full), branches), opts)
-    covers = _covers(masks, through, disjoint, full, every)
-    return _with_witnesses(res, opts.cap, (tuple(cells[t] for t in c) for c in covers))
+    options = list(_transversals(_symbol_codes(l), n, (), n))
+    tables = _cover_tables(options, n)
+    res = _count_covers(tables, opts)
+    covers = _covers(*tables, (1 << n * n) - 1, (1 << len(options)) - 1)
+    parts = (tuple(tuple(enumerate(options[t])) for t in c) for c in covers)
+    return _with_witnesses(res, opts.cap, parts)
 
 
 def count_extensions(a: NearlyOrthArray, opts: SearchOptions | None = None) -> ExtensionCount:
     """Count the columns whose appending keeps ``a`` a valid array.
 
-    Cells are assigned in lexicographic order; each distinct existing column
-    keeps a per-symbol availability bitmask, and a cell's candidate set is
-    the AND across its columns.  The plan (each cell's bitmask slots) is
-    built once per call and shared by every branch.  The search counts the
-    columns whose row 0 reads 0, 1, ..., n-1 and multiplies by n! (see the
-    module docstring).  The tree is cut into branches below that root only
-    when a pool will run or ``stop_threshold`` is set; otherwise it is
-    counted as one branch.  With a cap, witnesses are the first
+    The count is n! times the exact covers of the cells by the array
+    transversals of ``a`` (:func:`_count_chains`), with one branch per
+    transversal through cell 0.  With a cap, witnesses are the first
     min(cap, count) columns of :func:`iter_extensions`' walk of the full
     tree, so they come in full lexicographic order however the count ran.
     Every mate/extension count in the package funnels through here.
@@ -536,11 +511,7 @@ def count_extensions(a: NearlyOrthArray, opts: SearchOptions | None = None) -> E
     opts = opts or SearchOptions()
     n = a.order
     _check_limit(n, DEFAULT_ENUM_LIMIT, "extension counting")
-    root = _root(n)
-    keys = _plan_keys(a.rows, n)
-    prefixes = _column_prefixes(keys, n, root) if _cut(opts) else [root]
-    res = _aggregate((_chain_branch, (keys, n, 1, root), prefixes), opts, math.factorial(n))
-    return _with_witnesses(res, opts.cap, _completions(keys, n, (), len(keys)))
+    return _with_witnesses(_count_chains(a, 1, opts), opts.cap, iter_extensions(a))
 
 
 def count_mates(l: LatinSquare, opts: SearchOptions | None = None) -> ExtensionCount:
@@ -555,11 +526,9 @@ def _rows_array(n: int) -> NearlyOrthArray:
 
 
 def count_mols(n: int, k: int, opts: SearchOptions | None = None) -> ExtensionCount:
-    """The number of ordered k-tuples of pairwise orthogonal Latin squares,
-    by chaining the extension engine one square at a time.
-
-    Every square of the chain starts from the fixed first row 0, 1, ...,
-    n-1, so the count of completed chains is multiplied by (n!)^k.
+    """The number of ordered k-tuples of pairwise orthogonal Latin squares:
+    chains of k exact covers of the cells by the permutation transversals of
+    the empty system (:func:`_count_chains`), each worth (n!)^k.
     """
     opts = opts or SearchOptions()
     if n < 1 or k < 0:
@@ -569,11 +538,7 @@ def count_mols(n: int, k: int, opts: SearchOptions | None = None) -> ExtensionCo
         return ExtensionCount(Exact(1), True)
     if n >= 2 and k > n - 1:
         return ExtensionCount(Exact(0), True)
-    root = _root(n)
-    keys = _plan_keys(_rows_array(n).rows, n)
-    prefixes = _column_prefixes(keys, n, root) if _cut(opts) else [root]
-    state = (_chain_branch, (keys, n, k, root), prefixes)
-    return _aggregate(state, opts, math.factorial(n) ** k)
+    return _count_chains(_rows_array(n), k, opts)
 
 
 def _system_arrays(
@@ -770,8 +735,9 @@ def count_sudoku_direct(n: int) -> int:
 def count_mols_direct(n: int, k: int) -> int:
     """Tuple counts by the direct engine: full grids first, then pair checks.
 
-    Supported for k <= 1 at any permitted order and k = 2 up to order 4;
-    the cost is quadratic in the number of squares beyond that.  Every
+    Supported for k = 1 up to order 5 and k = 2 up to order 4: every square
+    is one leaf, so order 6 would walk 812,851,200 leaves, and the pair
+    check is quadratic in the number of squares.  Every
     ordered pair (a, b) is checked: b is orthogonal to a exactly when the
     cell mask of each symbol class of b is in a's set of transversal masks
     (the permutations p whose cells (i, p[i]) hold distinct symbols of a).
@@ -779,7 +745,7 @@ def count_mols_direct(n: int, k: int) -> int:
     """
     if k == 0:
         return 1
-    if k == 1:
+    if k == 1 and n <= 5:
         _check_limit(n, DEFAULT_MOLS_LIMIT, "direct tuple counting")
         return count_latin_direct(n)
     if k == 2 and n <= 4:
@@ -795,7 +761,7 @@ def count_mols_direct(n: int, k: int) -> int:
             total += sum(map(trans.issuperset, classes))
         return total
     raise LimitExceeded(
-        f"direct engine supports k <= 1 (any order) or k = 2 up to order 4; "
+        f"direct engine supports k = 1 up to order 5 or k = 2 up to order 4; "
         f"got n={n}, k={k}"
     )
 

@@ -193,6 +193,10 @@ def test_exit_limit_and_params(cli, tmp_path):
     code, out, _ = cli(["count", "mols", "--n", "3", "--k", "1", "--emit-witnesses", str(outdir)])
     assert (code, out) == (4, b"")
     assert not outdir.exists()
+    # of the construct kinds only translate-mates emits witnesses
+    code, out, _ = cli(["construct", "cayley", "--group", "3", "--emit-witnesses", str(outdir)])
+    assert (code, out) == (4, b"")
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize(
@@ -312,16 +316,33 @@ def test_count_mols_cross_checks(cli):
     assert f["engines_agree"]["value"] is True
 
 
-@pytest.mark.parametrize("n, k, value", [("4", "3", "165888"), ("5", "2", "6220800")])
-def test_count_mols_says_when_it_skips_the_cross_check(cli, n, k, value):
+@pytest.mark.parametrize("n, k, value", [
+    ("4", "3", "165888"), ("5", "2", "6220800"), ("6", "1", "812851200")])
+def test_count_mols_says_when_it_skips_the_cross_check(cli, monkeypatch, n, k, value):
+    # order 6 passes the order limit only when raised; its direct count
+    # would walk all 812,851,200 squares, so the cross-check is skipped
+    monkeypatch.setenv("MOLSCOPE_LIMIT_N", "6")
     doc = run_structured(cli, ["count", "mols", "--n", n, "--k", k])
     f = fields_by_name(doc)
     assert f["count"]["value"] == value
     assert "direct_count" not in f
     assert doc["notes"] == [
-        "direct cross-check skipped: direct engine supports k <= 1 (any order) "
+        "direct cross-check skipped: direct engine supports k = 1 up to order 5 "
         f"or k = 2 up to order 4; got n={n}, k={k}"
     ]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "x.txt", "--cap", "3"],
+    ["bound", "extension", "--n", "4", "--threshold", "5"],
+    ["certify", "estimate", "--emit-witnesses", "w"],
+    ["construct", "translate-mates", "--group", "3", "--cap", "2"],
+    ["count", "mates", "--square", "cayley:3", "--tol", "1"],
+])
+def test_commands_refuse_flags_they_do_not_read(cli, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli(argv)
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("n", ["5", "6"])

@@ -22,6 +22,7 @@ from molscope.core import (
 from molscope.errors import InvalidParams, LimitExceeded
 from molscope.search import (
     Exact,
+    ExtensionCount,
     SearchOptions,
     count_extensions,
     count_latin_direct,
@@ -322,6 +323,14 @@ def test_direct_engine_agrees():
         count_mols_direct(5, 2)
 
 
+def test_direct_engine_stops_at_its_reach(monkeypatch):
+    # order 6 would walk all 812,851,200 squares: refused at once, even
+    # with the order limit raised
+    monkeypatch.setenv("MOLSCOPE_LIMIT_N", "6")
+    with pytest.raises(LimitExceeded, match="k = 1 up to order 5"):
+        count_mols_direct(6, 1)
+
+
 def test_count_sudoku_direct():
     assert count_sudoku_direct(4) == 288
     assert count_sudoku_direct(1) == 1
@@ -337,15 +346,28 @@ def test_count_mols_direct_matches_naive_pair_check():
     assert count_mols_direct(4, 2) == oracles.orthogonal_pairs(oracles.product_latin_squares(4))
 
 
-def test_direct_engines_share_no_code(monkeypatch):
+def _forbid_all_but_direct(monkeypatch):
+    """Make every function of the search module raise, except the direct
+    engine and the limit helpers; returns the names made to raise."""
+    import inspect
+
     import molscope.search as search
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a direct engine called the extension or cover engine")
 
-    for name in ("_walk", "_count_rec", "_completions", "_chain_branch", "_plan_keys",
-                 "_transversals", "_cover_branch"):
+    keep = {"_direct_walk", "_count_direct", "order_limit", "_check_limit"}
+    names = {name for name, fn in vars(search).items()
+             if inspect.isfunction(fn) and fn.__module__ == search.__name__
+             and name not in keep and not name.endswith("_direct")}
+    for name in names:
         monkeypatch.setattr(search, name, forbidden)
+    return names
+
+
+def test_direct_engines_share_no_code(monkeypatch):
+    forbidden = _forbid_all_but_direct(monkeypatch)
+    assert {"_walk", "_transversals", "_cover_branch", "_covers", "count_mols"} <= forbidden
     assert [count_latin_direct(n) for n in range(1, 6)] == [1, 2, 12, 576, 161280]
     assert count_mols_direct(3, 2) == 72
     assert count_mols_direct(4, 2) == 6912
@@ -649,17 +671,45 @@ def test_max_extensions_matches_unreduced_walk(n):
             assert [s.grid for s in witness.squares] == list(best_sys)
 
 
+FIRST_ROW_5 = list(itertools.takewhile(lambda g: g[0] == tuple(range(5)), iter_latin_direct(5)))
+
+
 def test_count_mols_5_2_by_transversal_partitions():
-    # Second route: the pairs whose first square has first row 0..4, summed
-    # over those squares as partitions * 5! (symbol maps of the mate), times
-    # 5! (relabellings of the first square).  iter_latin_direct is
-    # lexicographic, so those squares come first.
-    first_row = tuple(range(5))
-    reduced = itertools.takewhile(lambda g: g[0] == first_row, iter_latin_direct(5))
-    parts = [count_transversal_partitions(L(g)).value.count for g in reduced]
+    # A second route: the first squares come from the direct engine and
+    # their mates from partition counts.  It shares _cover_branch with
+    # count_mols, so the mate counts are also checked against the direct
+    # engine alone (test_mates_match_direct_engine_order_5).  The pairs whose
+    # first square has first row 0..4, summed over those squares as
+    # partitions * 5! (symbol maps of the mate), times 5! (relabellings of
+    # the first square).  iter_latin_direct is lexicographic, so those
+    # squares come first.
+    parts = [count_transversal_partitions(L(g)).value.count for g in FIRST_ROW_5]
     assert len(parts) == 161280 // 120
     route = sum(parts) * math.factorial(5) ** 2
     assert route == count_mols(5, 2).value.count == 6220800
+
+
+def test_mates_match_direct_engine_order_5(monkeypatch):
+    # every 17th order-5 square with first row 0..4: the cover against the
+    # direct walk with the square's symbol classes as regions
+    sample = [L(g) for g in FIRST_ROW_5[::17]]
+    covers = [count_mates(l).value.count for l in sample]
+    _forbid_all_but_direct(monkeypatch)
+    assert len(sample) == 80 and set(covers) == {0, 360}
+    assert covers == [gerechte_mates_direct(l) for l in sample]
+
+
+@pytest.mark.parametrize("dims, mates", [((8,), 0), ((2, 2, 2), 70272 * math.factorial(8))])
+def test_mates_of_order_8_tables(dims, mates):
+    # Z8 has no transversal; Z2^3 has 70,272 transversal partitions
+    res = count_mates(L(cayley(*dims)))
+    assert res.value.count == mates and res.exact_flag
+
+
+def test_count_mols_order_6(monkeypatch):
+    # OEIS A002860: 812,851,200 Latin squares of order 6
+    monkeypatch.setenv("MOLSCOPE_LIMIT_N", "6")
+    assert count_mols(6, 1) == ExtensionCount(Exact(812851200), True)
 
 
 # --------------------------------------------------------------------------
