@@ -76,6 +76,7 @@ EXIT_IO = 2
 EXIT_LIMIT = 3
 EXIT_PARAMS = 4
 EXIT_VIOLATION = 5
+EXIT_INTERNAL = 6
 
 
 # --------------------------------------------------------------------------
@@ -682,20 +683,26 @@ def cmd_certify(args) -> int:
         n = args.n
         doc = ReportDocument("certify gerechte", {"n": n})
         kmax = max(n - 2, 0)
-        suites: list[tuple[str, list[RegionPartition]]] = []
+        # (label, partitions, systems each census system stands for)
+        suites: list[tuple[str, list[RegionPartition], int]] = []
         if args.partition:
-            suites.append((args.partition, [resolve_partition_spec(args.partition)]))
+            suites.append((args.partition, [resolve_partition_spec(args.partition)], 1))
         else:
             # both suites walk every system of order n: refuse before building them
             _check_limit(n, DEFAULT_MAX_EXT_LIMIT, "census over all systems")
             m = math.isqrt(n)
             if m * m == n and n >= 4:
-                suites.append(("boxes", [partition_boxes(n)]))
+                suites.append(("boxes", [partition_boxes(n)], 1))
+            # a census is invariant under relabelling symbols and permuting rows
+            # 1..n-1: one reduced square (row 0 = column 0 = 0..n-1) per n!(n-1)!
+            ident = tuple(range(n))
             classes = [
                 partition_from_square(Square(g)) for g in iter_latin_direct(n)
+                if g[0] == ident and tuple(r[0] for r in g) == ident
             ]
-            suites.append(("symbol-classes", classes))
-        for label, partitions in suites:
+            suites.append(("symbol-classes", classes,
+                           math.factorial(n) * math.factorial(n - 1)))
+        for label, partitions, weight in suites:
             profiles = [cell_profile(system_to_noa(validate_mols([], p))) for p in partitions]
             if len({(prof.r, prof.c) for prof in profiles}) > 1:
                 raise InvalidParams("partitions in one suite must share a profile")
@@ -704,7 +711,7 @@ def cmd_certify(args) -> int:
             for p in partitions:
                 for k, hist in enumerate(extension_census(p, kmax)):
                     for cnt, mult in hist.items():
-                        per_k_systems[k] += mult
+                        per_k_systems[k] += mult * weight
                         per_k_max[k] = max(per_k_max[k], cnt)
             for k in range(kmax + 1):
                 ok_all &= _dominance(
@@ -1016,6 +1023,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except MolscopeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except RuntimeError as exc:  # a broken internal invariant
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

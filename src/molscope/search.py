@@ -30,10 +30,11 @@ an unordered partition into n transversals, one orbit: giving part s symbol
 s, with the parts in order of their lowest cells, makes row 0 read 0, 1,
 ..., n-1.  So an extension count is n! times the covers, and a chain of k
 covers, each using only the transversals that meet every part of the covers
-before it, is a k-tuple of squares worth (n!)^k.  Walks that produce
-objects (witnesses, :func:`iter_extensions`, and the walk over systems of
-the census) keep a cell-by-cell walk in lexicographic order, whose root
-(:func:`_root`) fixes row 0 where only counts are needed.  The direct
+before it, is a k-tuple of squares worth (n!)^k.  The census walks that
+chain tree (:func:`_chain_tree`): a node at depth j is a j-system, and its
+extension count is n! times its child covers.  Walks that must produce
+objects in lexicographic order (witnesses, :func:`iter_extensions`,
+:func:`iter_mols_systems`) keep a cell-by-cell column walk.  The direct
 engine is never reduced (every square is one leaf of its walk), so it stays
 an independent check.
 
@@ -153,7 +154,7 @@ def _check_limit(n: int, default: int, what: str) -> None:
 
 
 # --------------------------------------------------------------------------
-# the column walk (witnesses and walks over systems)
+# the column walk (witnesses and lexicographic walks over systems)
 
 
 def _plan_keys(rows: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
@@ -167,14 +168,14 @@ def _plan_keys(rows: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
     return list(zip(*[[b * n + x for x in col] for b, col in enumerate(distinct)]))
 
 
-def _walk(av, keys, cell, stop, buf) -> Iterator[None]:
-    """Yield once per valid assignment of cells ``cell .. stop-1``, written
+def _walk(av, keys, cell, buf) -> Iterator[None]:
+    """Yield once per valid assignment of the cells from ``cell`` on, written
     into ``buf``, in lexicographic order.  The caller reads ``buf`` only."""
     ks = keys[cell]
     m = av[ks[0]]
     for t in ks[1:]:
         m &= av[t]
-    last = cell + 1 == stop
+    last = cell + 1 == len(keys)
     while m:
         b = m & -m
         m -= b
@@ -185,39 +186,21 @@ def _walk(av, keys, cell, stop, buf) -> Iterator[None]:
             nb = ~b
             for t in ks:
                 av[t] &= nb
-            yield from _walk(av, keys, cell + 1, stop, buf)
+            yield from _walk(av, keys, cell + 1, buf)
             for t in ks:
                 av[t] |= b
 
 
-def _root(n: int) -> tuple[int, ...]:
-    """The prefix of every column walked up to symbol relabelling.
-
-    It fixes row 0 to 0, 1, ..., n-1.  Only its first n-1 cells are
-    written: the row constraint forces n-1 into the last one, so the tree
-    is the same, and at order 1 the root is empty.
-    """
-    return tuple(range(n - 1))
-
-
-def _completions(keys, n: int, root: tuple[int, ...], stop: int) -> Iterator[tuple[int, ...]]:
-    """Every valid assignment of cells ``0 .. stop-1`` that starts with
-    ``root``, in lexicographic order.  Each slot of ``keys`` holds the
-    bitmask of new-column symbols still available."""
-    av = [(1 << n) - 1] * (len(keys[0]) * n)
-    for l, sym in enumerate(root):
-        for t in keys[l]:
-            av[t] &= ~(1 << sym)
-    buf = list(root) + [0] * (stop - len(root))
-    for _ in _walk(av, keys, len(root), stop, buf):
-        yield tuple(buf)
-
-
 def iter_extensions(a: NearlyOrthArray) -> Iterator[tuple[int, ...]]:
     """All columns that extend ``a``, in lexicographic order (sequential,
-    unreduced)."""
-    keys = _plan_keys(a.rows, a.order)
-    yield from _completions(keys, a.order, (), len(keys))
+    unreduced).  Each slot of the plan holds the bitmask of new-column
+    symbols still available."""
+    n = a.order
+    keys = _plan_keys(a.rows, n)
+    av = [(1 << n) - 1] * (len(keys[0]) * n)
+    buf = [0] * len(keys)
+    for _ in _walk(av, keys, 0, buf):
+        yield tuple(buf)
 
 
 # --------------------------------------------------------------------------
@@ -520,11 +503,6 @@ def count_mates(l: LatinSquare, opts: SearchOptions | None = None) -> ExtensionC
     return count_extensions(system_to_noa(sys), opts)
 
 
-def _rows_array(n: int) -> NearlyOrthArray:
-    """The array of the empty system of order n, rows as the partition."""
-    return system_to_noa(validate_mols([], partition_rows(n)))
-
-
 def count_mols(n: int, k: int, opts: SearchOptions | None = None) -> ExtensionCount:
     """The number of ordered k-tuples of pairwise orthogonal Latin squares:
     chains of k exact covers of the cells by the permutation transversals of
@@ -538,30 +516,44 @@ def count_mols(n: int, k: int, opts: SearchOptions | None = None) -> ExtensionCo
         return ExtensionCount(Exact(1), True)
     if n >= 2 and k > n - 1:
         return ExtensionCount(Exact(0), True)
-    return _count_chains(_rows_array(n), k, opts)
+    return _count_chains(system_to_noa(validate_mols([], partition_rows(n))), k, opts)
 
 
-def _system_arrays(
-    base: NearlyOrthArray, k: int, cols: list, root: tuple[int, ...]
-) -> Iterator[NearlyOrthArray]:
-    """Pre-order walk over the arrays of the systems of at most k squares on
-    ``base``'s partition: each array, then the arrays extending it, by the
-    new column in lexicographic order.  Only columns starting with ``root``
-    are taken.  While an array is current, ``cols`` holds its symbol
-    columns, so its depth is ``len(cols)``."""
-    n = base.order
+def _chain_tree(partition: RegionPartition, kmax: int) -> Iterator[tuple[list, int]]:
+    """Walk the chain tree on ``partition`` down to depth ``kmax``, yielding
+    ``(cols, count)`` per node after its children.
 
-    def rec(noa: NearlyOrthArray):
-        yield noa
-        if len(cols) == k:
-            return
-        keys = _plan_keys(noa.rows, n)
-        for x in _completions(keys, n, root, len(keys)):
-            cols.append(x)
-            yield from rec(noa.with_column(x))
+    A node at depth j is a j-system gerechte for ``partition`` whose squares
+    all have row 0 = 0, 1, ..., n-1, held as its symbol columns in ``cols``
+    (reused by the walk: copy it to keep it).  Its children are the exact
+    covers by the array transversals of the empty system that meet every
+    part of the covers above it (the ``nxt`` mask of :func:`_cover_branch`),
+    part s giving symbol s; its extension ``count`` is n! times their number.
+    One set of cover tables serves the whole walk.
+    """
+    n = partition.order
+    options = list(_transversals(_array_codes(system_to_noa(validate_mols([], partition))), n, (), n))
+    masks, through, disjoint = _cover_tables(options, n)
+    cols: list[tuple[int, ...]] = []
+
+    def rec(allowed):
+        children = 0
+        for cover in _covers(masks, through, disjoint, (1 << n * n) - 1, allowed):
+            children += 1
+            if len(cols) == kmax:
+                continue
+            col = [0] * (n * n)
+            nxt = allowed
+            for s, t in enumerate(cover):
+                nxt &= ~disjoint[t]
+                for i, j in enumerate(options[t]):
+                    col[i * n + j] = s
+            cols.append(tuple(col))
+            yield from rec(nxt)
             cols.pop()
+        yield cols, math.factorial(n) * children
 
-    yield from rec(base)
+    yield from rec((1 << len(options)) - 1)
 
 
 def iter_mols_systems(n: int, k: int) -> Iterator[MolsSystem]:
@@ -572,9 +564,17 @@ def iter_mols_systems(n: int, k: int) -> Iterator[MolsSystem]:
     if n >= 2 and k > n - 1:
         return
     cols: list[tuple[int, ...]] = []
-    for _ in _system_arrays(_rows_array(n), k, cols, ()):
+
+    def rec(noa: NearlyOrthArray):
         if len(cols) == k:
             yield columns_to_system(n, cols)
+            return
+        for x in iter_extensions(noa):
+            cols.append(x)
+            yield from rec(noa.with_column(x))
+            cols.pop()
+
+    yield from rec(system_to_noa(validate_mols([], partition_rows(n))))
 
 
 def columns_to_system(n: int, cols: Sequence[Sequence[int]]) -> MolsSystem:
@@ -590,30 +590,21 @@ def max_extensions(n: int, k: int) -> tuple[ExtensionCount, Optional[MolsSystem]
     """Maximum extension count over every k-tuple system of order n, with the
     lexicographically first maximizer as witness.
 
-    Only systems whose squares all have first row 0, 1, ..., n-1 are
-    walked, in the order of :func:`iter_mols_systems`.  That loses nothing:
-    relabelling a square's symbols keeps its system's extension count, and
-    normalising the first square whose first row is not 0, 1, ..., n-1 makes
-    a system lexicographically smaller, so the first maximizer is already
-    normalised.  Each array is counted directly and a system is built only
-    for a new maximum; the counts are tiny and run in-process.
+    The maximum is over the depth-k nodes of :func:`_chain_tree` on the rows
+    partition.  That loses nothing: relabelling a square's symbols keeps its
+    system's extension count, and normalising the first square whose first
+    row is not 0, 1, ..., n-1 makes a system lexicographically smaller, so
+    the first maximizer is a node.  A tie keeps the smaller column list.
     """
     if n < 1 or k < 0:
         raise InvalidParams("need n >= 1 and k >= 0")
     _check_limit(n, DEFAULT_MAX_EXT_LIMIT, "system-by-system maximisation")
-    best = -1
-    best_sys: Optional[MolsSystem] = None
-    cols: list[tuple[int, ...]] = []
-    for noa in _system_arrays(_rows_array(n), k, cols, _root(n)):
-        if len(cols) < k:
-            continue
-        c = count_extensions(noa).value.count
-        if c > best:
-            best = c
-            best_sys = columns_to_system(n, cols)
-    if best < 0:
-        return ExtensionCount(Exact(0), True), None
-    return ExtensionCount(Exact(best), True), best_sys
+    best, best_cols = -1, None
+    for cols, cnt in _chain_tree(partition_rows(n), k):
+        if len(cols) == k and (cnt > best or cnt == best and cols < best_cols):
+            best, best_cols = cnt, list(cols)
+    witness = None if best_cols is None else columns_to_system(n, best_cols)
+    return ExtensionCount(Exact(max(best, 0)), True), witness
 
 
 def extension_census(
@@ -623,10 +614,10 @@ def extension_census(
     systems gerechte for ``partition`` — {extension count: how many systems}.
 
     Lets a caller check a uniform bound against *every* system without
-    materializing the systems.  Only systems whose squares all have first
-    row 0, 1, ..., n-1 are walked; each stands for the (n!)^k systems that
-    relabel its squares' symbols, which share its extension count, so it
-    adds (n!)^k to its histogram entry.
+    materializing the systems.  It is one walk of :func:`_chain_tree`: each
+    node at depth k stands for the (n!)^k systems that relabel its squares'
+    symbols, which share its extension count, so it adds (n!)^k to its
+    histogram entry.
     """
     n = partition.order
     if kmax < 0:
@@ -634,18 +625,11 @@ def extension_census(
     _check_limit(n, DEFAULT_MAX_EXT_LIMIT, "census over all systems")
     out: list[dict[int, int]] = [dict() for _ in range(kmax + 1)]
     fact = math.factorial(n)
-    cols: list[tuple[int, ...]] = []
-    base = system_to_noa(validate_mols([], partition))
-    for noa in _system_arrays(base, kmax, cols, _root(n)):
+    for cols, cnt in _chain_tree(partition, kmax):
         hist = out[len(cols)]
-        cnt = count_extensions(noa).value.count
         hist[cnt] = hist.get(cnt, 0) + fact ** len(cols)
-    for hist in out:
-        # deterministic key order for reporting
-        items = sorted(hist.items())
-        hist.clear()
-        hist.update(items)
-    return out
+    # deterministic key order for reporting
+    return [dict(sorted(hist.items())) for hist in out]
 
 
 # --------------------------------------------------------------------------

@@ -228,6 +228,20 @@ def test_bad_limit_env_is_a_param_error(cli, monkeypatch):
     assert code == 4
 
 
+def test_internal_error_exits_6(cli, monkeypatch, capsys):
+    import molscope.cli as cli_mod
+
+    def broken(*args):
+        raise RuntimeError("invariant broken")
+
+    monkeypatch.setattr(cli_mod, "max_extensions", broken)
+    code, out, _ = cli(["certify", "extension", "--n", "3", "--all-k"])
+    assert code == 6
+    assert out == b""
+    err = capsys.readouterr().err
+    assert err == "internal error: invariant broken\n"
+
+
 def test_exit_violation_on_unattainable_tolerance(cli):
     code, out, _ = cli(
         ["certify", "estimate", "--max-n", "5", "--tol", "-1",

@@ -634,23 +634,27 @@ def test_extension_count_invariant_under_symbol_relabelling(index, data):
     assert count_extensions(relabelled) == count_extensions(a)
 
 
+# (partition, kmax): order 1 extends by 1 at every level, and order 2 has
+# no system at level 2
 SYSTEM_PARTITIONS = {
-    "rows3": partition_rows(3),
-    "classes3": partition_from_square(Square(Z3)),
-    "rows4": partition_rows(4),
-    "boxes4": partition_boxes(4),
-    "classes4": partition_from_square(Square(K4)),
+    "rows1": (partition_rows(1), 3),
+    "rows2": (partition_rows(2), 2),
+    "rows3": (partition_rows(3), 2),
+    "classes3": (partition_from_square(Square(Z3)), 2),
+    "rows4": (partition_rows(4), 2),
+    "boxes4": (partition_boxes(4), 2),
+    "classes4": (partition_from_square(Square(K4)), 2),
 }
 
 
 @pytest.mark.parametrize("name", SYSTEM_PARTITIONS)
 def test_census_matches_unreduced_walk(name):
-    p = SYSTEM_PARTITIONS[name]
-    want = [dict() for _ in range(3)]
-    for squares, ext in oracles.all_systems(p.order, p.labels, 2):
+    p, kmax = SYSTEM_PARTITIONS[name]
+    want = [dict() for _ in range(kmax + 1)]
+    for squares, ext in oracles.all_systems(p.order, p.labels, kmax):
         hist = want[len(squares)]
         hist[ext] = hist.get(ext, 0) + 1
-    got = extension_census(p, 2)
+    got = extension_census(p, kmax)
     assert got == want
     assert [list(h) for h in got] == [sorted(h) for h in want]
 
@@ -748,6 +752,46 @@ def test_max_extensions_matches_system_iteration(n, k):
     assert res.value.count == best
     assert [s.grid for s in witness.squares] == [s.grid for s in best_sys.squares]
     assert witness.partition is None
+
+
+MAX_EXT_5 = [(161280, []),
+             (360, ["0123412340234013401240123"]),
+             (240, ["0123412340234013401240123", "0123423401401231234034012"]),
+             (120, ["0123412340234013401240123", "0123423401401231234034012",
+                    "0123434012123404012323401"])]
+
+
+def test_order_5_anchors(monkeypatch):
+    monkeypatch.setenv("MOLSCOPE_LIMIT_N", "5")
+    for k, (count, grids) in enumerate(MAX_EXT_5):
+        res, witness = max_extensions(5, k)
+        assert res == ExtensionCount(Exact(count), True)
+        assert ["".join(map(str, itertools.chain(*s.grid))) for s in witness.squares] == grids
+    assert extension_census(partition_rows(5), 3) == [
+        {161280: 1}, {0: 144000, 360: 17280}, {240: 6220800}, {120: 1492992000}]
+    for n in range(1, 6):
+        census = extension_census(partition_rows(n), 3)
+        assert [sum(h.values()) for h in census] == [
+            count_mols(n, k).value.count for k in range(4)]
+
+
+def test_census_builds_no_per_system_array(monkeypatch):
+    # the census and the maximum come from one walk of the chain tree: no
+    # per-system extension count, column append or column-walk plan
+    import molscope.search as search
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the census searched one system")
+
+    for name in ("count_extensions", "_plan_keys"):
+        monkeypatch.setattr(search, name, forbidden)
+    monkeypatch.setattr(NearlyOrthArray, "with_column", forbidden)
+    assert extension_census(partition_boxes(4), 2) == [{288: 1}, {0: 192, 24: 96}, {0: 2304}]
+    res, witness = max_extensions(4, 2)
+    assert res.value.count == 24
+    assert [s.grid for s in witness.squares] == [
+        ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)),
+        ((0, 1, 2, 3), (2, 3, 0, 1), (3, 2, 1, 0), (1, 0, 3, 2))]
 
 
 def test_max_extensions_matches_census():
