@@ -16,10 +16,12 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .arrays import CellProfile
-from .errors import InvalidParams, NotPerfectSquare
+from .errors import InvalidParams, LimitExceeded, NotPerfectSquare
 
 DEFAULT_TOL = 1e-9
 _MAX_DEPTH = 48
+# mols_count_bound runs one quadrature per d = 2..k+1, about 0.3 ms each
+MAX_QUADRATURES = 10_000
 
 
 # --------------------------------------------------------------------------
@@ -219,9 +221,14 @@ def mols_count_bound(n: float, k: int, tol: float = DEFAULT_TOL) -> BoundReport:
       asymptotic_reference n^2 (k log n - C(k+2,2) + 1)
     The three regime entries and the reference drop vanishing terms, so they
     are labeled asymptotic-only and are never asserted against counts.
+    A k above ``MAX_QUADRATURES`` is refused with ``LimitExceeded``.
     """
     if n < 2 or not 1 <= k <= n - 1:
         raise InvalidParams(f"need n >= 2 and 1 <= k <= n-1; got n={n}, k={k}")
+    if k > MAX_QUADRATURES:
+        raise LimitExceeded(
+            f"k={k} needs {k} quadratures, more than the limit {MAX_QUADRATURES}"
+        )
     nn = float(n) * float(n)
     logn = math.log(n)
 

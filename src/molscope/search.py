@@ -22,7 +22,9 @@ per call and shared by every branch: ``through[c]``, the options containing
 cell ``c``, and ``disjoint[t]``, the options sharing no cell with ``t``
 (the complement of the OR of ``through`` over the n cells of ``t``).
 ``disjoint`` takes T²/8 bytes, about 0.6 MB at the order-9 maximum
-T = 2,241.
+T = 2,241.  A count never searches the last two parts of a cover: once two
+parts are left, every allowed option through the lowest uncovered cell
+completes in exactly one way (:func:`_cover_branch`).
 
 Symmetry reduction: relabelling the symbols of a new column maps extensions
 to extensions, so the symmetric group S_n acts freely on them.  A cover is
@@ -46,10 +48,15 @@ only that far.  The exact cover always branches on the part through cell
 branches only where the branches are used, when a process pool will run or
 a ``stop_threshold`` is set, at a depth that depends on the instance alone,
 never on the thread count.  Branches are processed in order and their
-counts added in that order.  Early stopping happens only at whole-branch
-granularity, and a threshold-stopped count always reports exactly the
-threshold (flagged inexact), so schedules cannot leak into output: the
-count is min(threshold, total) and the witnesses are the first
+counts added in that order.  With a threshold, a branch whose leaves are
+worth w each counts only up to ⌈threshold / w⌉ leaves and returns the
+smaller of its count and that limit (:func:`_branch_limit`), a value that
+depends on the branch alone, never on the schedule or the other branches.
+A branch at its limit reaches the threshold by itself, so the total reaches
+the threshold exactly when the uncapped total would, and a
+threshold-stopped count always reports exactly the threshold (flagged
+inexact).  So schedules cannot leak into output: the count is
+min(threshold, total) and the witnesses are the first
 min(cap, threshold, total) leaves, however the tree was cut.
 """
 
@@ -256,6 +263,15 @@ def _aggregate(state, opts: SearchOptions, weight: int = 1) -> ExtensionCount:
     return ExtensionCount(Exact(total), True)
 
 
+def _branch_limit(opts: SearchOptions, weight: int = 1) -> Optional[int]:
+    """How far one branch needs to count, each leaf worth ``weight``: a
+    branch with ⌈stop_threshold / weight⌉ leaves reaches the threshold on
+    its own, so counting it further cannot change the report."""
+    if opts.stop_threshold is None:
+        return None
+    return -(-opts.stop_threshold // weight)
+
+
 def _with_witnesses(res: ExtensionCount, cap: Optional[int], leaves: Iterator) -> ExtensionCount:
     """``res`` with the first min(cap, count) items of ``leaves`` as its
     witnesses (none without a cap).  ``leaves`` is the lexicographic walk of
@@ -322,9 +338,10 @@ def _transversals(codes, n: int, prefix: tuple[int, ...], stop: int) -> Iterator
     yield from rec(len(prefix), free, used)
 
 
-def _transversal_branch(codes, n, prefix):
-    """The number of transversals extending ``prefix``."""
-    return sum(1 for _ in _transversals(codes, n, prefix, n))
+def _transversal_branch(codes, n, limit, prefix):
+    """The number of transversals extending ``prefix``, counted up to
+    ``limit`` (None: no limit)."""
+    return sum(1 for _ in islice(_transversals(codes, n, prefix, n), limit))
 
 
 def _cover_tables(options: Sequence[tuple[int, ...]], n: int) -> tuple[list[int], list[int], list[int]]:
@@ -345,43 +362,74 @@ def _cover_tables(options: Sequence[tuple[int, ...]], n: int) -> tuple[list[int]
     return masks, through, disjoint
 
 
-def _cover_branch(masks, through, disjoint, squares, allowed, first):
+def _cover_branch(masks, through, disjoint, squares, allowed, limit, first):
     """Chains of ``squares`` exact covers of the cells by options in
-    ``allowed``, the first cover containing option ``first``.
+    ``allowed``, the first cover containing option ``first``, counted up to
+    ``limit`` (None: no limit): the result is min(count, limit), and the
+    walk stops as soon as its running total reaches ``limit``.
 
     A node covers the lowest uncovered cell with each still-allowed option
     through it, in increasing option index, and passes down the options
     disjoint from every chosen one, so no overlap test is needed.  Each
     later cover uses only the options meeting every part of the covers
-    before it: n cells meeting all n parts meet each once.
+    before it (n cells meeting all n parts meet each once); the first
+    cover's walk carries that mask down as ``nxt``.
+
+    The last two parts of the last cover are not searched.  ``allowed`` must
+    hold *every* option disjoint from the parts chosen and meeting each part
+    of the earlier covers once, as the tables of :func:`_cover_tables` and
+    the masks built here do.  The 2n cells left before the last two parts
+    meet every row, column, value and earlier part exactly twice, so the
+    complement of any allowed option through the lowest of them meets each
+    once: it is an option, and allowed.  So that level's count is the number
+    of allowed options through the cell, and a lone last part always fits.
     """
-    uncov = ((1 << len(through)) - 1) ^ masks[first]
-    if squares > 1:
+    full = (1 << len(through)) - 1
+    n = masks[first].bit_count()
+
+    def last(uncov, allowed, left, cap):
+        m = through[(uncov & -uncov).bit_length() - 1] & allowed
+        if left == 2:
+            k = m.bit_count()
+            return k if k < cap else cap
         total = 0
-        for cover in _covers(masks, through, disjoint, uncov, allowed & disjoint[first]):
-            nxt = allowed & ~disjoint[first]
-            for t in cover:
-                nxt &= ~disjoint[t]
+        while m:
+            b = m & -m
+            m ^= b
+            t = b.bit_length() - 1
+            total += last(uncov ^ masks[t], allowed & disjoint[t], left - 1, cap - total)  # masks[t] lies in uncov
+            if total >= cap:
+                return cap
+        return total
+
+    def upper(uncov, allowed, nxt, left, squares, cap):
+        total = 0
+        if not left:  # a whole cover: the next one's part through cell 0
             m = through[0] & nxt
             while m:
                 b = m & -m
                 m ^= b
-                total += _cover_branch(masks, through, disjoint, squares - 1, nxt, b.bit_length() - 1)
-        return total
-
-    def rec(uncov, allowed):
-        if not uncov:
-            return 1
-        total = 0
+                total += branch(squares - 1, nxt, b.bit_length() - 1, cap - total)
+                if total >= cap:
+                    return cap
+            return total
         m = through[(uncov & -uncov).bit_length() - 1] & allowed
         while m:
             b = m & -m
             m ^= b
             t = b.bit_length() - 1
-            total += rec(uncov ^ masks[t], allowed & disjoint[t])  # masks[t] lies in uncov
+            total += upper(uncov ^ masks[t], allowed & disjoint[t], nxt & ~disjoint[t], left - 1, squares, cap - total)
+            if total >= cap:
+                return cap
         return total
 
-    return rec(uncov, allowed & disjoint[first])
+    def branch(squares, allowed, first, cap):
+        uncov = full ^ masks[first]
+        if squares > 1:
+            return upper(uncov, allowed & disjoint[first], allowed & ~disjoint[first], n - 1, squares, cap)
+        return last(uncov, allowed & disjoint[first], n - 1, cap) if n > 2 else 1
+
+    return branch(squares, allowed, first, math.inf if limit is None else limit)
 
 
 def _covers(masks, through, disjoint, uncov, allowed) -> Iterator[tuple[int, ...]]:
@@ -406,7 +454,8 @@ def _count_covers(tables, opts: SearchOptions, squares: int = 1, weight: int = 1
     masks = tables[0]
     every = (1 << len(masks)) - 1
     branches = [t for t, m in enumerate(masks) if m & 1]
-    return _aggregate((_cover_branch, (*tables, squares, every), branches), opts, weight)
+    shared = (*tables, squares, every, _branch_limit(opts, weight))
+    return _aggregate((_cover_branch, shared, branches), opts, weight)
 
 
 def _count_chains(a: NearlyOrthArray, squares: int, opts: SearchOptions) -> ExtensionCount:
@@ -448,7 +497,7 @@ def enumerate_transversals(l: LatinSquare, opts: SearchOptions | None = None) ->
             prefixes = list(_transversals(codes, n, (), depth))
             if len(prefixes) >= _MIN_BRANCHES or not prefixes:
                 break
-    res = _aggregate((_transversal_branch, (codes, n), prefixes), opts)
+    res = _aggregate((_transversal_branch, (codes, n, _branch_limit(opts)), prefixes), opts)
     return _with_witnesses(res, opts.cap, (tuple(enumerate(c)) for c in _transversals(codes, n, (), n)))
 
 
@@ -464,11 +513,18 @@ def count_transversal_partitions(
     uncovered cell ``c`` in increasing transversal index and passes
     ``allowed & disjoint[t]`` down, where ``allowed`` holds the options
     disjoint from every part chosen so far; the tables are described in the
-    module docstring.  Branches (one per part through cell 0) only count;
-    witnesses are the first min(cap, count) partitions of one sequential
-    walk in that same order, i.e. in lexicographic order of their parts'
-    transversal indices.  Orthogonal mates are in bijection with
-    (partition, symbol assignment) pairs, so mates(l) = partitions(l) * n!.
+    module docstring.  The last two parts are not searched.  The 2n cells
+    they cover meet every row, column and symbol exactly twice, since each
+    part chosen meets each once; so for an allowed transversal t through
+    the lowest of them, the other n cells meet each row, column and symbol
+    once: a transversal disjoint from every part, so also allowed.  That
+    level's count is the number of allowed transversals through the cell.
+    Branches (one per part through cell 0) count, each only as far as the
+    threshold needs (see the module docstring); witnesses are the first
+    min(cap, count) partitions of one sequential walk in that same order,
+    i.e. in lexicographic order of their parts' transversal indices.
+    Orthogonal mates are in bijection with (partition, symbol assignment)
+    pairs, so mates(l) = partitions(l) * n!.
     """
     opts = opts or SearchOptions()
     n = l.order
@@ -538,10 +594,16 @@ def _chain_tree(partition: RegionPartition, kmax: int) -> Iterator[tuple[list, i
 
     def rec(allowed):
         children = 0
+        if len(cols) == kmax:  # only counted: one branch per option through cell 0
+            m = through[0] & allowed
+            while m:
+                b = m & -m
+                m ^= b
+                children += _cover_branch(masks, through, disjoint, 1, allowed, None, b.bit_length() - 1)
+            yield cols, math.factorial(n) * children
+            return
         for cover in _covers(masks, through, disjoint, (1 << n * n) - 1, allowed):
             children += 1
-            if len(cols) == kmax:
-                continue
             col = [0] * (n * n)
             nxt = allowed
             for s, t in enumerate(cover):

@@ -37,6 +37,25 @@ def brute_latin_squares(n):
     return out
 
 
+def reduced_latin_squares(n):
+    """The order-n Latin squares whose first row and first column both read
+    0, 1, ..., n-1, lexicographic: row i is a permutation starting with i
+    that differs from every row above in every column."""
+    perms = list(itertools.permutations(range(n)))
+    out = []
+
+    def rec(rows):
+        if len(rows) == n:
+            out.append(tuple(rows))
+            return
+        for p in perms:
+            if p[0] == len(rows) and all(p[j] != r[j] for r in rows for j in range(n)):
+                rec(rows + [p])
+
+    rec([tuple(range(n))])
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def product_latin_squares(n):
     """All order-n Latin squares, lexicographic: every n-tuple of row
@@ -116,6 +135,24 @@ def transversal_partitions(grid):
 
     rec(frozenset(), [], 0)
     return found
+
+
+def partition_count(grid):
+    """The number of transversal partitions, by a recursion over the set of
+    cells still free, memoized on that set: the part through the least free
+    cell is one of the transversals through it that lie inside the set."""
+    n = len(grid)
+    trs = [frozenset(t) for t in transversals(grid)]
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    through = {c: [t for t in trs if c in t] for c in cells}
+
+    @functools.lru_cache(maxsize=None)
+    def rec(free):
+        if not free:
+            return 1
+        return sum(rec(free - t) for t in through[min(free)] if t <= free)
+
+    return rec(frozenset(cells))
 
 
 def lexicographic_partitions(grid):

@@ -5,6 +5,7 @@ import pytest
 import oracles
 from molscope.arrays import CellProfile
 from molscope.bounds import (
+    MAX_QUADRATURES,
     BoundReport,
     c_beta,
     closed_form_estimate,
@@ -16,7 +17,7 @@ from molscope.bounds import (
     reference_asymptotics,
     sudoku_extension_bound,
 )
-from molscope.errors import InvalidParams, NotPerfectSquare
+from molscope.errors import InvalidParams, LimitExceeded, NotPerfectSquare
 
 TOL = 1e-9
 
@@ -196,6 +197,13 @@ def test_mols_count_bound_structure():
     assert rep.quadrature_error < 1e-6
     with pytest.raises(KeyError):
         rep.value("nope")
+
+
+def test_mols_count_bound_refuses_too_many_quadratures():
+    with pytest.raises(LimitExceeded):
+        mols_count_bound(1e12, MAX_QUADRATURES + 1)
+    with pytest.raises(InvalidParams):  # an invalid k is reported as such first
+        mols_count_bound(10, MAX_QUADRATURES + 1)
 
 
 def test_mols_count_bound_sums_integrals():

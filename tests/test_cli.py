@@ -544,6 +544,14 @@ def test_bound_mols_count_structured(cli):
     assert f["quadrature_error"]["value"] < 1e-6
 
 
+def test_bound_mols_count_refuses_too_many_quadratures(cli, capsys):
+    code, out, seconds = cli(["bound", "mols-count", "--n", "1e12", "--k", "100000000"])
+    assert code == 3 and out == b"" and seconds < 1
+    assert "quadratures" in capsys.readouterr().err
+    doc = run_structured(cli, ["bound", "mols-count", "--n", "1000", "--k", "999"])
+    assert math.isfinite(fields_by_name(doc)["summed_quadrature"]["value"])
+
+
 def test_bound_accepts_fractional_n(cli):
     doc = run_structured(cli, ["bound", "mols-count", "--n", "8.5", "--k", "2"])
     assert doc["params"]["n"] == 8.5

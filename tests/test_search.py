@@ -38,6 +38,13 @@ from molscope.search import (
     iter_latin_direct,
     iter_mols_systems,
     max_extensions,
+    _array_codes,
+    _branch_limit,
+    _cover_branch,
+    _cover_tables,
+    _symbol_codes,
+    _transversal_branch,
+    _transversals,
 )
 
 Z3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
@@ -172,15 +179,20 @@ def test_cover_pooled_equals_sequential(grid):
 
 
 def test_cover_threshold_reports_exactly_threshold():
+    # thresholds met inside the first branch, at and around the total
     full = count_transversal_partitions(L(Z2_CUBED), SearchOptions(cap=50))
-    for threads in (None, 2):
-        opts = SearchOptions(cap=50, stop_threshold=1000, threads=threads)
-        res = count_transversal_partitions(L(Z2_CUBED), opts)
-        assert res.value.count == 1000
-        assert not res.exact_flag
-        assert res.witnesses == full.witnesses
-    above = count_transversal_partitions(L(Z2_CUBED), SearchOptions(stop_threshold=70273))
-    assert above.value.count == 70272 and above.exact_flag
+    assert full.value.count == 70272
+    for threshold in (1, 1000, 46656, 70271, 70272, 70273):
+        runs = [
+            count_transversal_partitions(
+                L(Z2_CUBED), SearchOptions(cap=50, stop_threshold=threshold, threads=threads)
+            )
+            for threads in (None, 2)
+        ]
+        assert runs[0] == runs[1]
+        assert runs[0].value.count == min(threshold, 70272)
+        assert runs[0].exact_flag is (threshold > 70272)
+        assert runs[0].witnesses == full.witnesses[: min(50, threshold)]
 
 
 def test_cover_threshold_on_product_square():
@@ -563,6 +575,136 @@ def test_chain_paths_agree(threads):
     assert count_mols(4, 2, opts).value.count == 6912
     stopped = count_mols(4, 2, SearchOptions(stop_threshold=1000, threads=threads))
     assert stopped.value.count == 1000 and not stopped.exact_flag
+
+
+# --------------------------------------------------------------------------
+# capped branches and the closed-form last two parts, against the oracles
+
+
+def _check_stops(count, want):
+    """``count(threshold)`` reports min(threshold, want), flagged "at least"
+    exactly when the threshold is met."""
+    for threshold in sorted({1, max(want // 2, 1), max(want - 1, 1), max(want, 1), want + 1}):
+        res = count(threshold)
+        stopped = threshold <= want
+        assert res.value.count == (threshold if stopped else want)
+        assert res.exact_flag is not stopped
+
+
+CLOSED_FORM_GRIDS = [
+    (f"{name}-iso{seed}", _isotope(grid, seed))
+    for name, grid, seeds in (
+        ("K4", K4, (1, 2, 3)),
+        ("Z5", Z5, (1, 2, 3)),
+        ("Z7", cayley(7), (1, 2)),
+        ("Z2^3", Z2_CUBED, (1,)),
+    )
+    for seed in seeds
+]
+
+
+def test_partition_count_oracle_agrees_with_enumeration():
+    for grid in (Z3, Z4, K4, Z5, _isotope(Z5, 1)):
+        assert oracles.partition_count(grid) == len(oracles.transversal_partitions(grid))
+
+
+@pytest.mark.parametrize("name, grid", CLOSED_FORM_GRIDS, ids=[name for name, _ in CLOSED_FORM_GRIDS])
+def test_capped_partition_and_mate_counts_match_oracle(name, grid):
+    n = len(grid)
+    want = oracles.partition_count(grid)
+    _check_stops(lambda t: count_transversal_partitions(L(grid), SearchOptions(stop_threshold=t)), want)
+    mates = want * math.factorial(n)
+    if n <= 4:
+        assert mates == len(oracles.mates(grid))
+    assert count_mates(L(grid)).value.count == mates
+    # the array path, each cover worth n!: thresholds off multiples of n! too
+    _check_stops(lambda t: count_mates(L(grid), SearchOptions(stop_threshold=t)), mates)
+
+
+GERECHTE_PARTITIONS = {
+    "boxes4": partition_boxes(4),
+    "classes4": partition_from_square(Square(K4)),
+    "classes4-Z4": partition_from_square(Square(Z4)),
+    "classes3": partition_from_square(Square(Z3)),
+}
+
+
+@pytest.mark.parametrize("name", GERECHTE_PARTITIONS)
+def test_capped_gerechte_counts_match_oracle(name):
+    # every 5th gerechte square (and the empty system) of the oracle
+    p = GERECHTE_PARTITIONS[name]
+    systems = list(oracles.all_systems(p.order, p.labels, 1))
+    for squares, ext in systems[::5]:
+        a = _array(squares, p)
+        assert count_extensions(a).value.count == ext
+        _check_stops(lambda t: count_extensions(a, SearchOptions(stop_threshold=t)), ext)
+
+
+def _oracle_tuples(n, k):
+    """Ordered k-tuples: the extension counts of the oracle's (k-1)-systems."""
+    systems = oracles.all_systems(n, partition_rows(n).labels, k - 1)
+    return sum(ext for squares, ext in systems if len(squares) == k - 1)
+
+
+@pytest.mark.parametrize("n, k", [(4, 2), (4, 3), (5, 2)])
+def test_capped_chain_counts_match_oracle(n, k):
+    if n == 5:
+        # ordered pairs (A, B): relabelling A's symbols and permuting rows
+        # 1..n-1 of both act freely, with one reduced A per orbit
+        fact = math.factorial(n)
+        reduced = oracles.reduced_latin_squares(n)
+        want = fact * math.factorial(n - 1) * fact * sum(map(oracles.partition_count, reduced))
+    else:
+        want = _oracle_tuples(n, k)
+    assert count_mols(n, k).value.count == want
+    for threads in (None, 2):
+        _check_stops(lambda t: count_mols(n, k, SearchOptions(stop_threshold=t, threads=threads)), want)
+
+
+def _branches(options, n):
+    tables = _cover_tables(options, n)
+    return tables, (1 << len(options)) - 1, [t for t, m in enumerate(tables[0]) if m & 1]
+
+
+def test_capped_branch_is_the_full_branch_capped():
+    # the certify-product instance: branch 0 holds 110,580 partitions
+    tables, every, first = _branches(list(_transversals(_symbol_codes(L(Z3_BY_Z3)), 9, (), 9)), 9)
+    ends = (first[0], first[-1])
+    full = [_cover_branch(*tables, 1, every, None, b) for b in ends]
+    assert full == [110580, 44751]
+    for b, count, limits in zip(ends, full, ((1, 1000, 46656, full[0] + 1), (1, full[1] // 2))):
+        for limit in limits:
+            assert _cover_branch(*tables, 1, every, limit, b) == min(count, limit)
+
+
+def test_capped_chain_branch_is_the_full_branch_capped():
+    empty = system_to_noa(validate_mols([], partition_rows(4)))
+    tables, every, first = _branches(list(_transversals(_array_codes(empty), 4, (), 4)), 4)
+    for squares in (1, 2, 3):
+        for b in first:
+            full = _cover_branch(*tables, squares, every, None, b)
+            assert full > 0
+            for limit in range(1, full + 2):
+                assert _cover_branch(*tables, squares, every, limit, b) == min(full, limit)
+
+
+def test_branch_limit_is_the_least_count_reaching_the_threshold():
+    assert _branch_limit(SearchOptions()) is None
+    for weight in (1, 2, 24, 120, 14400):
+        for threshold in (1, 2, weight - 1, weight, weight + 1, 7 * weight + 3, 46656):
+            if threshold < 1:
+                continue
+            limit = _branch_limit(SearchOptions(stop_threshold=threshold), weight)
+            assert limit * weight >= threshold > (limit - 1) * weight
+
+
+def test_capped_transversal_branch_is_the_full_branch_capped():
+    codes = _symbol_codes(L(cayley(7)))
+    for prefix in ((), (0,), (0, 2)):
+        full = _transversal_branch(codes, 7, None, prefix)
+        assert full > 1
+        for limit in range(1, full + 2):
+            assert _transversal_branch(codes, 7, limit, prefix) == min(full, limit)
 
 
 # --------------------------------------------------------------------------
