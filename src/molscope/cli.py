@@ -9,7 +9,8 @@ file plumbing: cayley:3, cayley:2x2, kron:(A,B), power:(A,2), rows:3,
 boxes:4, classes:(A).
 
 Exit codes: 0 ok, 1 validation failure, 2 I/O or parse error, 3 search
-limit exceeded, 4 invalid parameters, 5 certified inequality violated.
+limit exceeded, 4 invalid parameters, 5 certified inequality violated,
+6 internal error (a broken invariant).
 
 Structured reports are deterministic: exact counts are decimal strings,
 every value carries a unit and the operation that produced it, and nothing
@@ -31,7 +32,7 @@ from typing import Callable, Optional, Sequence
 
 from . import bounds as bounds_mod
 from . import construct as construct_mod
-from .arrays import cell_profile, system_to_noa
+from .arrays import CellProfile, cell_profile, system_to_noa
 from .core import (
     LatinSquare,
     MolsSystem,
@@ -54,10 +55,8 @@ from .errors import (
     NotPerfectSquare,
 )
 from .search import (
-    DEFAULT_MAX_EXT_LIMIT,
     ExtensionCount,
     SearchOptions,
-    _check_limit,
     count_extensions,
     count_mates,
     count_mols,
@@ -66,8 +65,6 @@ from .search import (
     count_transversal_partitions,
     enumerate_transversals,
     extension_census,
-    iter_latin_direct,
-    max_extensions,
 )
 
 EXIT_OK = 0
@@ -639,13 +636,14 @@ def cmd_bound(args) -> int:
 # subcommand: certify
 
 
-def _dominance(doc: ReportDocument, prefix: str, k: int, systems: int, systems_from: str,
-               mx: int, bound: float, bound_from: str, tol: float) -> bool:
-    """Report the systems counted, their maximum extension count ``mx`` and
-    the bound for width k; True if ln(mx) <= bound + tol."""
+def _dominance(doc: ReportDocument, prefix: str, k: int, hist: dict[int, int],
+               systems_from: str, bound: float, bound_from: str, tol: float) -> bool:
+    """Report census level k, ``hist`` = {extension count: systems}, with the
+    bound for width k; True if ln(max extension count) <= bound + tol."""
+    mx = max(hist, default=0)
     ok = (math.log(mx) if mx else float("-inf")) <= bound + tol
-    doc.add(f"{prefix}systems_k{k}", systems, unit="exact count", provenance=systems_from,
-            exact=True)
+    doc.add(f"{prefix}systems_k{k}", sum(hist.values()), unit="exact count",
+            provenance=systems_from, exact=True)
     doc.add(f"{prefix}max_extensions_k{k}", mx, unit="exact count",
             provenance="extension-engine", exact=True)
     doc.add(f"{prefix}bound_k{k}", bound, unit="nats", provenance=bound_from)
@@ -671,52 +669,34 @@ def cmd_certify(args) -> int:
         if not ks:
             raise InvalidParams(f"certify extension --n {n}: nothing to compare, "
                                 f"since k must be at most n - 2 = {n - 2}")
+        census = extension_census(partition_rows(n), max(ks))
         for k in ks:
-            systems = count_mols(n, k).value.count
-            res, _witness = max_extensions(n, k)
             ok_all &= _dominance(
-                doc, "", k, systems, "chained-extension-engine", res.value.count,
+                doc, "", k, census[k], "chained-extension-engine",
                 bounds_mod.extension_bound_mols(n, k), "per-cell-integral", tol)
     elif target == "gerechte":
         if args.n is None:
             raise InvalidParams("certify gerechte needs --n")
         n = args.n
+        if n < 1:
+            raise InvalidParams("order must be positive")
         doc = ReportDocument("certify gerechte", {"n": n})
         kmax = max(n - 2, 0)
-        # (label, partitions, systems each census system stands for)
-        suites: list[tuple[str, list[RegionPartition], int]] = []
-        if args.partition:
-            suites.append((args.partition, [resolve_partition_spec(args.partition)], 1))
-        else:
-            # both suites walk every system of order n: refuse before building them
-            _check_limit(n, DEFAULT_MAX_EXT_LIMIT, "census over all systems")
-            m = math.isqrt(n)
-            if m * m == n and n >= 4:
-                suites.append(("boxes", [partition_boxes(n)], 1))
-            # a census is invariant under relabelling symbols and permuting rows
-            # 1..n-1: one reduced square (row 0 = column 0 = 0..n-1) per n!(n-1)!
-            ident = tuple(range(n))
-            classes = [
-                partition_from_square(Square(g)) for g in iter_latin_direct(n)
-                if g[0] == ident and tuple(r[0] for r in g) == ident
-            ]
-            suites.append(("symbol-classes", classes,
-                           math.factorial(n) * math.factorial(n - 1)))
-        for label, partitions, weight in suites:
-            profiles = [cell_profile(system_to_noa(validate_mols([], p))) for p in partitions]
-            if len({(prof.r, prof.c) for prof in profiles}) > 1:
-                raise InvalidParams("partitions in one suite must share a profile")
-            per_k_max = [0] * (kmax + 1)
-            per_k_systems = [0] * (kmax + 1)
-            for p in partitions:
-                for k, hist in enumerate(extension_census(p, kmax)):
-                    for cnt, mult in hist.items():
-                        per_k_systems[k] += mult * weight
-                        per_k_max[k] = max(per_k_max[k], cnt)
-            for k in range(kmax + 1):
+        suites = []  # (label, census levels 0..kmax, profile of the partition)
+        if args.partition or (n >= 4 and math.isqrt(n) ** 2 == n):
+            p = resolve_partition_spec(args.partition) if args.partition else partition_boxes(n)
+            suites.append((args.partition or "boxes", extension_census(p, kmax),
+                           cell_profile(system_to_noa(validate_mols([], p)))))
+        if not args.partition:
+            # k-systems gerechte for a square's symbol classes are the (k+1)-systems
+            # on the rows that start with it; its classes have r = c = 0 everywhere
+            suites.append(("symbol-classes", extension_census(partition_rows(n), kmax + 1)[1:],
+                           CellProfile(n, (0,) * (n * n), (0,) * (n * n))))
+        for label, census, profile in suites:
+            for k, hist in enumerate(census):
                 ok_all &= _dominance(
-                    doc, f"{label}_", k, per_k_systems[k], "extension-engine", per_k_max[k],
-                    bounds_mod.extension_bound_general(profiles[0], k + 3),
+                    doc, f"{label}_", k, hist, "extension-engine",
+                    bounds_mod.extension_bound_general(profile, k + 3),
                     "general-profile-bound", tol)
     elif target == "product":
         if not args.base:
@@ -755,6 +735,9 @@ def cmd_certify(args) -> int:
     elif target == "power":
         if args.m is None or args.q is None or args.k is None:
             raise InvalidParams("certify power needs --m, --q, and --k")
+        if args.k < 1:
+            raise InvalidParams(f"certify power --k {args.k}: nothing to compare, "
+                                f"since k must be at least 1")
         doc = ReportDocument(
             "certify power", {"m": args.m, "q": args.q, "k": args.k}
         )
@@ -796,6 +779,9 @@ def cmd_certify(args) -> int:
                 provenance="target-constant")
         doc.add("certified", certified, provenance="comparison")
     elif target == "estimate":
+        if args.max_n < 2:
+            raise InvalidParams(f"certify estimate --max-n {args.max_n}: nothing to "
+                                f"compare, since the sweep starts at n = 2")
         doc = ReportDocument("certify estimate", {"max_n": args.max_n})
         ctol = args.tol if args.tol is not None else 2e-9
         worst = float("-inf")
@@ -915,6 +901,10 @@ def cmd_construct(args) -> int:
 
 
 _FLAGS = {
+    "--threads": dict(type=int, default=None,
+                      help="worker processes (default: all cores); of the "
+                           "certify targets only product uses them, the others "
+                           "run many small counts in-process"),
     "--cap": dict(type=int, default=None,
                   help="max witness files to emit with --emit-witnesses "
                        "(default 1000); ignored without it"),
@@ -927,11 +917,7 @@ _FLAGS = {
 
 
 def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
-    """Add ``--threads``, ``--format`` and those of ``_FLAGS`` the command reads."""
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker processes (default: all cores); of the "
-                        "certify targets only product uses them, the others "
-                        "run many small counts in-process")
+    """Add ``--format`` and those of ``_FLAGS`` the command reads."""
     for flag in flags:
         p.add_argument(flag, **_FLAGS[flag])
     p.add_argument("--format", choices=("table", "structured"),
@@ -949,7 +935,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="validate square/system documents")
     p.add_argument("paths", nargs="+")
-    _add_common(p)
+    # verify reads no --threads; bench/run.py passes it to every command it times
+    _add_common(p, "--threads")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("count", help="exact enumeration")
@@ -960,7 +947,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition", help="partition spec")
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int, default=1)
-    _add_common(p, "--cap", "--threshold", "--emit-witnesses")
+    _add_common(p, "--threads", "--cap", "--threshold", "--emit-witnesses")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("bound", help="numeric bound evaluation")
@@ -984,7 +971,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, default=5, help="max base order")
     p.add_argument("--power", type=int, default=2, help="power for the certificate")
     p.add_argument("--max-n", type=int, default=50, help="estimate sweep limit")
-    _add_common(p, "--threshold", "--tol")
+    _add_common(p, "--threads", "--threshold", "--tol")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("construct", help="emit constructed objects")

@@ -347,6 +347,8 @@ def partition_boxes(n: int) -> RegionPartition:
     """The m-by-m box regions of an order m*m grid."""
     import math
 
+    if n < 1:
+        raise MalformedPartition("order must be positive")
     m = math.isqrt(n)
     if m * m != n:
         raise NotPerfectSquare(f"order {n} is not a perfect square")

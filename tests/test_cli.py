@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import oracles
 from molscope.cli import (
     _split_top_level,
     format_document,
@@ -12,8 +13,9 @@ from molscope.cli import (
     resolve_square_spec,
 )
 from molscope.construct import GroupSpec, cayley_table
-from molscope.core import RegionPartition, partition_from_square, partition_rows
+from molscope.core import RegionPartition, Square, partition_from_square, partition_rows
 from molscope.errors import FormatError
+from molscope.search import count_mols, extension_census, max_extensions
 
 Z3_TEXT = "3\n1 2 3\n2 3 1\n3 1 2\n"
 
@@ -169,7 +171,7 @@ def test_verify_orthogonal_pair(cli, tmp_path):
     assert cli(["verify", str(twice)])[0] == 1  # not orthogonal to itself
 
 
-def test_exit_limit_and_params(cli, tmp_path):
+def test_exit_limit_and_params(cli, capsys, tmp_path):
     code, _, _ = cli(["construct", "cayley", "--group", "9x9"])
     assert code == 3
     code, _, _ = cli(["construct", "translate-mates", "--group", "2"])
@@ -182,10 +184,13 @@ def test_exit_limit_and_params(cli, tmp_path):
     assert code == 4
     code, _, _ = cli(["certify", "power", "--m", "3", "--k", "2"])
     assert code == 4
-    # no k in 0..n-2: a certificate that compares nothing is no pass
-    for argv in (["--n", "4", "--k", "5"], ["--n", "1", "--all-k"]):
-        code, out, _ = cli(["certify", "extension", *argv])
+    # a certificate that compares nothing is no pass
+    capsys.readouterr()
+    for argv in (["extension", "--n", "4", "--k", "5"], ["extension", "--n", "1", "--all-k"],
+                 ["estimate", "--max-n", "1"], ["power", "--m", "3", "--q", "6", "--k", "0"]):
+        code, out, _ = cli(["certify", *argv])
         assert (code, out) == (4, b"")
+        assert "nothing to compare" in capsys.readouterr().err
     code, out, _ = cli(["construct", "translate-mates", "--group", "3", "--count", "-1"])
     assert (code, out) == (4, b"")
     # count mols has no witness formatter: asking for witnesses is an error
@@ -234,7 +239,7 @@ def test_internal_error_exits_6(cli, monkeypatch, capsys):
     def broken(*args):
         raise RuntimeError("invariant broken")
 
-    monkeypatch.setattr(cli_mod, "max_extensions", broken)
+    monkeypatch.setattr(cli_mod, "extension_census", broken)
     code, out, _ = cli(["certify", "extension", "--n", "3", "--all-k"])
     assert code == 6
     assert out == b""
@@ -258,7 +263,8 @@ def test_exit_violation_on_unattainable_tolerance(cli):
 
 
 def run_structured(cli, argv):
-    code, out, _ = cli(list(argv) + ["--format", "structured", "--threads", "1"])
+    threads = ["--threads", "1"] if argv[0] in ("verify", "count", "certify") else []
+    code, out, _ = cli(list(argv) + ["--format", "structured", *threads])
     assert code == 0, out.decode()
     return json.loads(out)
 
@@ -352,6 +358,8 @@ def test_count_mols_says_when_it_skips_the_cross_check(cli, monkeypatch, n, k, v
     ["certify", "estimate", "--emit-witnesses", "w"],
     ["construct", "translate-mates", "--group", "3", "--cap", "2"],
     ["count", "mates", "--square", "cayley:3", "--tol", "1"],
+    ["bound", "extension", "--n", "4", "--threads", "8"],
+    ["construct", "cayley", "--group", "3", "--threads", "2"],
 ])
 def test_commands_refuse_flags_they_do_not_read(cli, argv):
     with pytest.raises(SystemExit) as exc:
@@ -361,11 +369,24 @@ def test_commands_refuse_flags_they_do_not_read(cli, argv):
 
 @pytest.mark.parametrize("n", ["5", "6"])
 def test_certify_gerechte_checks_the_order_limit_first(cli, capsys, n):
-    # the symbol-class suite would enumerate every Latin square of order n
-    code, out, seconds = cli(["certify", "gerechte", "--n", n])
-    assert (code, out) == (3, b"")
-    assert "exceeds the configured limit" in capsys.readouterr().err
-    assert seconds < 0.5
+    # both targets census every system of order n on the rows partition
+    for argv in (["certify", "gerechte", "--n", n],
+                 ["certify", "extension", "--n", n, "--all-k"]):
+        code, out, seconds = cli(argv)
+        assert (code, out) == (3, b"")
+        assert "exceeds the configured limit" in capsys.readouterr().err
+        assert seconds < 0.5
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["count", "sudoku", "--n", "-4"], 1),
+    (["count", "extensions", "--partition", "boxes:-4"], 1),
+    (["certify", "gerechte", "--n", "-1"], 4),
+    (["certify", "gerechte", "--n", "0"], 4),
+])
+def test_nonpositive_order_is_one_error_line(cli, capsys, argv, code):
+    assert cli(argv)[:2] == (code, b"")
+    assert capsys.readouterr().err == "error: order must be positive\n"
 
 
 def test_count_mols_threshold_is_not_exact(cli):
@@ -627,6 +648,36 @@ def test_certify_extension_small(cli):
     assert f["max_extensions_k1"]["value"] == "6"
     assert f["dominates_k0"]["value"] is True
     assert f["dominates_k1"]["value"] is True
+
+
+def test_certify_extension_order_5_matches_count_and_maximum(cli, monkeypatch):
+    # the one rows census against a count and a maximisation per k
+    monkeypatch.setenv("MOLSCOPE_LIMIT_N", "5")
+    f = fields_by_name(run_structured(cli, ["certify", "extension", "--n", "5", "--all-k"]))
+    for k in range(4):
+        assert f[f"systems_k{k}"]["value"] == str(count_mols(5, k).value.count)
+        assert f[f"max_extensions_k{k}"]["value"] == str(max_extensions(5, k)[0].value.count)
+        assert f[f"dominates_k{k}"]["value"] is True
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_certify_gerechte_symbol_classes_match_reduced_squares(cli, monkeypatch, n):
+    # the census of each reduced square's symbol classes, standing for the
+    # n!(n-1)! squares that relabel its symbols and permute its other rows
+    monkeypatch.setenv("MOLSCOPE_LIMIT_N", "5")
+    levels = range(max(n - 2, 0) + 1)
+    weight = math.factorial(n) * math.factorial(n - 1)
+    systems, maxima = [0] * len(levels), [0] * len(levels)
+    for grid in oracles.reduced_latin_squares(n):
+        for k, hist in enumerate(extension_census(partition_from_square(Square(grid)), levels[-1])):
+            systems[k] += weight * sum(hist.values())
+            maxima[k] = max(maxima[k], max(hist, default=0))
+    f = fields_by_name(run_structured(cli, ["certify", "gerechte", "--n", str(n)]))
+    assert [f[f"symbol-classes_systems_k{k}"]["value"] for k in levels] == list(map(str, systems))
+    assert [f[f"symbol-classes_max_extensions_k{k}"]["value"] for k in levels] == list(map(str, maxima))
+    if n == 5:
+        assert maxima == [360, 240, 120, 0]
+        assert systems == [161280, 6220800, 1492992000, 179159040000]
 
 
 def test_certify_power_structured(cli):
