@@ -57,6 +57,7 @@ from .errors import (
 from .search import (
     ExtensionCount,
     SearchOptions,
+    check_census_order,
     count_extensions,
     count_mates,
     count_mols,
@@ -638,8 +639,7 @@ def cmd_bound(args) -> int:
 
 def _dominance(doc: ReportDocument, prefix: str, k: int, hist: dict[int, int],
                systems_from: str, bound: float, bound_from: str, tol: float) -> bool:
-    """Report census level k, ``hist`` = {extension count: systems}, with the
-    bound for width k; True if ln(max extension count) <= bound + tol."""
+    """Report census level k ({extension count: systems}); True if ln(max) <= bound + tol."""
     mx = max(hist, default=0)
     ok = (math.log(mx) if mx else float("-inf")) <= bound + tol
     doc.add(f"{prefix}systems_k{k}", sum(hist.values()), unit="exact count",
@@ -669,6 +669,7 @@ def cmd_certify(args) -> int:
         if not ks:
             raise InvalidParams(f"certify extension --n {n}: nothing to compare, "
                                 f"since k must be at most n - 2 = {n - 2}")
+        check_census_order(n)
         census = extension_census(partition_rows(n), max(ks))
         for k in ks:
             ok_all &= _dominance(
@@ -680,6 +681,8 @@ def cmd_certify(args) -> int:
         n = args.n
         if n < 1:
             raise InvalidParams("order must be positive")
+        if not args.partition:
+            check_census_order(n)  # both suites are censuses at order n
         doc = ReportDocument("certify gerechte", {"n": n})
         kmax = max(n - 2, 0)
         suites = []  # (label, census levels 0..kmax, profile of the partition)

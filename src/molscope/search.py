@@ -669,6 +669,11 @@ def max_extensions(n: int, k: int) -> tuple[ExtensionCount, Optional[MolsSystem]
     return ExtensionCount(Exact(max(best, 0)), True), witness
 
 
+def check_census_order(n: int) -> None:
+    """Refuse a census at order n; callers check before building the n×n partition."""
+    _check_limit(n, DEFAULT_MAX_EXT_LIMIT, "census over all systems")
+
+
 def extension_census(
     partition: RegionPartition, kmax: int
 ) -> list[dict[int, int]]:
@@ -684,7 +689,7 @@ def extension_census(
     n = partition.order
     if kmax < 0:
         raise InvalidParams("kmax must be nonnegative")
-    _check_limit(n, DEFAULT_MAX_EXT_LIMIT, "census over all systems")
+    check_census_order(n)
     out: list[dict[int, int]] = [dict() for _ in range(kmax + 1)]
     fact = math.factorial(n)
     for cols, cnt in _chain_tree(partition, kmax):

@@ -367,9 +367,17 @@ def test_commands_refuse_flags_they_do_not_read(cli, argv):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("n", ["5", "6"])
-def test_certify_gerechte_checks_the_order_limit_first(cli, capsys, n):
-    # both targets census every system of order n on the rows partition
+@pytest.mark.parametrize("n", ["5", "6", "100000"])
+def test_certify_gerechte_checks_the_order_limit_first(cli, capsys, monkeypatch, n):
+    # both targets census every system of order n on the rows partition; the
+    # limit is checked before any n×n partition is built
+    import molscope.cli as cli_mod
+
+    def unbuilt(order):
+        raise AssertionError(f"built an order-{order} partition past the limit")
+
+    monkeypatch.setattr(cli_mod, "partition_rows", unbuilt)
+    monkeypatch.setattr(cli_mod, "partition_boxes", unbuilt)
     for argv in (["certify", "gerechte", "--n", n],
                  ["certify", "extension", "--n", n, "--all-k"]):
         code, out, seconds = cli(argv)
@@ -383,6 +391,7 @@ def test_certify_gerechte_checks_the_order_limit_first(cli, capsys, n):
     (["count", "extensions", "--partition", "boxes:-4"], 1),
     (["certify", "gerechte", "--n", "-1"], 4),
     (["certify", "gerechte", "--n", "0"], 4),
+    (["certify", "gerechte", "--n", "0", "--partition", "rows:3"], 4),
 ])
 def test_nonpositive_order_is_one_error_line(cli, capsys, argv, code):
     assert cli(argv)[:2] == (code, b"")
