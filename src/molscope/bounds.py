@@ -269,8 +269,8 @@ def reference_asymptotics(n: float, k: int = 1) -> BoundReport:
     None of these is a valid finite-n bound; they are emitted for context
     next to the assertable quadrature bounds.
     """
-    if n < 2:
-        raise InvalidParams("need n >= 2")
+    if n < 2 or k < 0:
+        raise InvalidParams("need n >= 2 and k >= 0")
     nn = float(n) * float(n)
     logn = math.log(n)
     entries = (
@@ -310,11 +310,11 @@ def sudoku_extension_bound(n: int, k: int, tol: float = DEFAULT_TOL) -> BoundRep
     The decomposition dominates the exact bound; that inequality is checked
     here and a violation raises (it would mean an implementation bug).
     """
+    if n < 4 or k < 0:
+        raise InvalidParams("need n = m^2 >= 4 and k >= 0")
     m = math.isqrt(n)
     if m * m != n:
         raise NotPerfectSquare(f"order {n} is not a perfect square")
-    if n < 4 or k < 0:
-        raise InvalidParams("need n = m^2 >= 4 and k >= 0")
     nn = n * n
     d = k + 3
     # every cell has profile r = c = m-1: one bucket of n^2 cells

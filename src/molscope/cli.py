@@ -55,8 +55,10 @@ from .errors import (
     NotPerfectSquare,
 )
 from .search import (
+    DEFAULT_ENUM_LIMIT,
     ExtensionCount,
     SearchOptions,
+    _check_limit,
     check_census_order,
     count_extensions,
     count_mates,
@@ -265,13 +267,20 @@ def resolve_square_spec(spec: str) -> LatinSquare:
     return validate_latin(doc.squares[0])
 
 
+def _searchable_order(n: int) -> int:
+    """``n``, refused past the extension-counting limit before any n×n
+    partition is built."""
+    _check_limit(n, DEFAULT_ENUM_LIMIT, "extension counting")
+    return n
+
+
 def resolve_partition_spec(spec: str) -> RegionPartition:
     """A partition from rows:n, boxes:n, classes:(SPEC), or a file path."""
     spec = spec.strip()
     if spec.startswith("rows:"):
-        return partition_rows(_spec_int(spec[5:], "rows spec"))
+        return partition_rows(_searchable_order(_spec_int(spec[5:], "rows spec")))
     if spec.startswith("boxes:"):
-        return partition_boxes(_spec_int(spec[6:], "boxes spec"))
+        return partition_boxes(_searchable_order(_spec_int(spec[6:], "boxes spec")))
     if spec.startswith("classes:(") and spec.endswith(")"):
         inner = resolve_square_spec(spec[9:-1])
         return partition_from_square(inner.square)
@@ -541,7 +550,8 @@ COUNT_KINDS = {
         direct=lambda nk: count_mols_direct(*nk)),
     # a Sudoku square is an extension of the empty system on the boxes
     "sudoku": CountKind(
-        lambda args: (validate_mols([], partition_boxes(_read_n(args))), {"n": args.n}),
+        lambda args: (validate_mols([], partition_boxes(_searchable_order(_read_n(args)))),
+                      {"n": args.n}),
         _count_system, "sudoku_squares", "extension-engine", _extension_doc,
         direct=lambda system: count_sudoku_direct(system.order)),
 }
@@ -688,6 +698,9 @@ def cmd_certify(args) -> int:
         suites = []  # (label, census levels 0..kmax, profile of the partition)
         if args.partition or (n >= 4 and math.isqrt(n) ** 2 == n):
             p = resolve_partition_spec(args.partition) if args.partition else partition_boxes(n)
+            if p.order != n:
+                raise InvalidParams(f"certify gerechte --n {n} does not match the "
+                                    f"order {p.order} of partition {args.partition}")
             suites.append((args.partition or "boxes", extension_census(p, kmax),
                            cell_profile(system_to_noa(validate_mols([], p)))))
         if not args.partition:
@@ -738,6 +751,8 @@ def cmd_certify(args) -> int:
     elif target == "power":
         if args.m is None or args.q is None or args.k is None:
             raise InvalidParams("certify power needs --m, --q, and --k")
+        if args.q < 0:
+            raise InvalidParams(f"certify power --q {args.q}: a mate count cannot be negative")
         if args.k < 1:
             raise InvalidParams(f"certify power --k {args.k}: nothing to compare, "
                                 f"since k must be at least 1")

@@ -44,10 +44,9 @@ Determinism contract: results never depend on thread count.  Branches
 return counts; witnesses are the first min(cap, count) leaves of one
 sequential lexicographic walk of the whole tree, taken after the count and
 only that far.  The exact cover always branches on the part through cell
-0, which costs no extra set-up.  Transversal enumeration is cut into
-branches only where the branches are used, when a process pool will run or
-a ``stop_threshold`` is set, at a depth that depends on the instance alone,
-never on the thread count.  Branches are processed in order and their
+0, which costs no extra set-up.  Every pooled search branches on its first
+choice, whatever the options: the option through cell 0 of a cover, the
+column of row 0 of a transversal.  Branches are processed in order and their
 counts added in that order.  With a threshold, a branch whose leaves are
 worth w each counts only up to ⌈threshold / w⌉ leaves and returns the
 smaller of its count and that limit (:func:`_branch_limit`), a value that
@@ -284,8 +283,6 @@ def _with_witnesses(res: ExtensionCount, cap: Optional[int], leaves: Iterator) -
 # --------------------------------------------------------------------------
 # transversals and exact covers
 
-_MIN_BRANCHES = 32  # fixed fan-out target so branch sets never depend on threads
-
 
 def _symbol_codes(l: LatinSquare) -> list[list[int]]:
     """Per cell, one bit for its symbol: the transversals of these codes
@@ -481,22 +478,16 @@ def enumerate_transversals(l: LatinSquare, opts: SearchOptions | None = None) ->
     """Count (and optionally collect) all transversals of ``l``.
 
     Row-by-row backtracking over column choices with column and symbol
-    bitmasks (:func:`_transversals`).  The walk is cut into branches, the
-    transversals below each of a fixed set of prefixes, only when a pool
-    will run or ``stop_threshold`` is set; witnesses, cell tuples sorted by
-    row, are the first min(cap, count) transversals of one sequential walk
-    in lexicographic order of their columns.
+    bitmasks (:func:`_transversals`), with one branch per column of row 0;
+    witnesses, cell tuples sorted by row, are the first min(cap, count)
+    transversals of one sequential walk in lexicographic order of their
+    columns.
     """
     opts = opts or SearchOptions()
     n = l.order
     _check_limit(n, DEFAULT_ENUM_LIMIT, "transversal enumeration")
     codes = _symbol_codes(l)
-    prefixes: list[tuple[int, ...]] = [()]
-    if opts.stop_threshold is not None or (opts.threads or 1) > 1:
-        for depth in range(1, n + 1):
-            prefixes = list(_transversals(codes, n, (), depth))
-            if len(prefixes) >= _MIN_BRANCHES or not prefixes:
-                break
+    prefixes = [(j,) for j in range(n)]
     res = _aggregate((_transversal_branch, (codes, n, _branch_limit(opts)), prefixes), opts)
     return _with_witnesses(res, opts.cap, (tuple(enumerate(c)) for c in _transversals(codes, n, (), n)))
 
@@ -620,20 +611,25 @@ def _chain_tree(partition: RegionPartition, kmax: int) -> Iterator[tuple[list, i
 
 def iter_mols_systems(n: int, k: int) -> Iterator[MolsSystem]:
     """All ordered k-tuples of pairwise orthogonal squares, lexicographically
-    by the concatenated flattened grids (sequential, unreduced)."""
+    by the concatenated flattened grids (sequential, unreduced).  Columns
+    are appended to the array only above the leaves; each leaf's system is
+    validated once, by :func:`columns_to_system`."""
     if n < 1 or k < 0:
         raise InvalidParams("need n >= 1 and k >= 0")
     if n >= 2 and k > n - 1:
         return
+    if k == 0:
+        yield columns_to_system(n, [])
+        return
     cols: list[tuple[int, ...]] = []
 
     def rec(noa: NearlyOrthArray):
-        if len(cols) == k:
-            yield columns_to_system(n, cols)
-            return
         for x in iter_extensions(noa):
             cols.append(x)
-            yield from rec(noa.with_column(x))
+            if len(cols) == k:
+                yield columns_to_system(n, cols)
+            else:
+                yield from rec(noa.with_column(x))
             cols.pop()
 
     yield from rec(system_to_noa(validate_mols([], partition_rows(n))))
@@ -660,7 +656,7 @@ def max_extensions(n: int, k: int) -> tuple[ExtensionCount, Optional[MolsSystem]
     """
     if n < 1 or k < 0:
         raise InvalidParams("need n >= 1 and k >= 0")
-    _check_limit(n, DEFAULT_MAX_EXT_LIMIT, "system-by-system maximisation")
+    check_census_order(n)
     best, best_cols = -1, None
     for cols, cnt in _chain_tree(partition_rows(n), k):
         if len(cols) == k and (cnt > best or cnt == best and cols < best_cols):

@@ -193,6 +193,16 @@ def test_exit_limit_and_params(cli, capsys, tmp_path):
         assert "nothing to compare" in capsys.readouterr().err
     code, out, _ = cli(["construct", "translate-mates", "--group", "3", "--count", "-1"])
     assert (code, out) == (4, b"")
+    # bad parameters are one error line, not a traceback or a report
+    for argv, says in ((["certify", "power", "--m", "3", "--q", "-1", "--k", "1"], "--q -1"),
+                       (["bound", "sudoku", "--n", "-4"], "n = m^2 >= 4"),
+                       (["bound", "reference", "--n", "3", "--k", "-2"], "k >= 0"),
+                       (["certify", "gerechte", "--n", "3", "--partition", "boxes:4"],
+                        "--n 3 does not match the order 4")):
+        capsys.readouterr()
+        assert cli(argv)[:2] == (4, b"")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and says in err
     # count mols has no witness formatter: asking for witnesses is an error
     outdir = tmp_path / "w"
     code, out, _ = cli(["count", "mols", "--n", "3", "--k", "1", "--emit-witnesses", str(outdir)])
@@ -384,6 +394,25 @@ def test_certify_gerechte_checks_the_order_limit_first(cli, capsys, monkeypatch,
         assert (code, out) == (3, b"")
         assert "exceeds the configured limit" in capsys.readouterr().err
         assert seconds < 0.5
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "sudoku", "--n", "100000"],
+    ["count", "extensions", "--partition", "rows:100000"],
+    ["certify", "gerechte", "--n", "100000", "--partition", "boxes:100000"],
+])
+def test_partition_specs_check_the_order_limit_first(cli, capsys, monkeypatch, argv):
+    import molscope.cli as cli_mod
+
+    def unbuilt(order):
+        raise AssertionError(f"built an order-{order} partition past the limit")
+
+    monkeypatch.setattr(cli_mod, "partition_rows", unbuilt)
+    monkeypatch.setattr(cli_mod, "partition_boxes", unbuilt)
+    code, out, seconds = cli(argv)
+    assert (code, out) == (3, b"")
+    assert "exceeds the configured limit" in capsys.readouterr().err
+    assert seconds < 0.5
 
 
 @pytest.mark.parametrize("argv, code", [

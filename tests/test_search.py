@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -474,6 +475,26 @@ def test_transversal_witnesses_are_the_first_leaves(name):
             assert res.witnesses == tuple(want[: min(cap, count)])
 
 
+@pytest.mark.parametrize("threads", [None, 1, 2])
+@pytest.mark.parametrize("threshold", [None, 7])
+def test_transversal_branches_are_the_row_0_columns(monkeypatch, threads, threshold):
+    # like a cover on cell 0, a transversal count branches on the column of
+    # row 0, whatever the pool and threshold options
+    import molscope.search as search
+
+    seen = []
+
+    def recording(state, opts, weight=1):
+        seen.append(list(state[2]))
+        return aggregate(state, opts, weight)
+
+    aggregate = search._aggregate
+    monkeypatch.setattr(search, "_aggregate", recording)
+    res = enumerate_transversals(L(Z5), SearchOptions(stop_threshold=threshold, threads=threads))
+    assert seen == [[(0,), (1,), (2,), (3,), (4,)]]
+    assert res.value.count == (threshold or 15)
+
+
 def test_capped_mate_count_is_reduced():
     # a cap leaves the count reduced (first row fixed, times 7!), and the
     # witnesses are the first columns of the unreduced walk; an unreduced
@@ -868,6 +889,26 @@ def test_iter_mols_systems():
     for sys in systems[:5]:
         assert sys.k == 2
     assert list(iter_mols_systems(2, 2)) == []
+
+
+def test_iter_mols_systems_appends_columns_only_above_the_leaves(monkeypatch):
+    # one array per 1-system of order 3, none per 2-system; the systems and
+    # their order are pinned by a digest of their flattened grids
+    appended = []
+    with_column = NearlyOrthArray.with_column
+
+    def counting(self, x):
+        appended.append(x)
+        return with_column(self, x)
+
+    monkeypatch.setattr(NearlyOrthArray, "with_column", counting)
+    h = hashlib.sha256()
+    for sys in iter_mols_systems(3, 2):
+        h.update((",".join("".join(map(str, itertools.chain(*s.grid))) for s in sys.squares)
+                  + "\n").encode())
+    assert len(appended) == 12
+    assert h.hexdigest() == "d27759029c653e0de16023c397ddcf76de5731077e44ce02167c5e954ece5fce"
+    assert [s.k for s in iter_mols_systems(3, 0)] == [0]
 
 
 def test_max_extensions_small():
