@@ -868,7 +868,7 @@ def cmd_construct(args) -> int:
                 raise FormatError(f"{args.transversal}: no TRANSVERSAL block")
             cells = tdoc.transversal
         else:
-            res = enumerate_transversals(table, SearchOptions(cap=1))
+            res = enumerate_transversals(table, SearchOptions(cap=1, stop_threshold=1))
             if not res.witnesses:
                 raise NotFoundWithinLimit(
                     f"the order-{g.order} table has no transversal"

@@ -34,11 +34,22 @@ s, with the parts in order of their lowest cells, makes row 0 read 0, 1,
 covers, each using only the transversals that meet every part of the covers
 before it, is a k-tuple of squares worth (n!)^k.  The census walks that
 chain tree (:func:`_chain_tree`): a node at depth j is a j-system, and its
-extension count is n! times its child covers.  Walks that must produce
+extension count is n! times its child covers.
+
+The input square's own symmetries reduce transversal and partition counts.
+An autotopism (α, β, γ) of L, with L[α(i)][β(j)] = γ(L[i][j]) at every
+cell, maps transversals to transversals and partitions to partitions.  One
+with α(0) = 0 maps the transversals through (0, j) onto those through
+(0, β(j)); one that also has β(0) = 0 fixes cell 0 and maps the partitions
+containing a part through cell 0 onto those containing its image.  So the
+branches of one orbit count alike, and a count runs the branch of each
+orbit's smallest member, weighed by the orbit's size.  The maps come from
+a bounded search (:func:`_autotopisms`), and each is checked cell by cell
+before use; a missed map only splits an orbit.  Walks that must produce
 objects in lexicographic order (witnesses, :func:`iter_extensions`,
-:func:`iter_mols_systems`) keep a cell-by-cell column walk.  The direct
-engine is never reduced (every square is one leaf of its walk), so it stays
-an independent check.
+:func:`iter_mols_systems`) keep an unreduced walk.  The direct engine is
+never reduced (every square is one leaf of its walk), so it stays an
+independent check.
 
 Determinism contract: results never depend on thread count.  Branches
 return counts; witnesses are the first min(cap, count) leaves of one
@@ -46,17 +57,19 @@ sequential lexicographic walk of the whole tree, taken after the count and
 only that far.  The exact cover always branches on the part through cell
 0, which costs no extra set-up.  Every pooled search branches on its first
 choice, whatever the options: the option through cell 0 of a cover, the
-column of row 0 of a transversal.  Branches are processed in order and their
-counts added in that order.  With a threshold, a branch whose leaves are
-worth w each counts only up to ⌈threshold / w⌉ leaves and returns the
-smaller of its count and that limit (:func:`_branch_limit`), a value that
-depends on the branch alone, never on the schedule or the other branches.
-A branch at its limit reaches the threshold by itself, so the total reaches
-the threshold exactly when the uncapped total would, and a
-threshold-stopped count always reports exactly the threshold (flagged
-inexact).  So schedules cannot leak into output: the count is
-min(threshold, total) and the witnesses are the first
-min(cap, threshold, total) leaves, however the tree was cut.
+column of row 0 of a transversal, one branch per orbit where the square's
+autotopisms join several.  The branches and their orbit sizes are fixed by
+the square alone.  Branches are processed in increasing order of their
+representatives and their counts added in that order.  With a threshold, a
+branch standing for an orbit of s branches whose leaves are worth w each
+counts only up to ⌈threshold / (w·s)⌉ leaves and returns the smaller of its
+count and that limit (:func:`_branch_limit`), a value that depends on the
+branch alone, never on the schedule or the other branches.  A branch at its
+limit reaches the threshold by itself, so the total reaches the threshold
+exactly when the uncapped total would, and a threshold-stopped count always
+reports exactly the threshold (flagged inexact).  So schedules cannot leak
+into output: the count is min(threshold, total) and the witnesses are the
+first min(cap, threshold, total) leaves, however the tree was cut.
 """
 
 from __future__ import annotations
@@ -212,8 +225,9 @@ def iter_extensions(a: NearlyOrthArray) -> Iterator[tuple[int, ...]]:
 # --------------------------------------------------------------------------
 # deterministic branch aggregation (sequential or process pool)
 
-# (branch function, shared arguments, branch items): branch ``idx`` runs
-# ``branch(*shared, items[idx])`` and returns its exact subcount.
+# (branch function, shared arguments, (limit, item) per branch): branch
+# ``idx`` runs ``branch(*shared, limit, item)`` and returns its exact
+# subcount, counted up to ``limit``.
 _WORKER_STATE = None
 
 
@@ -223,37 +237,41 @@ def _worker_init(state):
 
 
 def _worker_run(idx: int) -> int:
-    branch, shared, items = _WORKER_STATE
-    return branch(*shared, items[idx])
+    branch, shared, calls = _WORKER_STATE
+    return branch(*shared, *calls[idx])
 
 
 def _aggregate(state, opts: SearchOptions, weight: int = 1) -> ExtensionCount:
     """Run all branches in order and add their subcounts, each leaf counting
     ``weight`` objects, until the total reaches the threshold.
 
+    ``state`` is (branch function, shared arguments, items), each item an
+    (argument, size) pair: the branch on that argument stands for an orbit
+    of ``size`` branches with equal counts, so it adds sub × weight × size.
     The accumulation loop is the same code for one process and many.  The
     result carries no witnesses; see :func:`_with_witnesses`.
     """
     branch, shared, items = state
     threshold = opts.stop_threshold
+    calls = [(_branch_limit(opts, weight * size), item) for item, size in items]
     total = 0
 
-    def consume(sub: int) -> bool:
+    def consume(sub: int, size: int) -> bool:
         nonlocal total
-        total += sub * weight
+        total += sub * weight * size
         return threshold is not None and total >= threshold
 
-    procs = min(opts.threads or 1, len(items))
+    procs = min(opts.threads or 1, len(calls))
     if procs > 1:
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(procs, initializer=_worker_init, initargs=(state,)) as pool:
-            for sub in pool.imap(_worker_run, range(len(items))):
-                if consume(sub):
+        with ctx.Pool(procs, initializer=_worker_init, initargs=((branch, shared, calls),)) as pool:
+            for sub, (_, size) in zip(pool.imap(_worker_run, range(len(calls))), items):
+                if consume(sub, size):
                     pool.terminate()
                     break
     else:
-        for item in items:
-            if consume(branch(*shared, item)):
+        for call, (_, size) in zip(calls, items):
+            if consume(branch(*shared, *call), size):
                 break
 
     if threshold is not None and total >= threshold:
@@ -278,6 +296,121 @@ def _with_witnesses(res: ExtensionCount, cap: Optional[int], leaves: Iterator) -
     if cap is None:
         return res
     return replace(res, witnesses=tuple(islice(leaves, min(cap, res.value.count))))
+
+
+# --------------------------------------------------------------------------
+# autotopisms and orbit branches
+
+# Propagation steps one call of _autotopisms may take over all its seeds.
+# Any set of verified maps gives valid orbits, so stopping early only makes
+# the orbits finer.  Every seed of a group table of order 16 completes
+# within it (Z2^4 takes 185,760 steps, about 0.1 s); a square with no
+# autotopism but the identity takes a few thousand.
+AUTOTOPISM_WORK = 200_000
+
+
+def _autotopisms(grid: Sequence[Sequence[int]], fix_cell: bool) -> list[tuple[list[int], list[int], list[int]]]:
+    """Autotopisms (α, β, γ) of the Latin square ``grid``, each verified:
+    L[α(i)][β(j)] = γ(L[i][j]) at every cell, with α(0) = 0, and β(0) = 0
+    as well when ``fix_cell`` (the maps fixing cell 0).
+
+    One search per seed β(0), β(1).  A known α(i) and β(j) give
+    γ(L[i][j]); a known γ(x) gives β on the column of x in each mapped row
+    and α on the row of x in each mapped column.  When that stalls, the
+    search branches on the next undetermined β(j).  A full β forces the rest
+    (row 0 gives γ, then column 0 gives α), and the first completion of each
+    seed is kept.  The maps found need not be the whole group, only
+    autotopisms: at most n(n-1) searches under :data:`AUTOTOPISM_WORK`
+    steps, never the (n-1)! choices of β.
+    """
+    n = len(grid)
+    rpos = [[0] * n for _ in range(n)]  # rpos[i][x]: the column of x in row i
+    cpos = [[0] * n for _ in range(n)]  # cpos[j][x]: the row of x in column j
+    for i, row in enumerate(grid):
+        for j, x in enumerate(row):
+            rpos[i][x] = j
+            cpos[j][x] = i
+    work = AUTOTOPISM_WORK
+
+    def propagate(fs, pending) -> bool:
+        # fs = [α, β, γ, α⁻¹, β⁻¹, γ⁻¹], -1 where unknown; pending holds
+        # (0 α | 1 β | 2 γ, argument, image) facts still to apply
+        nonlocal work
+        a, b, g = fs[0], fs[1], fs[2]
+        while pending:
+            work -= 1
+            kind, k, v = pending.pop()
+            f, inv = fs[kind], fs[kind + 3]
+            if f[k] == v:
+                continue
+            if f[k] >= 0 or inv[v] >= 0:
+                return False
+            f[k], inv[v] = v, k
+            if kind == 0:  # row k goes to row v
+                pending += [(2, grid[k][j], grid[v][c]) for j, c in enumerate(b) if c >= 0]
+                pending += [(1, rpos[k][x], rpos[v][y]) for x, y in enumerate(g) if y >= 0]
+            elif kind == 1:  # column k goes to column v
+                pending += [(2, grid[i][k], grid[r][v]) for i, r in enumerate(a) if r >= 0]
+                pending += [(0, cpos[k][x], cpos[v][y]) for x, y in enumerate(g) if y >= 0]
+            else:  # symbol k goes to symbol v
+                pending += [(1, rpos[i][k], rpos[r][v]) for i, r in enumerate(a) if r >= 0]
+                pending += [(0, cpos[j][k], cpos[c][v]) for j, c in enumerate(b) if c >= 0]
+        return True
+
+    def complete(fs, pending):
+        if work <= 0 or not propagate(fs, pending):
+            return None
+        if -1 not in fs[1]:
+            return fs[:3]
+        j = fs[1].index(-1)
+        for c in range(n):
+            if fs[4][c] < 0:
+                found = complete([f[:] for f in fs], [(1, j, c)])
+                if found:
+                    return found
+        return None
+
+    # Every column gets a turn as β(0) before any gets a second, so a search
+    # cut short by the work cap still tends to join all of row 0.
+    seeds = [(b0, (b0 + d) % n) for d in range(1, n) for b0 in ([0] if fix_cell else range(n))]
+    maps = []
+    for b0, b1 in seeds:
+        found = complete([[-1] * n for _ in range(6)], [(0, 0, 0), (1, 0, b0), (1, 1, b1)])
+        if found and _is_autotopism(grid, *found):
+            maps.append(found)
+    return maps
+
+
+def _is_autotopism(grid, a, b, g) -> bool:
+    """Whether α, β, γ are permutations with L[α(i)][β(j)] = γ(L[i][j])
+    at every cell."""
+    ident = list(range(len(grid)))
+    if sorted(a) != ident or sorted(b) != ident or sorted(g) != ident:
+        return False
+    return all(grid[a[i]][b[j]] == g[x] for i, row in enumerate(grid) for j, x in enumerate(row))
+
+
+def _orbits(points: Sequence[int], perms: Sequence) -> list[tuple[int, int]]:
+    """The orbits of ``points`` under the group the permutations ``perms``
+    generate (each indexable by every point), as (smallest member, size)
+    pairs in increasing order of their smallest members."""
+    parent = {p: p for p in points}
+
+    def root(p):
+        while parent[p] != p:
+            parent[p] = p = parent[parent[p]]
+        return p
+
+    for perm in perms:
+        for p in points:
+            r, s = root(p), root(perm[p])
+            if r != s:  # every root is the smallest member of its set
+                parent[max(r, s)] = min(r, s)
+    sizes: dict[int, int] = {}
+    for p in points:
+        r = root(p)
+        sizes[r] = sizes.get(r, 0) + 1
+    return sorted(sizes.items())
 
 
 # --------------------------------------------------------------------------
@@ -444,15 +577,38 @@ def _covers(masks, through, disjoint, uncov, allowed) -> Iterator[tuple[int, ...
             yield (t,) + rest
 
 
-def _count_covers(tables, opts: SearchOptions, squares: int = 1, weight: int = 1) -> ExtensionCount:
+def _count_covers(tables, opts: SearchOptions, squares: int = 1, weight: int = 1,
+                  branches: Optional[list[tuple[int, int]]] = None) -> ExtensionCount:
     """Count chains of ``squares`` exact covers by the options of
     ``tables``, each chain worth ``weight``, with one branch per option
-    through cell 0 (every cover has exactly one)."""
+    through cell 0 (every cover has exactly one), or per (option, orbit
+    size) pair of ``branches``."""
     masks = tables[0]
     every = (1 << len(masks)) - 1
-    branches = [t for t, m in enumerate(masks) if m & 1]
-    shared = (*tables, squares, every, _branch_limit(opts, weight))
-    return _aggregate((_cover_branch, shared, branches), opts, weight)
+    if branches is None:
+        branches = [(t, 1) for t, m in enumerate(masks) if m & 1]
+    return _aggregate((_cover_branch, (*tables, squares, every), branches), opts, weight)
+
+
+def _cover_orbits(grid, options: Sequence[tuple[int, ...]]) -> list[tuple[int, int]]:
+    """The options through cell 0 (``options`` as their column per row) in
+    orbits under the autotopisms of ``grid`` fixing cell 0, as (smallest
+    option index, orbit size) pairs.  An autotopism (α, β, γ) maps the
+    transversal with column c[i] in row i to the one with β(c[i]) in row
+    α(i), and each partition containing the first to one containing the
+    second, so an orbit's options lie in equally many partitions."""
+    n = len(grid)
+    index = {cols: t for t, cols in enumerate(options) if cols[0] == 0}
+    img = [0] * n
+    perms = []
+    for a, b, _ in _autotopisms(grid, True):
+        perm = {}
+        for cols, t in index.items():
+            for i, j in enumerate(cols):
+                img[a[i]] = b[j]
+            perm[t] = index[tuple(img)]
+        perms.append(perm)
+    return _orbits(list(index.values()), perms)
 
 
 def _count_chains(a: NearlyOrthArray, squares: int, opts: SearchOptions) -> ExtensionCount:
@@ -478,17 +634,20 @@ def enumerate_transversals(l: LatinSquare, opts: SearchOptions | None = None) ->
     """Count (and optionally collect) all transversals of ``l``.
 
     Row-by-row backtracking over column choices with column and symbol
-    bitmasks (:func:`_transversals`), with one branch per column of row 0;
-    witnesses, cell tuples sorted by row, are the first min(cap, count)
-    transversals of one sequential walk in lexicographic order of their
-    columns.
+    bitmasks (:func:`_transversals`), with one branch per orbit of the
+    columns of row 0 under the autotopisms of ``l`` with α(0) = 0
+    (:func:`_autotopisms`): such a map sends each transversal through (0, j)
+    to one through (0, β(j)), so the branch on an orbit's smallest column
+    counts for the whole orbit.  Witnesses, cell tuples sorted by row, are
+    the first min(cap, count) transversals of one sequential walk in
+    lexicographic order of their columns.
     """
     opts = opts or SearchOptions()
     n = l.order
     _check_limit(n, DEFAULT_ENUM_LIMIT, "transversal enumeration")
     codes = _symbol_codes(l)
-    prefixes = [(j,) for j in range(n)]
-    res = _aggregate((_transversal_branch, (codes, n, _branch_limit(opts)), prefixes), opts)
+    orbits = _orbits(range(n), [b for _, b, _ in _autotopisms(l.grid, False)])
+    res = _aggregate((_transversal_branch, (codes, n), [((j,), size) for j, size in orbits]), opts)
     return _with_witnesses(res, opts.cap, (tuple(enumerate(c)) for c in _transversals(codes, n, (), n)))
 
 
@@ -510,8 +669,10 @@ def count_transversal_partitions(
     the lowest of them, the other n cells meet each row, column and symbol
     once: a transversal disjoint from every part, so also allowed.  That
     level's count is the number of allowed transversals through the cell.
-    Branches (one per part through cell 0) count, each only as far as the
-    threshold needs (see the module docstring); witnesses are the first
+    Branches count, each only as far as the threshold needs (see the module
+    docstring): one per orbit of the parts through cell 0 under the
+    autotopisms of ``l`` fixing cell 0 (:func:`_cover_orbits`), weighed by
+    the orbit's size.  Witnesses are the first
     min(cap, count) partitions of one sequential walk in that same order,
     i.e. in lexicographic order of their parts' transversal indices.
     Orthogonal mates are in bijection with (partition, symbol assignment)
@@ -522,7 +683,7 @@ def count_transversal_partitions(
     _check_limit(n, DEFAULT_ENUM_LIMIT, "partition enumeration")
     options = list(_transversals(_symbol_codes(l), n, (), n))
     tables = _cover_tables(options, n)
-    res = _count_covers(tables, opts)
+    res = _count_covers(tables, opts, branches=_cover_orbits(l.grid, options))
     covers = _covers(*tables, (1 << n * n) - 1, (1 << len(options)) - 1)
     parts = (tuple(tuple(enumerate(options[t])) for t in c) for c in covers)
     return _with_witnesses(res, opts.cap, parts)

@@ -295,6 +295,13 @@ def test_count_transversals_structured(cli):
     assert b"elapsed" not in json.dumps(doc).encode()
 
 
+def test_count_transversals_of_z13(cli):
+    # OEIS A006717; one branch per orbit makes this one branch of 13
+    doc = run_structured(cli, ["count", "transversals", "--square", "cayley:13"])
+    f = fields_by_name(doc)["transversals"]
+    assert f["value"] == "1030367" and f["exact"] is True
+
+
 def test_count_partitions_implies_mates(cli):
     doc = run_structured(
         cli, ["count", "partitions", "--square", "kron:(cayley:2,cayley:2)"]
@@ -776,6 +783,31 @@ def test_construct_translate_mates(cli, tmp_path):
     assert len(files) == 2
     for f in files:
         assert len(parse_document(f.read_text()).squares) == 2
+
+
+def test_construct_translate_mates_stops_at_the_first_transversal(cli, monkeypatch):
+    # the built-in transversal is the first of the lexicographic walk, and
+    # the search for it stops there instead of counting every transversal
+    import molscope.cli as cli_mod
+    from molscope.search import _symbol_codes, _transversals
+
+    seen = []
+    engine = cli_mod.enumerate_transversals
+
+    def spy(square, opts):
+        seen.append(opts)
+        return engine(square, opts)
+
+    monkeypatch.setattr(cli_mod, "enumerate_transversals", spy)
+    doc = run_structured(cli, ["construct", "translate-mates", "--group", "13", "--count", "2"])
+    assert [(o.cap, o.stop_threshold) for o in seen] == [(1, 1)]
+    table = cayley_table(GroupSpec([13]))
+    first = next(_transversals(_symbol_codes(table), 13, (), 13))
+    parsed = parse_document(fields_by_name(doc)["document"]["value"])
+    assert parsed.transversal == list(enumerate(first))
+    assert fields_by_name(doc)["mates_emitted"]["value"] == "2"
+    code, out, _ = cli(["construct", "translate-mates", "--group", "2"])
+    assert (code, out) == (3, b"")  # the order-2 table has no transversal
 
 
 def test_construct_translate_mates_from_file(cli, tmp_path):

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -40,9 +41,12 @@ from molscope.search import (
     iter_mols_systems,
     max_extensions,
     _array_codes,
+    _autotopisms,
     _branch_limit,
     _cover_branch,
+    _cover_orbits,
     _cover_tables,
+    _orbits,
     _symbol_codes,
     _transversal_branch,
     _transversals,
@@ -475,11 +479,41 @@ def test_transversal_witnesses_are_the_first_leaves(name):
             assert res.witnesses == tuple(want[: min(cap, count)])
 
 
+def _random_latin(n, seed):
+    """A Latin square of order n filled cell by cell in a seeded random
+    symbol order (backtracking on dead ends)."""
+    rng = random.Random(seed)
+    grid = [[-1] * n for _ in range(n)]
+
+    def fill(c):
+        if c == n * n:
+            return True
+        i, j = divmod(c, n)
+        used = set(grid[i][:j]) | {grid[r][j] for r in range(i)}
+        xs = [x for x in range(n) if x not in used]
+        rng.shuffle(xs)
+        for x in xs:
+            grid[i][j] = x
+            if fill(c + 1):
+                return True
+        grid[i][j] = -1
+        return False
+
+    fill(0)
+    return grid
+
+
+RANDOM_7 = _random_latin(7, 1)
+RANDOM_8 = _random_latin(8, 2)
+
+
 @pytest.mark.parametrize("threads", [None, 1, 2])
 @pytest.mark.parametrize("threshold", [None, 7])
 def test_transversal_branches_are_the_row_0_columns(monkeypatch, threads, threshold):
-    # like a cover on cell 0, a transversal count branches on the column of
-    # row 0, whatever the pool and threshold options
+    # a transversal count branches on the smallest column of each orbit of
+    # row 0's columns, with the orbit's size, whatever the pool and
+    # threshold options: Z5's autotopisms join all five columns, and a
+    # random square has no autotopism but the identity
     import molscope.search as search
 
     seen = []
@@ -490,9 +524,12 @@ def test_transversal_branches_are_the_row_0_columns(monkeypatch, threads, thresh
 
     aggregate = search._aggregate
     monkeypatch.setattr(search, "_aggregate", recording)
-    res = enumerate_transversals(L(Z5), SearchOptions(stop_threshold=threshold, threads=threads))
-    assert seen == [[(0,), (1,), (2,), (3,), (4,)]]
-    assert res.value.count == (threshold or 15)
+    for grid, want in ((Z5, [((0,), 5)]), (RANDOM_7, [((j,), 1) for j in range(7)])):
+        seen.clear()
+        total = len(oracles.transversals(grid))
+        res = enumerate_transversals(L(grid), SearchOptions(stop_threshold=threshold, threads=threads))
+        assert seen == [want]
+        assert res.value.count == min(threshold or total, total)
 
 
 def test_capped_mate_count_is_reduced():
@@ -726,6 +763,169 @@ def test_capped_transversal_branch_is_the_full_branch_capped():
         assert full > 1
         for limit in range(1, full + 2):
             assert _transversal_branch(codes, 7, limit, prefix) == min(full, limit)
+
+
+# --------------------------------------------------------------------------
+# orbit-weighted branches: autotopisms, orbits and the plain per-branch sums
+
+
+def _check_maps(grid, maps, fix_cell):
+    # three permutations each, with L[α(i)][β(j)] = γ(L[i][j]) at every cell
+    n = len(grid)
+    assert maps
+    for a, b, g in maps:
+        assert sorted(a) == sorted(b) == sorted(g) == list(range(n))
+        assert all(grid[a[i]][b[j]] == g[grid[i][j]] for i in range(n) for j in range(n))
+        assert a[0] == 0 and (b[0] == 0 or not fix_cell)
+
+
+def _check_orbits(orbits, points, perms, plain):
+    # the orbits split the points, each named by its smallest member, in
+    # increasing order, and every member's branch counts as many leaves
+    assert [rep for rep, _ in orbits] == sorted(rep for rep, _ in orbits)
+    covered = set()
+    for rep, size in orbits:
+        members, todo = {rep}, [rep]
+        while todo:
+            p = todo.pop()
+            for perm in perms:
+                if perm[p] not in members:
+                    members.add(perm[p])
+                    todo.append(perm[p])
+        assert min(members) == rep and len(members) == size
+        assert {plain[p] for p in members} == {plain[rep]}
+        covered |= members
+    assert covered == set(points)
+
+
+def _isotopes(cases, seed=1):
+    return {**cases, **{f"{name}-iso{seed}": _isotope(g, seed) for name, g in cases.items()}}
+
+
+ORBIT_TRANSVERSAL_CASES = {
+    **_isotopes({"Z5": Z5, "Z7": cayley(7), "Z2^3": Z2_CUBED, "Z3xZ3": Z3_BY_Z3}),
+    "random7": RANDOM_7,
+    "random8": RANDOM_8,
+}
+ORBIT_PARTITION_CASES = {
+    **_isotopes({"Z7": cayley(7), "Z2^3": Z2_CUBED}),
+    "random7": RANDOM_7,
+    "random8": RANDOM_8,
+}
+
+
+@pytest.mark.parametrize("name", ORBIT_TRANSVERSAL_CASES)
+def test_orbit_weighted_transversals_equal_plain_sums(name):
+    grid = ORBIT_TRANSVERSAL_CASES[name]
+    n = len(grid)
+    codes = _symbol_codes(L(grid))
+    plain = [_transversal_branch(codes, n, None, (j,)) for j in range(n)]
+    maps = _autotopisms(grid, False)
+    _check_maps(grid, maps, False)
+    perms = [b for _, b, _ in maps]
+    orbits = _orbits(range(n), perms)
+    _check_orbits(orbits, range(n), perms, plain)
+    # a group table's autotopisms join every column of row 0; a random
+    # square has only the identity
+    assert orbits == ([(j, 1) for j in range(n)] if name.startswith("random") else [(0, n)])
+    assert sum(size * plain[j] for j, size in orbits) == sum(plain)
+    assert enumerate_transversals(L(grid)).value.count == sum(plain)
+    if n <= 8:
+        assert sum(plain) == len(oracles.transversals(grid))
+
+
+@pytest.mark.parametrize("name", ORBIT_PARTITION_CASES)
+def test_orbit_weighted_partitions_equal_plain_sums(name):
+    grid = ORBIT_PARTITION_CASES[name]
+    n = len(grid)
+    options = list(_transversals(_symbol_codes(L(grid)), n, (), n))
+    tables, every, first = _branches(options, n)
+    plain = {t: _cover_branch(*tables, 1, every, None, t) for t in first}
+    maps = _autotopisms(grid, True)
+    _check_maps(grid, maps, True)
+    index = {cols: t for t, cols in enumerate(options)}
+
+    def image(a, b, t):
+        cells = sorted((a[i], b[j]) for i, j in enumerate(options[t]))
+        return index[tuple(j for _, j in cells)]
+
+    perms = [{t: image(a, b, t) for t in first} for a, b, _ in maps]
+    orbits = _cover_orbits(grid, options)
+    _check_orbits(orbits, first, perms, plain)
+    if name.startswith("random"):
+        assert orbits == [(t, 1) for t in first]
+    total = sum(plain.values())
+    assert sum(size * plain[t] for t, size in orbits) == total
+    assert count_transversal_partitions(L(grid)).value.count == total
+    assert total == oracles.partition_count(grid)
+
+
+SWEEP_CASES = {
+    "transversals-Z7": (enumerate_transversals, _isotope(cayley(7), 2), 133, oracles.transversals),
+    "transversals-random7": (enumerate_transversals, RANDOM_7, 22, oracles.transversals),
+    "partitions-Z7": (count_transversal_partitions, _isotope(cayley(7), 2), 635,
+                      oracles.lexicographic_partitions),
+    "partitions-Z2^3": (count_transversal_partitions, _isotope(Z2_CUBED, 2), 70272,
+                        oracles.lexicographic_partitions),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", SWEEP_CASES)
+def test_orbit_weighted_stops_and_witnesses_match_the_plain_walk(name, threads):
+    # count, flag and witnesses are those of the unreduced search: the count
+    # is min(threshold, total), and the witnesses the first leaves of the
+    # lexicographic walk, for thresholds within, at and past orbit limits
+    count, grid, total, walk = SWEEP_CASES[name]
+    cap = 20
+    want = list(itertools.islice(walk(grid), cap))
+    for threshold in sorted({1, 2, 7, 8, 25, total // 3, total // 2, total - 1, total, total + 1}):
+        res = count(L(grid), SearchOptions(cap=cap, stop_threshold=threshold, threads=threads))
+        stopped = threshold <= total
+        assert res.value.count == (threshold if stopped else total)
+        assert res.exact_flag is not stopped
+        assert list(res.witnesses) == want[: min(cap, res.value.count)]
+
+
+def test_a_cut_short_finder_only_splits_orbits(monkeypatch):
+    # fewer maps give finer orbits and the same counts
+    import molscope.search as search
+
+    grid = _isotope(Z2_CUBED, 3)
+    want = (384, 70272)
+    splits = []
+    for work in (search.AUTOTOPISM_WORK, 2000, 300, 0):
+        monkeypatch.setattr(search, "AUTOTOPISM_WORK", work)
+        maps = _autotopisms(grid, False)
+        if maps:
+            _check_maps(grid, maps, False)
+        splits.append(len(_orbits(range(8), [b for _, b, _ in maps])))
+        assert enumerate_transversals(L(grid)).value.count == want[0]
+        assert count_transversal_partitions(L(grid)).value.count == want[1]
+    assert splits[0] == 1 and splits[-1] == 8 and splits == sorted(splits)
+
+
+ORDER_16 = {"Z2^4": cayley(2, 2, 2, 2), "Z4xZ4": cayley(4, 4), "Z16": cayley(16), "random16": _random_latin(16, 1)}
+
+
+@pytest.mark.parametrize("name", ORDER_16)
+def test_autotopism_finder_is_cheap_at_order_16(name):
+    grid = ORDER_16[name]
+    for fix_cell in (False, True):
+        seconds = []
+        for _ in range(3):
+            started = time.process_time()
+            maps = _autotopisms(grid, fix_cell)
+            seconds.append(time.process_time() - started)
+        assert min(seconds) < 0.2
+        _check_maps(grid, maps, fix_cell)
+
+
+def test_transversal_threshold_at_order_16():
+    # one branch stands for all 16 columns of row 0, so a million
+    # transversals of Z2^4 take one capped branch of 62,500
+    res = enumerate_transversals(L(cayley(2, 2, 2, 2)), SearchOptions(stop_threshold=10**6))
+    assert res.value.count == 10**6 and not res.exact_flag
 
 
 # --------------------------------------------------------------------------
