@@ -21,7 +21,6 @@ are for people and may show timings.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -307,7 +306,6 @@ class ReportField:
     provenance: Optional[str] = None  # operation id
     exact: Optional[bool] = None  # for counts: full count vs "at least"
     asymptotic_only: Optional[bool] = None
-    note: Optional[str] = None
 
 
 @dataclass
@@ -341,8 +339,6 @@ class ReportDocument:
                 item["exact"] = f.exact
             if f.asymptotic_only:
                 item["asymptotic_only"] = True
-            if f.note is not None:
-                item["note"] = f.note
             results.append(item)
         doc = {
             "command": self.command,
@@ -369,21 +365,12 @@ class ReportDocument:
                 extra += "  (at least: search stopped at threshold)"
             if f.asymptotic_only:
                 extra += "  (asymptotic reference, not a valid finite-n bound)"
-            if f.note:
-                extra += f"  ({f.note})"
             lines.append(f"  {f.name.ljust(width)}  {val}{unit}{prov}{extra}")
         for note in self.notes:
             lines.append(f"  note: {note}")
         if elapsed is not None:
             lines.append(f"  elapsed: {elapsed:.3f} s")
         return "\n".join(lines) + "\n"
-
-
-def _emit(doc: ReportDocument, args, started: float) -> None:
-    if args.format == "structured":
-        sys.stdout.write(doc.to_structured())
-    else:
-        sys.stdout.write(doc.to_table(elapsed=time.monotonic() - started))
 
 
 def _count_field(
@@ -425,9 +412,12 @@ def _witness_cap(args) -> Optional[int]:
     return cap if args.emit_witnesses else None
 
 
-def _search_options(args, cap: Optional[int]) -> SearchOptions:
-    threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
-    return SearchOptions(cap=cap, stop_threshold=args.threshold, threads=threads)
+def _threads(args) -> int:
+    return args.threads if args.threads is not None else (os.cpu_count() or 1)
+
+
+def _tol(args, default: float) -> float:
+    return args.tol if args.tol is not None else default
 
 
 # --------------------------------------------------------------------------
@@ -475,10 +465,13 @@ def _read_system(args) -> tuple[MolsSystem, dict]:
                                 ("partition", args.partition)) if v}
     if args.system:
         doc = parse_document(_read_file(args.system))
+        if not doc.squares and doc.partition is None:
+            raise FormatError(f"{args.system}: a system document needs a square "
+                              f"or a PARTITION block")
         latins = [validate_latin(s) for s in doc.squares]
         partition = doc.partition
         if partition is None:
-            partition = partition_rows(latins[0].order if latins else 1)
+            partition = partition_rows(latins[0].order)
         return validate_mols(latins, partition), params
     squares = [resolve_square_spec(s) for s in args.square or []]
     if not squares and not args.partition:
@@ -489,12 +482,6 @@ def _read_system(args) -> tuple[MolsSystem, dict]:
         partition = partition_rows(squares[0].order)
     order = squares[0].order if squares else partition.order
     return validate_mols(squares, partition, order=order), params
-
-
-def _read_n(args) -> int:
-    if args.n is None:
-        raise InvalidParams(f"count {args.kind} needs --n")
-    return args.n
 
 
 def _count_system(system: MolsSystem, opts: SearchOptions) -> ExtensionCount:
@@ -514,81 +501,59 @@ def _extension_doc(system: MolsSystem, col) -> str:
     return format_document(grids, partition=system.partition)
 
 
-@dataclass(frozen=True)
-class CountKind:
-    """One ``count`` kind.  ``read`` gives the engine's input and the report
-    params; ``witness_doc`` formats one witness; ``direct`` recounts the input
-    with an engine that shares no code with ``engine``, or raises
-    ``LimitExceeded`` where that engine does not reach.  Rows call engines
-    through lambdas, which look them up by name at each call, so a test or
-    tracer can substitute one."""
-
-    read: Callable
-    engine: Callable
-    field: str
-    provenance: str
-    witness_doc: Optional[Callable] = None
-    direct: Optional[Callable] = None
-
-
-COUNT_KINDS = {
-    "transversals": CountKind(
-        _read_square, lambda sq, opts: enumerate_transversals(sq, opts),
-        "transversals", "row-backtracking",
-        lambda sq, cells: format_document([sq.grid], transversal=cells)),
-    "partitions": CountKind(
-        _read_square, lambda sq, opts: count_transversal_partitions(sq, opts),
-        "transversal_partitions", "exact-cover", _partition_doc),
-    "mates": CountKind(
-        _read_square, lambda sq, opts: count_mates(sq, opts), "mates", "extension-engine",
-        lambda sq, col: format_document([sq.grid, _column_grid(col, sq.order)])),
-    "extensions": CountKind(
-        _read_system, _count_system, "extensions", "extension-engine", _extension_doc),
-    "mols": CountKind(
-        lambda args: ((_read_n(args), args.k), {"n": args.n, "k": args.k}),
-        lambda nk, opts: count_mols(*nk, opts), "count", "chained-extension-engine",
-        direct=lambda nk: count_mols_direct(*nk)),
-    # a Sudoku square is an extension of the empty system on the boxes
-    "sudoku": CountKind(
-        lambda args: (validate_mols([], partition_boxes(_searchable_order(_read_n(args)))),
-                      {"n": args.n}),
-        _count_system, "sudoku_squares", "extension-engine", _extension_doc,
-        direct=lambda system: count_sudoku_direct(system.order)),
-}
-
-
-def cmd_count(args) -> int:
-    started = time.monotonic()
-    kind = COUNT_KINDS[args.kind]
-    opts = _search_options(args, _witness_cap(args))
-    source, params = kind.read(args)
-    doc = ReportDocument(f"count {args.kind}", params)
-    res = kind.engine(source, opts)
-    _count_field(doc, kind.field, res, kind.provenance)
-    if args.kind == "partitions" and res.exact_flag:
-        doc.add("mates_implied", res.value.count * math.factorial(source.order),
+def _mates_implied(doc: ReportDocument, square: LatinSquare, res: ExtensionCount) -> None:
+    """Each transversal partition of a square gives n! of its mates."""
+    if res.exact_flag:
+        doc.add("mates_implied", res.value.count * math.factorial(square.order),
                 unit="exact count", provenance="partitions-times-factorial", exact=True)
-    code = EXIT_OK
-    direct = None
-    if kind.direct and res.exact_flag:
+
+
+def _cross_check(direct: Callable) -> Callable:
+    """Recount an exact count with ``direct``, an engine that shares no code
+    with the first; where it does not reach it raises ``LimitExceeded`` and
+    the report notes the skip."""
+
+    def check(doc: ReportDocument, source, res: ExtensionCount) -> None:
+        if not res.exact_flag:
+            return
         try:
-            direct = kind.direct(source)
+            value = direct(source)
         except LimitExceeded as exc:
             doc.notes.append(f"direct cross-check skipped: {exc}")
-    if direct is not None:
-        doc.add("direct_count", direct, unit="exact count",
+            return
+        doc.add("direct_count", value, unit="exact count",
                 provenance="direct-backtracking", exact=True)
-        doc.add("engines_agree", direct == res.value.count, provenance="cross-check")
-        if direct != res.value.count:
-            code = EXIT_VIOLATION
-    if code == EXIT_OK and args.emit_witnesses and kind.witness_doc is None:
-        # refused here, not up front, so that a disagreement still exits 5
-        raise InvalidParams(f"count {args.kind} has no witnesses to emit")
-    if code == EXIT_OK and args.emit_witnesses and res.witnesses:
-        written = _write_witnesses(args, [kind.witness_doc(source, w) for w in res.witnesses])
-        doc.notes.append(f"wrote {written} witness files")
-    _emit(doc, args, started)
-    return code
+        doc.add("engines_agree", value == res.value.count, provenance="cross-check")
+
+    return check
+
+
+def _counter(read: Callable, engine: Callable, name: str, provenance: str,
+             witness_doc: Optional[Callable] = None,
+             then: Optional[Callable] = None) -> Callable:
+    """The run of one ``count`` kind.  ``read`` gives the engine's input and
+    the report params; ``then`` adds the fields that follow the count;
+    ``witness_doc`` formats one witness.  Rows call engines through lambdas,
+    which look them up by name at each call, so a test or tracer can
+    substitute one."""
+
+    def run(args, doc: ReportDocument) -> None:
+        opts = SearchOptions(cap=_witness_cap(args), stop_threshold=args.threshold,
+                             threads=_threads(args))
+        source, doc.params = read(args)
+        res = engine(source, opts)
+        _count_field(doc, name, res, provenance)
+        if then:
+            then(doc, source, res)
+        if args.emit_witnesses and not _violated(doc):
+            # refused here, not up front, so that a disagreement still exits 5
+            if witness_doc is None:
+                raise InvalidParams(f"{doc.command} has no witnesses to emit")
+            if res.witnesses:
+                written = _write_witnesses(args, [witness_doc(source, w) for w in res.witnesses])
+                doc.notes.append(f"wrote {written} witness files")
+
+    return run
 
 
 # --------------------------------------------------------------------------
@@ -612,35 +577,26 @@ def _add_report_entries(doc: ReportDocument, report) -> None:
     )
 
 
-def cmd_bound(args) -> int:
-    started = time.monotonic()
-    kind = args.kind
-    tol = args.tol if args.tol is not None else bounds_mod.DEFAULT_TOL
-    n = int(args.n) if float(args.n).is_integer() else args.n
-    if kind in ("extension", "sudoku") and not isinstance(n, int):
-        raise InvalidParams(f"bound {kind} needs an integer --n, got {args.n}")
-    if not math.isfinite(args.n):
-        raise InvalidParams(f"bound {kind} needs a finite --n, got {args.n}")
-    doc = ReportDocument(f"bound {kind}", {"n": n, "k": args.k})
-    try:
-        if kind == "extension":
-            val = bounds_mod.extension_bound_mols(n, args.k)
-            doc.add("extension_bound", val, unit="nats", provenance="per-cell-integral")
-        elif kind == "mols-count":
-            _add_report_entries(doc, bounds_mod.mols_count_bound(n, args.k, tol))
-        elif kind == "sudoku":
-            _add_report_entries(doc, bounds_mod.sudoku_extension_bound(n, args.k, tol))
-        elif kind == "reference":
-            _add_report_entries(doc, bounds_mod.reference_asymptotics(n, args.k))
-        else:
-            raise InvalidParams(f"unknown bound kind {kind!r}")
-    except OverflowError as exc:
-        raise InvalidParams(f"bound {kind} overflows at --n {args.n}") from exc
-    for f in doc.fields:
-        if not math.isfinite(f.value):
-            raise InvalidParams(f"bound {kind} at --n {args.n}: {f.name} is not finite")
-    _emit(doc, args, started)
-    return EXIT_OK
+def _bound(evaluate: Callable, integer: bool = False) -> Callable:
+    """The run of one ``bound`` kind: ``evaluate(doc, n, k, tol)`` adds its
+    fields.  An ``integer`` kind refuses a fractional --n."""
+
+    def run(args, doc: ReportDocument) -> None:
+        n = int(args.n) if float(args.n).is_integer() else args.n
+        if integer and not isinstance(n, int):
+            raise InvalidParams(f"{doc.command} needs an integer --n, got {args.n}")
+        if not math.isfinite(args.n):
+            raise InvalidParams(f"{doc.command} needs a finite --n, got {args.n}")
+        doc.params = {"n": n, "k": args.k}
+        try:
+            evaluate(doc, n, args.k, _tol(args, bounds_mod.DEFAULT_TOL))
+        except OverflowError as exc:
+            raise InvalidParams(f"{doc.command} overflows at --n {args.n}") from exc
+        for f in doc.fields:
+            if not math.isfinite(f.value):
+                raise InvalidParams(f"{doc.command} at --n {args.n}: {f.name} is not finite")
+
+    return run
 
 
 # --------------------------------------------------------------------------
@@ -648,270 +604,300 @@ def cmd_bound(args) -> int:
 
 
 def _dominance(doc: ReportDocument, prefix: str, k: int, hist: dict[int, int],
-               systems_from: str, bound: float, bound_from: str, tol: float) -> bool:
-    """Report census level k ({extension count: systems}); True if ln(max) <= bound + tol."""
+               systems_from: str, bound: float, bound_from: str, tol: float) -> None:
+    """Report census level k ({extension count: systems}) and whether
+    ln(max) <= bound + tol."""
     mx = max(hist, default=0)
-    ok = (math.log(mx) if mx else float("-inf")) <= bound + tol
     doc.add(f"{prefix}systems_k{k}", sum(hist.values()), unit="exact count",
             provenance=systems_from, exact=True)
     doc.add(f"{prefix}max_extensions_k{k}", mx, unit="exact count",
             provenance="extension-engine", exact=True)
     doc.add(f"{prefix}bound_k{k}", bound, unit="nats", provenance=bound_from)
-    doc.add(f"{prefix}dominates_k{k}", ok, provenance="comparison")
-    return ok
+    doc.add(f"{prefix}dominates_k{k}",
+            (math.log(mx) if mx else float("-inf")) <= bound + tol, provenance="comparison")
 
 
-def cmd_certify(args) -> int:
-    started = time.monotonic()
-    target = args.target
-    tol = args.tol if args.tol is not None else 1e-6
-    ok_all = True
+def _certify_extension(args, doc: ReportDocument) -> None:
+    n = args.n
+    ks = list(range(n - 1)) if args.all_k else [args.k or 0]
+    doc.params = {"n": n, "k": "all" if args.all_k else ks[0]}
+    ks = [k for k in ks if k <= n - 2]
+    if not ks:
+        raise InvalidParams(f"certify extension --n {n}: nothing to compare, "
+                            f"since k must be at most n - 2 = {n - 2}")
+    check_census_order(n)
+    census = extension_census(partition_rows(n), max(ks))
+    for k in ks:
+        _dominance(doc, "", k, census[k], "chained-extension-engine",
+                   bounds_mod.extension_bound_mols(n, k), "per-cell-integral", _tol(args, 1e-6))
 
-    if target == "extension":
-        if args.n is None:
-            raise InvalidParams("certify extension needs --n")
-        n = args.n
-        ks = list(range(n - 1)) if args.all_k else [args.k or 0]
-        doc = ReportDocument(
-            "certify extension", {"n": n, "k": "all" if args.all_k else ks[0]}
-        )
-        ks = [k for k in ks if k <= n - 2]
-        if not ks:
-            raise InvalidParams(f"certify extension --n {n}: nothing to compare, "
-                                f"since k must be at most n - 2 = {n - 2}")
-        check_census_order(n)
-        census = extension_census(partition_rows(n), max(ks))
-        for k in ks:
-            ok_all &= _dominance(
-                doc, "", k, census[k], "chained-extension-engine",
-                bounds_mod.extension_bound_mols(n, k), "per-cell-integral", tol)
-    elif target == "gerechte":
-        if args.n is None:
-            raise InvalidParams("certify gerechte needs --n")
-        n = args.n
-        if n < 1:
-            raise InvalidParams("order must be positive")
-        if not args.partition:
-            check_census_order(n)  # both suites are censuses at order n
-        doc = ReportDocument("certify gerechte", {"n": n})
-        kmax = max(n - 2, 0)
-        suites = []  # (label, census levels 0..kmax, profile of the partition)
-        if args.partition or (n >= 4 and math.isqrt(n) ** 2 == n):
-            p = resolve_partition_spec(args.partition) if args.partition else partition_boxes(n)
-            if p.order != n:
-                raise InvalidParams(f"certify gerechte --n {n} does not match the "
-                                    f"order {p.order} of partition {args.partition}")
-            suites.append((args.partition or "boxes", extension_census(p, kmax),
-                           cell_profile(system_to_noa(validate_mols([], p)))))
-        if not args.partition:
-            # k-systems gerechte for a square's symbol classes are the (k+1)-systems
-            # on the rows that start with it; its classes have r = c = 0 everywhere
-            suites.append(("symbol-classes", extension_census(partition_rows(n), kmax + 1)[1:],
-                           CellProfile(n, (0,) * (n * n), (0,) * (n * n))))
-        for label, census, profile in suites:
-            for k, hist in enumerate(census):
-                ok_all &= _dominance(
-                    doc, f"{label}_", k, hist, "extension-engine",
-                    bounds_mod.extension_bound_general(profile, k + 3),
-                    "general-profile-bound", tol)
-    elif target == "product":
-        if not args.base:
-            raise InvalidParams("certify product needs --base")
-        base = resolve_square_spec(args.base)
-        doc = ReportDocument("certify product", {"base": args.base})
-        n1 = base.order
-        q = count_mates(base).value.count
-        logq = math.log(q) if q else float("-inf")
-        product = construct_mod.kronecker(base, base)
-        n = product.order
-        bound_exact = construct_mod.product_mate_bound_exact(n1, n1, q, q)
-        fact = math.factorial(n)
-        threshold = args.threshold or max(1, -(-bound_exact // fact))  # ceil
-        opts = dataclasses.replace(_search_options(args, None), stop_threshold=threshold)
-        res = count_transversal_partitions(product, opts)
-        found = res.value.count
-        mates_certified = found * fact
-        certified = mates_certified >= bound_exact
-        ok_all &= certified
-        doc.add("base_mates", q, unit="exact count",
-                provenance="extension-engine", exact=True)
-        doc.add("product_order", n, provenance="block-product")
-        doc.add("bound_exact", bound_exact, unit="exact count",
-                provenance="product-bound")
-        doc.add("bound_nats",
-                construct_mod.product_mate_bound(n1, n1, logq, logq),
-                unit="nats", provenance="product-bound")
-        doc.add("partitions_threshold", threshold, unit="exact count",
-                provenance="product-bound")
-        _count_field(doc, "partitions_found", res, "exact-cover")
-        doc.add("mates_certified", mates_certified, unit="exact count",
-                provenance="partitions-times-factorial",
-                exact=res.exact_flag)
-        doc.add("certified", certified, provenance="comparison")
-    elif target == "power":
-        if args.m is None or args.q is None or args.k is None:
-            raise InvalidParams("certify power needs --m, --q, and --k")
-        if args.q < 0:
-            raise InvalidParams(f"certify power --q {args.q}: a mate count cannot be negative")
-        if args.k < 1:
-            raise InvalidParams(f"certify power --k {args.k}: nothing to compare, "
-                                f"since k must be at least 1")
-        doc = ReportDocument(
-            "certify power", {"m": args.m, "q": args.q, "k": args.k}
-        )
-        logq = math.log(args.q) if args.q else float("-inf")
-        ctol = args.tol if args.tol is not None else 1e-9
-        for kk in range(1, args.k + 1):
-            lhs = construct_mod.product_mate_bound(
-                args.m**kk, args.m,
-                construct_mod.power_mate_bound(args.m, logq, kk), logq,
-            )
-            rhs = construct_mod.power_mate_bound(args.m, logq, kk + 1)
-            ok = lhs >= rhs - ctol or (lhs == rhs == float("-inf"))
-            ok_all &= ok
-            doc.add(f"step_bound_k{kk}", lhs, unit="nats",
-                    provenance="product-bound")
-            doc.add(f"power_bound_k{kk + 1}", rhs, unit="nats",
-                    provenance="power-bound")
-            doc.add(f"recursion_holds_k{kk}", ok, provenance="comparison")
-    elif target == "constant":
-        if args.constant is None:
-            raise InvalidParams("certify constant needs --constant")
-        doc = ReportDocument(
-            "certify constant",
-            {"constant": args.constant, "limit": args.limit, "power": args.power},
-        )
-        cert = construct_mod.construct_for_constant(
-            args.constant, args.limit, args.power
-        )
-        need = cert.order**2 * math.log(args.constant)
-        certified = cert.log_lower_bound >= need - 1e-9
-        ok_all &= certified
-        doc.add("base_order", cert.base.order, provenance="exhaustive-search")
-        doc.add("base_mates", cert.base_mates, unit="exact count",
-                provenance="exact-cover", exact=True)
-        doc.add("construction", cert.description, provenance=cert.derivation)
-        doc.add("certified_log_mates", cert.log_lower_bound, unit="nats",
-                provenance=cert.derivation)
-        doc.add("required_log_mates", need, unit="nats",
-                provenance="target-constant")
-        doc.add("certified", certified, provenance="comparison")
-    elif target == "estimate":
-        if args.max_n < 2:
-            raise InvalidParams(f"certify estimate --max-n {args.max_n}: nothing to "
-                                f"compare, since the sweep starts at n = 2")
-        doc = ReportDocument("certify estimate", {"max_n": args.max_n})
-        ctol = args.tol if args.tol is not None else 2e-9
-        worst = float("-inf")
-        points = 0
-        ns = [n for n in range(2, 51) if n <= args.max_n]
-        ns += [n for n in (100, 500, 1000) if n <= args.max_n]
-        for n in ns:
-            for d in range(2, n + 1):
-                gap = bounds_mod.integral_I(n, d) - bounds_mod.closed_form_estimate(n, d)
-                worst = max(worst, gap)
-                points += 1
-        ok = worst <= ctol
-        ok_all &= ok
-        doc.add("grid_points", points, unit="exact count",
-                provenance="quadrature-sweep")
-        doc.add("worst_gap", worst, unit="nats", provenance="quadrature-sweep")
-        doc.add("tolerance", ctol, unit="nats", provenance="quadrature-sweep")
-        doc.add("dominates", ok, provenance="comparison")
-    else:
-        raise InvalidParams(f"unknown certify target {target!r}")
 
-    _emit(doc, args, started)
-    return EXIT_OK if ok_all else EXIT_VIOLATION
+def _certify_gerechte(args, doc: ReportDocument) -> None:
+    n = args.n
+    if n < 1:
+        raise InvalidParams("order must be positive")
+    if not args.partition:
+        check_census_order(n)  # both suites are censuses at order n
+    doc.params = {"n": n}
+    kmax = max(n - 2, 0)
+    suites = []  # (label, census levels 0..kmax, profile of the partition)
+    if args.partition or (n >= 4 and math.isqrt(n) ** 2 == n):
+        p = resolve_partition_spec(args.partition) if args.partition else partition_boxes(n)
+        if p.order != n:
+            raise InvalidParams(f"certify gerechte --n {n} does not match the "
+                                f"order {p.order} of partition {args.partition}")
+        suites.append((args.partition or "boxes", extension_census(p, kmax),
+                       cell_profile(system_to_noa(validate_mols([], p)))))
+    if not args.partition:
+        # k-systems gerechte for a square's symbol classes are the (k+1)-systems
+        # on the rows that start with it; its classes have r = c = 0 everywhere
+        suites.append(("symbol-classes", extension_census(partition_rows(n), kmax + 1)[1:],
+                       CellProfile(n, (0,) * (n * n), (0,) * (n * n))))
+    for label, census, profile in suites:
+        for k, hist in enumerate(census):
+            _dominance(doc, f"{label}_", k, hist, "extension-engine",
+                       bounds_mod.extension_bound_general(profile, k + 3),
+                       "general-profile-bound", _tol(args, 1e-6))
+
+
+def _certify_product(args, doc: ReportDocument) -> None:
+    base = resolve_square_spec(args.base)
+    doc.params = {"base": args.base}
+    n1 = base.order
+    q = count_mates(base).value.count
+    logq = math.log(q) if q else float("-inf")
+    product = construct_mod.kronecker(base, base)
+    n = product.order
+    bound_exact = construct_mod.product_mate_bound_exact(n1, n1, q, q)
+    fact = math.factorial(n)
+    threshold = max(1, -(-bound_exact // fact))  # ceil
+    res = count_transversal_partitions(
+        product, SearchOptions(stop_threshold=threshold, threads=_threads(args)))
+    mates_certified = res.value.count * fact
+    doc.add("base_mates", q, unit="exact count", provenance="extension-engine", exact=True)
+    doc.add("product_order", n, provenance="block-product")
+    doc.add("bound_exact", bound_exact, unit="exact count", provenance="product-bound")
+    doc.add("bound_nats", construct_mod.product_mate_bound(n1, n1, logq, logq),
+            unit="nats", provenance="product-bound")
+    doc.add("partitions_threshold", threshold, unit="exact count", provenance="product-bound")
+    _count_field(doc, "partitions_found", res, "exact-cover")
+    doc.add("mates_certified", mates_certified, unit="exact count",
+            provenance="partitions-times-factorial", exact=res.exact_flag)
+    doc.add("certified", mates_certified >= bound_exact, provenance="comparison")
+
+
+def _certify_power(args, doc: ReportDocument) -> None:
+    if args.q < 0:
+        raise InvalidParams(f"certify power --q {args.q}: a mate count cannot be negative")
+    if args.k < 1:
+        raise InvalidParams(f"certify power --k {args.k}: nothing to compare, "
+                            f"since k must be at least 1")
+    doc.params = {"m": args.m, "q": args.q, "k": args.k}
+    logq = math.log(args.q) if args.q else float("-inf")
+    ctol = _tol(args, 1e-9)
+    for kk in range(1, args.k + 1):
+        lhs = construct_mod.product_mate_bound(
+            args.m**kk, args.m, construct_mod.power_mate_bound(args.m, logq, kk), logq)
+        rhs = construct_mod.power_mate_bound(args.m, logq, kk + 1)
+        doc.add(f"step_bound_k{kk}", lhs, unit="nats", provenance="product-bound")
+        doc.add(f"power_bound_k{kk + 1}", rhs, unit="nats", provenance="power-bound")
+        doc.add(f"recursion_holds_k{kk}",
+                lhs >= rhs - ctol or (lhs == rhs == float("-inf")), provenance="comparison")
+
+
+def _certify_constant(args, doc: ReportDocument) -> None:
+    doc.params = {"constant": args.constant, "limit": args.limit, "power": args.power}
+    cert = construct_mod.construct_for_constant(args.constant, args.limit, args.power)
+    need = cert.order**2 * math.log(args.constant)
+    doc.add("base_order", cert.base.order, provenance="exhaustive-search")
+    doc.add("base_mates", cert.base_mates, unit="exact count", provenance="exact-cover",
+            exact=True)
+    doc.add("construction", cert.description, provenance=cert.derivation)
+    doc.add("certified_log_mates", cert.log_lower_bound, unit="nats",
+            provenance=cert.derivation)
+    doc.add("required_log_mates", need, unit="nats", provenance="target-constant")
+    doc.add("certified", cert.log_lower_bound >= need - 1e-9, provenance="comparison")
+
+
+def _certify_estimate(args, doc: ReportDocument) -> None:
+    if args.max_n < 2:
+        raise InvalidParams(f"certify estimate --max-n {args.max_n}: nothing to "
+                            f"compare, since the sweep starts at n = 2")
+    doc.params = {"max_n": args.max_n}
+    ctol = _tol(args, 2e-9)
+    worst = float("-inf")
+    points = 0
+    ns = [n for n in range(2, 51) if n <= args.max_n]
+    ns += [n for n in (100, 500, 1000) if n <= args.max_n]
+    for n in ns:
+        for d in range(2, n + 1):
+            gap = bounds_mod.integral_I(n, d) - bounds_mod.closed_form_estimate(n, d)
+            worst = max(worst, gap)
+            points += 1
+    doc.add("grid_points", points, unit="exact count", provenance="quadrature-sweep")
+    doc.add("worst_gap", worst, unit="nats", provenance="quadrature-sweep")
+    doc.add("tolerance", ctol, unit="nats", provenance="quadrature-sweep")
+    doc.add("dominates", worst <= ctol, provenance="comparison")
 
 
 # --------------------------------------------------------------------------
 # subcommand: construct
 
 
-def cmd_construct(args) -> int:
-    started = time.monotonic()
-    kind = args.kind
-    if kind in ("cayley", "translate-mates") and not args.group:
-        raise InvalidParams(f"construct {kind} needs --group")
-    if kind == "kron" and not (args.a and args.b):
-        raise InvalidParams("construct kron needs --a and --b")
-    if kind == "power" and not args.base:
-        raise InvalidParams("construct power needs --base")
-    if kind == "constant" and args.constant is None:
-        raise InvalidParams("construct constant needs --constant")
-    if args.emit_witnesses and kind != "translate-mates":
-        raise InvalidParams(f"construct {kind} has no witnesses to emit")
-    doc = ReportDocument(f"construct {kind}", {})
-    if kind == "cayley":
-        dims = [_spec_int(d, "--group") for d in args.group.split("x")]
-        square = construct_mod.cayley_table(construct_mod.GroupSpec(dims))
-        text = format_square(square.grid)
-        doc.params = {"group": args.group}
-    elif kind == "kron":
-        square = construct_mod.kronecker(
-            resolve_square_spec(args.a), resolve_square_spec(args.b)
-        )
-        text = format_square(square.grid)
-        doc.params = {"a": args.a, "b": args.b}
-    elif kind == "power":
-        square = construct_mod.power(resolve_square_spec(args.base), args.k)
-        text = format_square(square.grid)
-        doc.params = {"base": args.base, "k": args.k}
-    elif kind == "translate-mates":
-        dims = [_spec_int(d, "--group") for d in args.group.split("x")]
-        g = construct_mod.GroupSpec(dims)
-        table = construct_mod.cayley_table(g)
-        if args.transversal:
-            tdoc = parse_document(_read_file(args.transversal))
-            if tdoc.transversal is None:
-                raise FormatError(f"{args.transversal}: no TRANSVERSAL block")
-            cells = tdoc.transversal
-        else:
-            res = enumerate_transversals(table, SearchOptions(cap=1, stop_threshold=1))
-            if not res.witnesses:
-                raise NotFoundWithinLimit(
-                    f"the order-{g.order} table has no transversal"
-                )
-            cells = list(res.witnesses[0])
-        t = Transversal.of(table, cells)
-        partition, mates = construct_mod.translate_mates(g, t, args.count)
-        witness_docs = [format_document([table.grid, mate.grid]) for mate in mates]
-        if args.emit_witnesses:
-            _write_witnesses(args, witness_docs)
-        text = format_document([table.grid], partition=partition,
-                               transversal=t.sorted_cells())
-        doc.params = {"group": args.group, "count": args.count}
-        doc.add("mates_emitted", len(witness_docs), unit="exact count",
-                provenance="translate-construction", exact=True)
-        doc.add("partition_parts", partition.order, provenance="translate-construction")
-    elif kind == "constant":
-        cert = construct_mod.construct_for_constant(
-            args.constant, args.limit, args.power
-        )
-        text = format_square(cert.base.grid)
-        doc.params = {
-            "constant": args.constant,
-            "limit": args.limit,
-            "power": args.power,
-        }
-        doc.add("construction", cert.description, provenance=cert.derivation)
-        doc.add("base_mates", cert.base_mates, unit="exact count",
-                provenance="exact-cover", exact=True)
-        doc.add("certified_log_mates", cert.log_lower_bound, unit="nats",
-                provenance=cert.derivation)
-    else:
-        raise InvalidParams(f"unknown construct kind {kind!r}")
+def _group(args) -> construct_mod.GroupSpec:
+    return construct_mod.GroupSpec([_spec_int(d, "--group") for d in args.group.split("x")])
 
-    # The table format writes the document itself, then any result fields.
-    if args.format == "structured":
-        doc.fields.append(ReportField("document", text))
-        _emit(doc, args, started)
+
+def _square_kind(build: Callable, *params: str) -> Callable:
+    """The run of a ``construct`` kind that prints the square
+    ``build(args, doc)`` returns, with the flags ``params`` as the report
+    params; none of these has witnesses."""
+
+    def run(args, doc: ReportDocument) -> str:
+        if args.emit_witnesses:
+            raise InvalidParams(f"{doc.command} has no witnesses to emit")
+        doc.params = {p: getattr(args, p) for p in params}
+        return format_square(build(args, doc).grid)
+
+    return run
+
+
+def _constant_base(args, doc: ReportDocument) -> LatinSquare:
+    cert = construct_mod.construct_for_constant(args.constant, args.limit, args.power)
+    doc.add("construction", cert.description, provenance=cert.derivation)
+    doc.add("base_mates", cert.base_mates, unit="exact count", provenance="exact-cover",
+            exact=True)
+    doc.add("certified_log_mates", cert.log_lower_bound, unit="nats",
+            provenance=cert.derivation)
+    return cert.base
+
+
+def _translate_mates(args, doc: ReportDocument) -> str:
+    g = _group(args)
+    table = construct_mod.cayley_table(g)
+    if args.transversal:
+        tdoc = parse_document(_read_file(args.transversal))
+        if tdoc.transversal is None:
+            raise FormatError(f"{args.transversal}: no TRANSVERSAL block")
+        cells = tdoc.transversal
     else:
-        sys.stdout.write(text)
-        if doc.fields:
-            _emit(doc, args, started)
-    return EXIT_OK
+        res = enumerate_transversals(table, SearchOptions(cap=1, stop_threshold=1))
+        if not res.witnesses:
+            raise NotFoundWithinLimit(f"the order-{g.order} table has no transversal")
+        cells = list(res.witnesses[0])
+    t = Transversal.of(table, cells)
+    partition, mates = construct_mod.translate_mates(g, t, args.count)
+    witness_docs = [format_document([table.grid, mate.grid]) for mate in mates]
+    if args.emit_witnesses:
+        _write_witnesses(args, witness_docs)
+    doc.params = {"group": args.group, "count": args.count}
+    doc.add("mates_emitted", len(witness_docs), unit="exact count",
+            provenance="translate-construction", exact=True)
+    doc.add("partition_parts", partition.order, provenance="translate-construction")
+    return format_document([table.grid], partition=partition, transversal=t.sorted_cells())
+
+
+# --------------------------------------------------------------------------
+# the kind table and its dispatcher
+
+
+# KINDS[command][kind] = (needs, run).  ``needs`` are the flags the kind
+# cannot run without; ``run(args, doc)`` sets the report's params, adds its
+# fields and returns the document a ``construct`` kind prints (None for the
+# other commands).
+KINDS: dict[str, dict[str, tuple[tuple[str, ...], Callable]]] = {
+    "count": {
+        "transversals": ((), _counter(
+            _read_square, lambda sq, opts: enumerate_transversals(sq, opts),
+            "transversals", "row-backtracking",
+            lambda sq, cells: format_document([sq.grid], transversal=cells))),
+        "partitions": ((), _counter(
+            _read_square, lambda sq, opts: count_transversal_partitions(sq, opts),
+            "transversal_partitions", "exact-cover", _partition_doc, _mates_implied)),
+        "mates": ((), _counter(
+            _read_square, lambda sq, opts: count_mates(sq, opts), "mates", "extension-engine",
+            lambda sq, col: format_document([sq.grid, _column_grid(col, sq.order)]))),
+        "extensions": ((), _counter(
+            _read_system, _count_system, "extensions", "extension-engine", _extension_doc)),
+        "mols": (("--n",), _counter(
+            lambda args: ((args.n, args.k), {"n": args.n, "k": args.k}),
+            lambda nk, opts: count_mols(*nk, opts), "count", "chained-extension-engine",
+            then=_cross_check(lambda nk: count_mols_direct(*nk)))),
+        # a Sudoku square is an extension of the empty system on the boxes
+        "sudoku": (("--n",), _counter(
+            lambda args: (validate_mols([], partition_boxes(_searchable_order(args.n))),
+                          {"n": args.n}),
+            _count_system, "sudoku_squares", "extension-engine", _extension_doc,
+            _cross_check(lambda system: count_sudoku_direct(system.order)))),
+    },
+    "bound": {
+        "extension": ((), _bound(lambda doc, n, k, tol: doc.add(
+            "extension_bound", bounds_mod.extension_bound_mols(n, k), unit="nats",
+            provenance="per-cell-integral"), integer=True)),
+        "mols-count": ((), _bound(lambda doc, n, k, tol: _add_report_entries(
+            doc, bounds_mod.mols_count_bound(n, k, tol)))),
+        "sudoku": ((), _bound(lambda doc, n, k, tol: _add_report_entries(
+            doc, bounds_mod.sudoku_extension_bound(n, k, tol)), integer=True)),
+        "reference": ((), _bound(lambda doc, n, k, tol: _add_report_entries(
+            doc, bounds_mod.reference_asymptotics(n, k)))),
+    },
+    "certify": {
+        "extension": (("--n",), _certify_extension),
+        "gerechte": (("--n",), _certify_gerechte),
+        "product": (("--base",), _certify_product),
+        "power": (("--m", "--q", "--k"), _certify_power),
+        "constant": (("--constant",), _certify_constant),
+        "estimate": ((), _certify_estimate),
+    },
+    "construct": {
+        "cayley": (("--group",), _square_kind(
+            lambda args, doc: construct_mod.cayley_table(_group(args)), "group")),
+        "kron": (("--a", "--b"), _square_kind(lambda args, doc: construct_mod.kronecker(
+            resolve_square_spec(args.a), resolve_square_spec(args.b)), "a", "b")),
+        "power": (("--base",), _square_kind(lambda args, doc: construct_mod.power(
+            resolve_square_spec(args.base), args.k), "base", "k")),
+        "translate-mates": (("--group",), _translate_mates),
+        "constant": (("--constant",), _square_kind(
+            _constant_base, "constant", "limit", "power")),
+    },
+}
+
+
+def _flag_list(flags: Sequence[str]) -> str:
+    """``--a``, ``--a and --b``, or ``--a, --b, and --c``."""
+    if len(flags) < 3:
+        return " and ".join(flags)
+    return ", ".join(flags[:-1]) + ", and " + flags[-1]
+
+
+def _violated(doc: ReportDocument) -> bool:
+    """True when a comparison or a cross-check of the report failed."""
+    return any(f.value is False and f.provenance in ("comparison", "cross-check")
+               for f in doc.fields)
+
+
+def cmd_kind(args) -> int:
+    """Run one kind of ``count``, ``bound``, ``certify`` or ``construct``:
+    refuse it without a flag it needs, print its report, and exit 5 when one
+    of the report's comparisons or cross-checks failed."""
+    started = time.monotonic()
+    kind = args.target if args.command == "certify" else args.kind
+    needs, run = KINDS[args.command][kind]
+    if any(getattr(args, flag[2:]) in (None, "") for flag in needs):
+        raise InvalidParams(f"{args.command} {kind} needs {_flag_list(needs)}")
+    doc = ReportDocument(f"{args.command} {kind}", {})
+    text = run(args, doc)
+    if args.format == "structured":
+        if text is not None:
+            doc.add("document", text)
+        sys.stdout.write(doc.to_structured())
+    else:
+        # a construct's table is its document, then any result fields
+        if text is not None:
+            sys.stdout.write(text)
+        if text is None or doc.fields:
+            sys.stdout.write(doc.to_table(elapsed=time.monotonic() - started))
+    return EXIT_VIOLATION if _violated(doc) else EXIT_OK
 
 
 # --------------------------------------------------------------------------
@@ -958,7 +944,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("count", help="exact enumeration")
-    p.add_argument("kind", choices=tuple(COUNT_KINDS))
+    p.add_argument("kind", choices=tuple(KINDS["count"]))
     p.add_argument("--square", action="append",
                    help="square spec (file or generator); repeatable")
     p.add_argument("--system", help="system document file")
@@ -966,18 +952,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int, default=1)
     _add_common(p, "--threads", "--cap", "--threshold", "--emit-witnesses")
-    p.set_defaults(func=cmd_count)
+    p.set_defaults(func=cmd_kind)
 
     p = sub.add_parser("bound", help="numeric bound evaluation")
-    p.add_argument("kind", choices=("extension", "mols-count", "sudoku", "reference"))
+    p.add_argument("kind", choices=tuple(KINDS["bound"]))
     p.add_argument("--n", type=float, required=True)
     p.add_argument("--k", type=int, default=1)
     _add_common(p, "--tol")
-    p.set_defaults(func=cmd_bound)
+    p.set_defaults(func=cmd_kind)
 
     p = sub.add_parser("certify", help="check a bound against exact counts")
-    p.add_argument("target", choices=(
-        "extension", "gerechte", "product", "power", "constant", "estimate"))
+    # named "target" in --help; cmd_kind reads it as the kind
+    p.add_argument("target", choices=tuple(KINDS["certify"]))
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--all-k", action="store_true")
@@ -989,12 +975,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, default=5, help="max base order")
     p.add_argument("--power", type=int, default=2, help="power for the certificate")
     p.add_argument("--max-n", type=int, default=50, help="estimate sweep limit")
-    _add_common(p, "--threads", "--threshold", "--tol")
-    p.set_defaults(func=cmd_certify)
+    _add_common(p, "--threads", "--tol")
+    p.set_defaults(func=cmd_kind)
 
     p = sub.add_parser("construct", help="emit constructed objects")
-    p.add_argument("kind", choices=(
-        "cayley", "kron", "power", "translate-mates", "constant"))
+    p.add_argument("kind", choices=tuple(KINDS["construct"]))
     p.add_argument("--group", help="cyclic factors, e.g. 3 or 2x2")
     p.add_argument("--a", help="first factor square spec")
     p.add_argument("--b", help="second factor square spec")
@@ -1007,7 +992,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, default=5)
     p.add_argument("--power", type=int, default=2)
     _add_common(p, "--emit-witnesses")
-    p.set_defaults(func=cmd_construct)
+    p.set_defaults(func=cmd_kind)
 
     return ap
 

@@ -298,4 +298,4 @@ def construct_for_constant(
 def _transversals_through_origin(l: LatinSquare) -> int:
     """Transversals containing cell (0, 0) — a cheap upper-bound gate, since
     every partition into transversals uses exactly one of them."""
-    return sum(1 for _ in _transversals(_symbol_codes(l), l.order, (0,), l.order))
+    return sum(1 for _ in _transversals(_symbol_codes(l), l.order, (0,)))

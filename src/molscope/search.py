@@ -432,22 +432,22 @@ def _array_codes(a: NearlyOrthArray) -> list[list[int]]:
     return [codes[i * n : (i + 1) * n] for i in range(n)]
 
 
-def _transversals(codes, n: int, prefix: tuple[int, ...], stop: int) -> Iterator[tuple[int, ...]]:
-    """Every partial transversal of rows ``0 .. stop-1`` that starts with the
-    partial transversal ``prefix``, as its column per row, in lexicographic
-    order.  ``codes[i][j]`` is the bitmask of the values cell (i, j) holds
-    beyond its row and column; each row tries the free columns in increasing
-    order and skips cells whose code meets those of the cells above."""
+def _transversals(codes, n: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Every transversal that starts with the partial transversal ``prefix``,
+    as its column per row, in lexicographic order.  ``codes[i][j]`` is the
+    bitmask of the values cell (i, j) holds beyond its row and column; each
+    row tries the free columns in increasing order and skips cells whose
+    code meets those of the cells above."""
     free = (1 << n) - 1
     used = 0
     for i, j in enumerate(prefix):
         free ^= 1 << j
         used |= codes[i][j]
-    if len(prefix) == stop:
+    if len(prefix) == n:
         yield tuple(prefix)
         return
-    cols = list(prefix) + [0] * (stop - len(prefix))
-    last = stop - 1
+    cols = list(prefix) + [0] * (n - len(prefix))
+    last = n - 1
 
     def rec(i, free, used):
         row = codes[i]
@@ -471,7 +471,7 @@ def _transversals(codes, n: int, prefix: tuple[int, ...], stop: int) -> Iterator
 def _transversal_branch(codes, n, limit, prefix):
     """The number of transversals extending ``prefix``, counted up to
     ``limit`` (None: no limit)."""
-    return sum(1 for _ in islice(_transversals(codes, n, prefix, n), limit))
+    return sum(1 for _ in islice(_transversals(codes, n, prefix), limit))
 
 
 def _cover_tables(options: Sequence[tuple[int, ...]], n: int) -> tuple[list[int], list[int], list[int]]:
@@ -622,7 +622,7 @@ def _count_chains(a: NearlyOrthArray, squares: int, opts: SearchOptions) -> Exte
     square's symbols gives the rest, so each chain is worth (n!)^squares.
     """
     n = a.order
-    options = list(_transversals(_array_codes(a), n, (), n))
+    options = list(_transversals(_array_codes(a), n, ()))
     return _count_covers(_cover_tables(options, n), opts, squares, math.factorial(n) ** squares)
 
 
@@ -648,7 +648,7 @@ def enumerate_transversals(l: LatinSquare, opts: SearchOptions | None = None) ->
     codes = _symbol_codes(l)
     orbits = _orbits(range(n), [b for _, b, _ in _autotopisms(l.grid, False)])
     res = _aggregate((_transversal_branch, (codes, n), [((j,), size) for j, size in orbits]), opts)
-    return _with_witnesses(res, opts.cap, (tuple(enumerate(c)) for c in _transversals(codes, n, (), n)))
+    return _with_witnesses(res, opts.cap, (tuple(enumerate(c)) for c in _transversals(codes, n, ())))
 
 
 def count_transversal_partitions(
@@ -681,7 +681,7 @@ def count_transversal_partitions(
     opts = opts or SearchOptions()
     n = l.order
     _check_limit(n, DEFAULT_ENUM_LIMIT, "partition enumeration")
-    options = list(_transversals(_symbol_codes(l), n, (), n))
+    options = list(_transversals(_symbol_codes(l), n, ()))
     tables = _cover_tables(options, n)
     res = _count_covers(tables, opts, branches=_cover_orbits(l.grid, options))
     covers = _covers(*tables, (1 << n * n) - 1, (1 << len(options)) - 1)
@@ -740,7 +740,7 @@ def _chain_tree(partition: RegionPartition, kmax: int) -> Iterator[tuple[list, i
     One set of cover tables serves the whole walk.
     """
     n = partition.order
-    options = list(_transversals(_array_codes(system_to_noa(validate_mols([], partition))), n, (), n))
+    options = list(_transversals(_array_codes(system_to_noa(validate_mols([], partition))), n, ()))
     masks, through, disjoint = _cover_tables(options, n)
     cols: list[tuple[int, ...]] = []
 

@@ -340,6 +340,16 @@ def test_count_extensions_square_and_system(cli, tmp_path):
     assert fields_by_name(doc)["extensions"]["value"] == "0"
 
 
+def test_count_extensions_refuses_a_system_without_square_or_partition(cli, capsys, tmp_path):
+    # verify refuses the same file with the same exit code
+    orphan = tmp_path / "orphan.txt"
+    orphan.write_text("TRANSVERSAL\n1 1\n")
+    assert cli(["count", "extensions", "--system", str(orphan)])[:2] == (2, b"")
+    assert capsys.readouterr().err == (
+        f"error: {orphan}: a system document needs a square or a PARTITION block\n")
+    assert cli(["verify", str(orphan)])[0] == 2
+
+
 def test_count_extensions_partition_only(cli):
     doc = run_structured(cli, ["count", "extensions", "--partition", "boxes:4"])
     assert fields_by_name(doc)["extensions"]["value"] == "288"
@@ -377,11 +387,34 @@ def test_count_mols_says_when_it_skips_the_cross_check(cli, monkeypatch, n, k, v
     ["count", "mates", "--square", "cayley:3", "--tol", "1"],
     ["bound", "extension", "--n", "4", "--threads", "8"],
     ["construct", "cayley", "--group", "3", "--threads", "2"],
+    ["certify", "product", "--base", "cayley:3", "--threshold", "5"],
 ])
 def test_commands_refuse_flags_they_do_not_read(cli, argv):
     with pytest.raises(SystemExit) as exc:
         cli(argv)
     assert exc.value.code == 2
+
+
+NEEDS = [
+    (["certify", "extension"], "--n"),
+    (["certify", "gerechte"], "--n"),
+    (["certify", "product"], "--base"),
+    (["certify", "power", "--m", "3", "--k", "2"], "--m, --q, and --k"),
+    (["certify", "constant"], "--constant"),
+    (["construct", "cayley"], "--group"),
+    (["construct", "kron", "--a", "cayley:2"], "--a and --b"),
+    (["construct", "power"], "--base"),
+    (["construct", "translate-mates"], "--group"),
+    (["construct", "constant"], "--constant"),
+    (["count", "mols"], "--n"),
+    (["count", "sudoku"], "--n"),
+]
+
+
+@pytest.mark.parametrize("argv, flags", NEEDS, ids=["-".join(argv[:2]) for argv, _ in NEEDS])
+def test_kinds_refuse_runs_without_the_flags_they_need(cli, capsys, argv, flags):
+    assert cli(argv)[:2] == (4, b"")
+    assert capsys.readouterr().err == f"error: {' '.join(argv[:2])} needs {flags}\n"
 
 
 @pytest.mark.parametrize("n", ["5", "6", "100000"])
@@ -802,7 +835,7 @@ def test_construct_translate_mates_stops_at_the_first_transversal(cli, monkeypat
     doc = run_structured(cli, ["construct", "translate-mates", "--group", "13", "--count", "2"])
     assert [(o.cap, o.stop_threshold) for o in seen] == [(1, 1)]
     table = cayley_table(GroupSpec([13]))
-    first = next(_transversals(_symbol_codes(table), 13, (), 13))
+    first = next(_transversals(_symbol_codes(table), 13, ()))
     parsed = parse_document(fields_by_name(doc)["document"]["value"])
     assert parsed.transversal == list(enumerate(first))
     assert fields_by_name(doc)["mates_emitted"]["value"] == "2"

@@ -726,7 +726,7 @@ def _branches(options, n):
 
 def test_capped_branch_is_the_full_branch_capped():
     # the certify-product instance: branch 0 holds 110,580 partitions
-    tables, every, first = _branches(list(_transversals(_symbol_codes(L(Z3_BY_Z3)), 9, (), 9)), 9)
+    tables, every, first = _branches(list(_transversals(_symbol_codes(L(Z3_BY_Z3)), 9, ())), 9)
     ends = (first[0], first[-1])
     full = [_cover_branch(*tables, 1, every, None, b) for b in ends]
     assert full == [110580, 44751]
@@ -737,7 +737,7 @@ def test_capped_branch_is_the_full_branch_capped():
 
 def test_capped_chain_branch_is_the_full_branch_capped():
     empty = system_to_noa(validate_mols([], partition_rows(4)))
-    tables, every, first = _branches(list(_transversals(_array_codes(empty), 4, (), 4)), 4)
+    tables, every, first = _branches(list(_transversals(_array_codes(empty), 4, ())), 4)
     for squares in (1, 2, 3):
         for b in first:
             full = _cover_branch(*tables, squares, every, None, b)
@@ -838,7 +838,7 @@ def test_orbit_weighted_transversals_equal_plain_sums(name):
 def test_orbit_weighted_partitions_equal_plain_sums(name):
     grid = ORBIT_PARTITION_CASES[name]
     n = len(grid)
-    options = list(_transversals(_symbol_codes(L(grid)), n, (), n))
+    options = list(_transversals(_symbol_codes(L(grid)), n, ()))
     tables, every, first = _branches(options, n)
     plain = {t: _cover_branch(*tables, 1, every, None, t) for t in first}
     maps = _autotopisms(grid, True)

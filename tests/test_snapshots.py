@@ -4,8 +4,10 @@ stay byte-identical to the files under ``tests/snapshots/``.
 The snapshots cover the structured reports of the acceptance runs
 (``CLI_RUNS``), one ``count`` command per kind that has witnesses, with
 ``--emit-witnesses`` (report, then each witness file under a
-``--- witness-NNNNNN.txt`` line), and ``construct constant`` in both
-formats (the table without its ``elapsed:`` line).  To rewrite every snapshot from the current code, run
+``--- witness-NNNNNN.txt`` line), and one run of every ``bound``,
+``certify`` and ``construct`` kind the others leave out (``KIND_RUNS``):
+its structured report, and for ``construct`` its table too (without the
+``elapsed:`` line).  To rewrite every snapshot from the current code, run
 
     PYTHONPATH=src python tests/test_snapshots.py
 
@@ -31,7 +33,19 @@ WITNESS_RUNS = {
                          "--partition", "rows:4", "--cap", "4"],
     "count-sudoku": ["count", "sudoku", "--n", "4", "--cap", "3"],
 }
-CONSTANT = ["construct", "constant", "--constant", "1.2", "--limit", "3"]
+KIND_RUNS = {
+    "bound-extension": ["bound", "extension", "--n", "4", "--k", "0"],
+    "bound-mols-count": ["bound", "mols-count", "--n", "5", "--k", "2"],
+    "bound-sudoku": ["bound", "sudoku", "--n", "9", "--k", "1"],
+    "bound-reference": ["bound", "reference", "--n", "100", "--k", "2"],
+    "certify-power": ["certify", "power", "--m", "3", "--q", "6", "--k", "3"],
+    "certify-constant": ["certify", "constant", "--constant", "1.2", "--limit", "3"],
+    "construct-cayley": ["construct", "cayley", "--group", "2x3"],
+    "construct-kron": ["construct", "kron", "--a", "cayley:2", "--b", "cayley:3"],
+    "construct-power": ["construct", "power", "--base", "cayley:2", "--k", "2"],
+    "construct-translate-mates": ["construct", "translate-mates", "--group", "5", "--count", "2"],
+    "construct-constant": ["construct", "constant", "--constant", "1.2", "--limit", "3"],
+}
 
 
 def _ok(code, out) -> bytes:
@@ -54,15 +68,14 @@ def witness_report(run, name, workdir: Path) -> bytes:
     return b"".join(parts)
 
 
-def constant_reports(run) -> dict:
-    structured = _ok(*run(CONSTANT + ["--format", "structured"])[:2])
-    table = _ok(*run(CONSTANT)[:2])
-    lines = table.splitlines(keepends=True)
-    return {
-        "construct-constant.json": structured,
-        "construct-constant.table.txt": b"".join(
-            line for line in lines if not line.startswith(b"  elapsed: ")),
-    }
+def kind_reports(run, name) -> dict:
+    argv = KIND_RUNS[name]
+    files = {f"{name}.json": _ok(*run(argv + ["--format", "structured"])[:2])}
+    if argv[0] == "construct":
+        lines = _ok(*run(argv)[:2]).splitlines(keepends=True)
+        files[f"{name}.table.txt"] = b"".join(
+            line for line in lines if not line.startswith(b"  elapsed: "))
+    return files
 
 
 def _expected(filename: str) -> bytes:
@@ -79,8 +92,9 @@ def test_witness_snapshot(cli, tmp_path, name):
     assert witness_report(cli, name, tmp_path) == _expected(f"{name}.txt")
 
 
-def test_construct_constant_snapshot(cli):
-    for filename, got in constant_reports(cli).items():
+@pytest.mark.parametrize("name", list(KIND_RUNS))
+def test_kind_snapshot(cli, name):
+    for filename, got in kind_reports(cli, name).items():
         assert got == _expected(filename), filename
 
 
@@ -93,7 +107,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for name in WITNESS_RUNS:
             files[f"{name}.txt"] = witness_report(run_cli, name, Path(tmp))
-    files.update(constant_reports(run_cli))
+    for name in KIND_RUNS:
+        files.update(kind_reports(run_cli, name))
     for filename, data in files.items():
         (SNAPSHOTS / filename).write_bytes(data)
     print(f"wrote {len(files)} snapshots to {SNAPSHOTS}")
