@@ -267,8 +267,10 @@ def resolve_square_spec(spec: str) -> LatinSquare:
 
 
 def _searchable_order(n: int) -> int:
-    """``n``, refused past the extension-counting limit before any n×n
-    partition is built."""
+    """``n``, refused when it is not positive or past the extension-counting
+    limit, before any n×n partition is built."""
+    if n < 1:
+        raise InvalidParams("order must be positive")
     _check_limit(n, DEFAULT_ENUM_LIMIT, "extension counting")
     return n
 
@@ -620,6 +622,8 @@ def _dominance(doc: ReportDocument, prefix: str, k: int, hist: dict[int, int],
 def _certify_extension(args, doc: ReportDocument) -> None:
     n = args.n
     ks = list(range(n - 1)) if args.all_k else [args.k or 0]
+    if not args.all_k and ks[0] < 0:
+        raise InvalidParams(f"certify extension needs a nonnegative --k, got {args.k}")
     doc.params = {"n": n, "k": "all" if args.all_k else ks[0]}
     ks = [k for k in ks if k <= n - 2]
     if not ks:
@@ -787,11 +791,12 @@ def _translate_mates(args, doc: ReportDocument) -> str:
         cells = list(res.witnesses[0])
     t = Transversal.of(table, cells)
     partition, mates = construct_mod.translate_mates(g, t, args.count)
-    witness_docs = [format_document([table.grid, mate.grid]) for mate in mates]
-    if args.emit_witnesses:
-        _write_witnesses(args, witness_docs)
+    if args.emit_witnesses:  # only the mates written are built and checked
+        _write_witnesses(args, [format_document([table.grid, mate.grid]) for mate in mates])
+    everything = math.factorial(g.order)
+    emitted = everything if args.count is None else min(args.count, everything)
     doc.params = {"group": args.group, "count": args.count}
-    doc.add("mates_emitted", len(witness_docs), unit="exact count",
+    doc.add("mates_emitted", emitted, unit="exact count",
             provenance="translate-construction", exact=True)
     doc.add("partition_parts", partition.order, provenance="translate-construction")
     return format_document([table.grid], partition=partition, transversal=t.sorted_cells())

@@ -34,7 +34,7 @@ from .search import (
     SearchOptions,
     _check_limit,
     _symbol_codes,
-    _transversals,
+    _transversal_branch,
     count_transversal_partitions,
     iter_latin_direct,
     count_latin_direct,
@@ -226,9 +226,8 @@ def power_mate_bound(m: int, log_q: float, k: int) -> float:
 class MateCertificate:
     """A lower bound on the mate count of a constructed square.
 
-    ``derivation`` names the route: "enumeration" (an exact count backs the
-    bound directly), "product-bound", or "power-bound" (the enumerated base
-    count pushed through the corresponding formula).
+    ``derivation`` names the route; it is always "power-bound": the exact
+    mate count of the base square pushed through the power formula.
     """
 
     description: str
@@ -298,4 +297,4 @@ def construct_for_constant(
 def _transversals_through_origin(l: LatinSquare) -> int:
     """Transversals containing cell (0, 0) — a cheap upper-bound gate, since
     every partition into transversals uses exactly one of them."""
-    return sum(1 for _ in _transversals(_symbol_codes(l), l.order, (0,)))
+    return _transversal_branch(_symbol_codes(l), l.order, None, (0,))

@@ -173,53 +173,38 @@ def _check_limit(n: int, default: int, what: str) -> None:
 
 
 # --------------------------------------------------------------------------
-# the column walk (witnesses and lexicographic walks over systems)
-
-
-def _plan_keys(rows: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
-    """For each cell, the availability-table slots its constraints live in.
-
-    Each column owns n slots, one per symbol.  Two columns with identical
-    content impose identical constraints (under ``partition_rows`` the region
-    column repeats the row column), so each distinct column gets one block.
-    """
-    distinct = dict.fromkeys(zip(*rows))
-    return list(zip(*[[b * n + x for x in col] for b, col in enumerate(distinct)]))
-
-
-def _walk(av, keys, cell, buf) -> Iterator[None]:
-    """Yield once per valid assignment of the cells from ``cell`` on, written
-    into ``buf``, in lexicographic order.  The caller reads ``buf`` only."""
-    ks = keys[cell]
-    m = av[ks[0]]
-    for t in ks[1:]:
-        m &= av[t]
-    last = cell + 1 == len(keys)
-    while m:
-        b = m & -m
-        m -= b
-        buf[cell] = b.bit_length() - 1
-        if last:
-            yield
-        else:
-            nb = ~b
-            for t in ks:
-                av[t] &= nb
-            yield from _walk(av, keys, cell + 1, buf)
-            for t in ks:
-                av[t] |= b
+# the column walk: the symbol classes of a new column grown as array
+# transversals (witnesses and lexicographic walks over systems)
 
 
 def iter_extensions(a: NearlyOrthArray) -> Iterator[tuple[int, ...]]:
     """All columns that extend ``a``, in lexicographic order (sequential,
-    unreduced).  Each slot of the plan holds the bitmask of new-column
-    symbols still available."""
+    unreduced): the walk grows the n symbol classes as partial array
+    transversals.  Cell (i, j) has code ``1 << i | 1 << n + j | c << 2n``,
+    ``c`` its :func:`_array_codes` bits, and ``used[s]`` ORs the codes of
+    the cells holding s.  Cells go in row-major order, each taking in turn
+    every s whose ``used[s]`` its code misses, as in :func:`_transversals`."""
     n = a.order
-    keys = _plan_keys(a.rows, n)
-    av = [(1 << n) - 1] * (len(keys[0]) * n)
-    buf = [0] * len(keys)
-    for _ in _walk(av, keys, 0, buf):
-        yield tuple(buf)
+    codes = [1 << i | 1 << n + j | c << 2 * n
+             for i, row in enumerate(_array_codes(a)) for j, c in enumerate(row)]
+    used = [0] * n
+    col = [0] * len(codes)
+    last = len(codes) - 1
+
+    def rec(cell):
+        code = codes[cell]
+        for s, u in enumerate(used):
+            if u & code:
+                continue
+            col[cell] = s
+            if cell == last:
+                yield tuple(col)
+            else:
+                used[s] = u | code
+                yield from rec(cell + 1)
+                used[s] = u
+
+    yield from rec(0)
 
 
 # --------------------------------------------------------------------------

@@ -7,6 +7,7 @@ with the package, so agreement between the two is meaningful.
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 import mpmath
@@ -105,6 +106,32 @@ def mates(grid, squares=None):
     if squares is None:
         squares = brute_latin_squares(len(grid))
     return [s for s in squares if orthogonal(grid, s)]
+
+
+def extensions(squares, labels):
+    """The squares gerechte for labels (flat row-major region labels) and
+    orthogonal to every one of squares, as flat row-major tuples: rows are
+    permutations, each kept when it repeats no symbol of a column above and
+    no (given square, symbol, new symbol) pair."""
+    n = math.isqrt(len(labels))
+    perms = list(itertools.permutations(range(n)))
+    out = []
+
+    def rec(rows, pairs):
+        if len(rows) == n:
+            if gerechte(rows, labels):
+                out.append(tuple(x for row in rows for x in row))
+            return
+        i = len(rows)
+        for p in perms:
+            if any(p[j] == r[j] for r in rows for j in range(n)):
+                continue
+            new = {(k, s[i][j], p[j]) for k, s in enumerate(squares) for j in range(n)}
+            if len(new) == len(squares) * n and not new & pairs:
+                rec(rows + [p], pairs | new)
+
+    rec([], set())
+    return out
 
 
 def transversals(grid):

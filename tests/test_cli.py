@@ -197,6 +197,8 @@ def test_exit_limit_and_params(cli, capsys, tmp_path):
     for argv, says in ((["certify", "power", "--m", "3", "--q", "-1", "--k", "1"], "--q -1"),
                        (["bound", "sudoku", "--n", "-4"], "n = m^2 >= 4"),
                        (["bound", "reference", "--n", "3", "--k", "-2"], "k >= 0"),
+                       (["certify", "extension", "--n", "4", "--k", "-1"],
+                        "needs a nonnegative --k, got -1"),
                        (["certify", "gerechte", "--n", "3", "--partition", "boxes:4"],
                         "--n 3 does not match the order 4")):
         capsys.readouterr()
@@ -456,11 +458,13 @@ def test_partition_specs_check_the_order_limit_first(cli, capsys, monkeypatch, a
 
 
 @pytest.mark.parametrize("argv, code", [
-    (["count", "sudoku", "--n", "-4"], 1),
-    (["count", "extensions", "--partition", "boxes:-4"], 1),
+    (["count", "sudoku", "--n", "-4"], 4),
+    (["count", "extensions", "--partition", "boxes:-4"], 4),
     (["certify", "gerechte", "--n", "-1"], 4),
     (["certify", "gerechte", "--n", "0"], 4),
     (["certify", "gerechte", "--n", "0", "--partition", "rows:3"], 4),
+    (["count", "sudoku", "--n", "0"], 4),
+    (["count", "extensions", "--partition", "rows:0"], 4),
 ])
 def test_nonpositive_order_is_one_error_line(cli, capsys, argv, code):
     assert cli(argv)[:2] == (code, b"")
@@ -841,6 +845,25 @@ def test_construct_translate_mates_stops_at_the_first_transversal(cli, monkeypat
     assert fields_by_name(doc)["mates_emitted"]["value"] == "2"
     code, out, _ = cli(["construct", "translate-mates", "--group", "2"])
     assert (code, out) == (3, b"")  # the order-2 table has no transversal
+
+
+def test_construct_translate_mates_builds_only_the_mates_it_writes(cli, monkeypatch, tmp_path):
+    import molscope.construct as construct_mod
+
+    checked = []
+    check = construct_mod.check_orthogonal
+    monkeypatch.setattr(construct_mod, "check_orthogonal",
+                        lambda a, b: checked.append(b) or check(a, b))
+    for argv, emitted in ((["--group", "3x3"], 362880), (["--group", "5", "--count", "200"], 120),
+                          (["--group", "7", "--count", "3"], 3)):
+        doc = run_structured(cli, ["construct", "translate-mates", *argv])
+        assert fields_by_name(doc)["mates_emitted"]["value"] == str(emitted)
+    assert checked == []
+    out = tmp_path / "w"
+    doc = run_structured(cli, ["construct", "translate-mates", "--group", "3",
+                               "--emit-witnesses", str(out)])
+    assert fields_by_name(doc)["mates_emitted"]["value"] == "6"
+    assert len(checked) == 6 and len(verify_all(cli, out)) == 6
 
 
 def test_construct_translate_mates_from_file(cli, tmp_path):

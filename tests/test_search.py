@@ -293,6 +293,49 @@ def test_extensions_respect_gerechte_partition():
     assert len(brute) == 288
 
 
+BOXES_4_SQUARE = [[0, 1, 2, 3], [2, 3, 0, 1], [1, 0, 3, 2], [3, 2, 1, 0]]
+EXTENSION_SYSTEMS = {
+    "boxes-4": ([], partition_boxes(4)),
+    "boxes-4-one-square": ([BOXES_4_SQUARE], partition_boxes(4)),
+    "k4-symbol-classes": ([], partition_from_square(Square(K4))),
+    "rows-5-two-squares": ([Z5, [[(i + 2 * j) % 5 for j in range(5)] for i in range(5)]],
+                           partition_rows(5)),
+}
+
+
+@pytest.mark.parametrize("name", EXTENSION_SYSTEMS)
+def test_extension_columns_equal_brute_force_extensions(name):
+    grids, p = EXTENSION_SYSTEMS[name]
+    a = system_to_noa(validate_mols([L(g) for g in grids], p))
+    want = sorted(oracles.extensions(grids, p.labels))
+    assert want and list(iter_extensions(a)) == want
+
+
+# sha256 of the first 1,000 columns of iter_extensions, one line of digits
+# per column
+Z7_PAIR = [cayley(7), [[(i + 2 * j) % 7 for j in range(7)] for i in range(7)]]
+EXTENSION_DIGESTS = {
+    "z7-mates": ([cayley(7)], partition_rows(7),
+                 "8e56f4294895ee94e77caa479ad1a88f79881d2cb75dbd02c8148a4ab0821a03"),
+    "boxes-9": ([], partition_boxes(9),
+                "5fc5d4b35a52512f239a34e19044003f25f485f5a66af357ff2179b1033f49af"),
+    "z7-pair": (Z7_PAIR, partition_rows(7),
+                "a83325d4fed5a5cddf4919168d440b0b48e453549c12ea40bdf7fd6e5f22246f"),
+}
+
+
+@pytest.mark.parametrize("name", EXTENSION_DIGESTS)
+def test_first_extension_columns_are_pinned(name):
+    grids, p, digest = EXTENSION_DIGESTS[name]
+    a = system_to_noa(validate_mols([L(g) for g in grids], p))
+    cols = list(itertools.islice(iter_extensions(a), 1000))
+    assert len(cols) == 1000
+    h = hashlib.sha256()
+    for col in cols:
+        h.update(("".join(map(str, col)) + "\n").encode())
+    assert h.hexdigest() == digest
+
+
 def test_count_extensions_matches_with_column_validation():
     # every reported extension column must re-validate
     sys = validate_mols([L(Z3)], partition_rows(3))
@@ -384,7 +427,7 @@ def _forbid_all_but_direct(monkeypatch):
 
 def test_direct_engines_share_no_code(monkeypatch):
     forbidden = _forbid_all_but_direct(monkeypatch)
-    assert {"_walk", "_transversals", "_cover_branch", "_covers", "count_mols"} <= forbidden
+    assert {"iter_extensions", "_transversals", "_cover_branch", "_covers", "count_mols"} <= forbidden
     assert [count_latin_direct(n) for n in range(1, 6)] == [1, 2, 12, 576, 161280]
     assert count_mols_direct(3, 2) == 72
     assert count_mols_direct(4, 2) == 6912
@@ -1166,7 +1209,7 @@ def test_census_builds_no_per_system_array(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the census searched one system")
 
-    for name in ("count_extensions", "_plan_keys"):
+    for name in ("count_extensions", "iter_extensions"):
         monkeypatch.setattr(search, name, forbidden)
     monkeypatch.setattr(NearlyOrthArray, "with_column", forbidden)
     assert extension_census(partition_boxes(4), 2) == [{288: 1}, {0: 192, 24: 96}, {0: 2304}]
