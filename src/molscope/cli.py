@@ -466,6 +466,8 @@ def _read_system(args) -> tuple[MolsSystem, dict]:
     params = {k: v for k, v in (("system", args.system), ("squares", args.square),
                                 ("partition", args.partition)) if v}
     if args.system:
+        if args.square or args.partition:
+            raise InvalidParams("--system takes neither --square nor --partition")
         doc = parse_document(_read_file(args.system))
         if not doc.squares and doc.partition is None:
             raise FormatError(f"{args.system}: a system document needs a square "

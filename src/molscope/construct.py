@@ -22,6 +22,7 @@ from .core import (
     Transversal,
     check_orthogonal,
     is_transversal,
+    partition_rows,
 )
 from .errors import (
     InvalidParams,
@@ -30,15 +31,7 @@ from .errors import (
     TranslatesNotDisjoint,
 )
 from .bounds import log_factorial
-from .search import (
-    SearchOptions,
-    _check_limit,
-    _symbol_codes,
-    _transversal_branch,
-    count_transversal_partitions,
-    iter_latin_direct,
-    count_latin_direct,
-)
+from .search import _chain_tree, _check_limit
 
 DEFAULT_CONSTRUCT_LIMIT = 64
 
@@ -228,6 +221,8 @@ class MateCertificate:
 
     ``derivation`` names the route; it is always "power-bound": the exact
     mate count of the base square pushed through the power formula.
+    ``base_mates`` is that count, read off the census walk as n! times the
+    transversal partitions of ``base``.
     """
 
     description: str
@@ -242,9 +237,15 @@ class MateCertificate:
 def construct_for_constant(
     C: float, search_limit: int = 5, k: int = 2
 ) -> MateCertificate:
-    """Find the smallest base order m <= search_limit whose best square has
-    at least C^(m^2) mates (exact threshold comparison), then certify the
+    """Find the smallest base order m <= search_limit with a square of at
+    least C^(m^2) mates (exact threshold comparison), take the
+    lexicographically first such square as the base, then certify the
     k-fold power: its mate count is at least C^(n^2) with n = m^k.
+
+    The base is the smallest qualifying depth-1 node of the census walk
+    :func:`_chain_tree` on the rows partition, a square whose row 0 reads
+    0, ..., m-1: relabelling symbols keeps the mate count and makes any
+    square read so, which leaves it no larger lexicographically.
 
     Only small C is satisfiable at desk scale; when no base square
     qualifies, the exhaustive outcome is reported honestly as
@@ -252,6 +253,8 @@ def construct_for_constant(
     """
     if C <= 0:
         raise InvalidParams("C must be positive")
+    if not math.isfinite(C):
+        raise InvalidParams(f"C must be finite, got {C}")
     if search_limit < 2:
         raise InvalidParams("search_limit must be at least 2")
     if k < 1:
@@ -260,41 +263,28 @@ def construct_for_constant(
     for m in range(2, search_limit + 1):
         need = frac_c ** (m * m)
         threshold = math.ceil(need) if need > 1 else 1
-        if count_latin_direct(m) < threshold:
-            # even the total number of squares is too small for any of them
-            # to have that many mates
+        nodes = ((cols[0], count) for cols, count in _chain_tree(partition_rows(m), 1)
+                 if cols and count >= threshold)
+        col, mates = min(nodes, default=(None, 0))
+        if col is None:
             continue
-        fact = math.factorial(m)
-        for grid in iter_latin_direct(m):
-            base = LatinSquare(Square(grid))
-            if _transversals_through_origin(base) * fact < threshold:
-                continue
-            parts = count_transversal_partitions(base, SearchOptions()).value.count
-            mates = parts * fact
-            if mates >= threshold:
-                n = m**k
-                log_bound = power_mate_bound(m, math.log(mates), k)
-                if log_bound < n * n * math.log(C) - 1e-9:
-                    raise RuntimeError("power bound fell below C^(n^2) — bug")
-                return MateCertificate(
-                    description=(
-                        f"order-{m} base square raised to the {k}-fold "
-                        f"block product (order {n})"
-                    ),
-                    log_lower_bound=log_bound,
-                    derivation="power-bound",
-                    base=base,
-                    base_mates=mates,
-                    power=k,
-                    order=n,
-                )
+        n = m**k
+        log_bound = power_mate_bound(m, math.log(mates), k)
+        if log_bound < n * n * math.log(C) - 1e-9:
+            raise RuntimeError("power bound fell below C^(n^2) — bug")
+        return MateCertificate(
+            description=(
+                f"order-{m} base square raised to the {k}-fold "
+                f"block product (order {n})"
+            ),
+            log_lower_bound=log_bound,
+            derivation="power-bound",
+            base=LatinSquare(Square([col[i * m : (i + 1) * m] for i in range(m)])),
+            base_mates=mates,
+            power=k,
+            order=n,
+        )
     raise NotFoundWithinLimit(
         f"no Latin square of order <= {search_limit} has at least C^(m^2) "
         f"mates for C = {C}; larger bases are beyond exhaustive search"
     )
-
-
-def _transversals_through_origin(l: LatinSquare) -> int:
-    """Transversals containing cell (0, 0) — a cheap upper-bound gate, since
-    every partition into transversals uses exactly one of them."""
-    return _transversal_branch(_symbol_codes(l), l.order, None, (0,))

@@ -8,12 +8,13 @@ one square these are its Latin transversals; with a region column they also
 meet each region once.  Orthogonal mates, gerechte mates, k-tuples and
 transversal partitions are all covers of some array's transversals.  A
 second, structurally different engine over plain grids is kept alongside it
-so headline counts can be confirmed by two engines that share no code path.
-It builds each square row by row, every row one of the n! permutations,
-and keeps a row when its column code (and, for gerechte or Sudoku squares,
-its region code) misses those of the rows above; a pair of squares is
-orthogonal when every symbol class of the second is in the first's set of
-transversal cell masks.
+so headline counts can be confirmed by two engines that share no code path;
+it serves those cross-checks and the tests, and no count or construction
+reads its answers.  It builds each square row by row, every row one of the
+n! permutations, and keeps a row when its column code (and, for gerechte or
+Sudoku squares, its region code) misses those of the rows above; a pair of
+squares is orthogonal when every symbol class of the second is in the
+first's set of transversal cell masks.
 
 The cover is Knuth's Algorithm X (arXiv cs/0011047) over bitsets: cells
 are the items, the T transversals the options, and every set of options is
@@ -22,9 +23,11 @@ per call and shared by every branch: ``through[c]``, the options containing
 cell ``c``, and ``disjoint[t]``, the options sharing no cell with ``t``
 (the complement of the OR of ``through`` over the n cells of ``t``).
 ``disjoint`` takes T²/8 bytes, about 0.6 MB at the order-9 maximum
-T = 2,241.  A count never searches the last two parts of a cover: once two
-parts are left, every allowed option through the lowest uncovered cell
-completes in exactly one way (:func:`_cover_branch`).
+T = 2,241.  One recursion counts a chain of covers, starting each cover at
+cell 0 once the one before is complete (:func:`_cover_branch`).  It never
+searches the last two parts of the last cover: once two parts are left,
+every allowed option through the lowest uncovered cell completes in
+exactly one way.
 
 Symmetry reduction: relabelling the symbols of a new column maps extensions
 to extensions, so the symmetric group S_n acts freely on them.  A cover is
@@ -76,7 +79,9 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import multiprocessing.connection
 import os
+from contextlib import closing
 from dataclasses import InitVar, dataclass, replace
 from itertools import islice, permutations
 from typing import Iterator, Optional, Sequence
@@ -210,20 +215,54 @@ def iter_extensions(a: NearlyOrthArray) -> Iterator[tuple[int, ...]]:
 # --------------------------------------------------------------------------
 # deterministic branch aggregation (sequential or process pool)
 
-# (branch function, shared arguments, (limit, item) per branch): branch
-# ``idx`` runs ``branch(*shared, limit, item)`` and returns its exact
-# subcount, counted up to ``limit``.
-_WORKER_STATE = None
+
+def _serve(conn, branch, shared, calls) -> None:
+    """A pool worker: for each branch index it receives, send back the
+    branch's subcount, or the exception it raised."""
+    while True:
+        call = calls[conn.recv()]
+        try:
+            conn.send((True, branch(*shared, *call)))
+        except Exception as exc:
+            conn.send((False, exc))
 
 
-def _worker_init(state):
-    global _WORKER_STATE
-    _WORKER_STATE = state
+def _pooled(branch, shared, calls, procs: int) -> Iterator[int]:
+    """The subcounts of ``calls``, in order, from ``procs`` forked workers,
+    each fed the next branch index over a pipe of its own.  They share no
+    lock, so closing the generator can kill them anywhere (killing a worker
+    that holds its result queue's lock hangs ``multiprocessing.Pool``)."""
+    ctx = multiprocessing.get_context("fork")
+    todo = iter(range(len(calls)))
+    busy, done, workers = {}, {}, []
 
+    def feed(conn) -> None:
+        for idx in islice(todo, 1):
+            conn.send(idx)
+            busy[conn] = idx
 
-def _worker_run(idx: int) -> int:
-    branch, shared, calls = _WORKER_STATE
-    return branch(*shared, *calls[idx])
+    try:
+        for _ in range(procs):
+            mine, theirs = ctx.Pipe()
+            w = ctx.Process(target=_serve, args=(theirs, branch, shared, calls), daemon=True)
+            w.start()
+            workers.append((w, mine))
+            theirs.close()  # so a dead worker's pipe reads as closed
+            feed(mine)
+        for idx in range(len(calls)):
+            while idx not in done:
+                for conn in multiprocessing.connection.wait(list(busy)):
+                    ok, sub = conn.recv()
+                    if not ok:
+                        raise sub
+                    done[busy.pop(conn)] = sub
+                    feed(conn)
+            yield done.pop(idx)
+    finally:
+        for w, mine in workers:
+            w.kill()
+            w.join()
+            mine.close()
 
 
 def _aggregate(state, opts: SearchOptions, weight: int = 1) -> ExtensionCount:
@@ -231,37 +270,24 @@ def _aggregate(state, opts: SearchOptions, weight: int = 1) -> ExtensionCount:
     ``weight`` objects, until the total reaches the threshold.
 
     ``state`` is (branch function, shared arguments, items), each item an
-    (argument, size) pair: the branch on that argument stands for an orbit
-    of ``size`` branches with equal counts, so it adds sub × weight × size.
-    The accumulation loop is the same code for one process and many.  The
-    result carries no witnesses; see :func:`_with_witnesses`.
+    (argument, size) pair: ``branch(*shared, limit, argument)`` counts up to
+    ``limit`` for an orbit of ``size`` branches with equal counts, so it
+    adds sub × weight × size.  The accumulation loop is the same code for
+    one process and many.  The result carries no witnesses; see
+    :func:`_with_witnesses`.
     """
     branch, shared, items = state
     threshold = opts.stop_threshold
     calls = [(_branch_limit(opts, weight * size), item) for item, size in items]
-    total = 0
-
-    def consume(sub: int, size: int) -> bool:
-        nonlocal total
-        total += sub * weight * size
-        return threshold is not None and total >= threshold
-
     procs = min(opts.threads or 1, len(calls))
-    if procs > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(procs, initializer=_worker_init, initargs=((branch, shared, calls),)) as pool:
-            for sub, (_, size) in zip(pool.imap(_worker_run, range(len(calls))), items):
-                if consume(sub, size):
-                    pool.terminate()
-                    break
-    else:
-        for call, (_, size) in zip(calls, items):
-            if consume(branch(*shared, *call), size):
-                break
-
-    if threshold is not None and total >= threshold:
-        # Report exactly the threshold: the deterministic "at least" value.
-        return ExtensionCount(Exact(threshold), False)
+    subs = _pooled(branch, shared, calls, procs) if procs > 1 else (branch(*shared, *c) for c in calls)
+    total = 0
+    with closing(subs):
+        for sub, (_, size) in zip(subs, items):
+            total += sub * weight * size
+            if threshold is not None and total >= threshold:
+                # Report exactly the threshold: the deterministic "at least" value.
+                return ExtensionCount(Exact(threshold), False)
     return ExtensionCount(Exact(total), True)
 
 
@@ -483,12 +509,13 @@ def _cover_branch(masks, through, disjoint, squares, allowed, limit, first):
     ``limit`` (None: no limit): the result is min(count, limit), and the
     walk stops as soon as its running total reaches ``limit``.
 
-    A node covers the lowest uncovered cell with each still-allowed option
-    through it, in increasing option index, and passes down the options
-    disjoint from every chosen one, so no overlap test is needed.  Each
-    later cover uses only the options meeting every part of the covers
-    before it (n cells meeting all n parts meet each once); the first
-    cover's walk carries that mask down as ``nxt``.
+    One recursion walks the whole chain.  A node covers the lowest uncovered
+    cell with each still-allowed option through it, in increasing option
+    index, and passes down the options disjoint from every chosen one, so
+    no overlap test is needed.  Each later cover uses only the options
+    meeting every part of the covers before it (n cells meeting all n parts
+    meet each once): the walk carries that mask down as ``nxt`` while later
+    covers remain, and a complete cover starts the next at cell 0 with it.
 
     The last two parts of the last cover are not searched.  ``allowed`` must
     hold *every* option disjoint from the parts chosen and meeting each part
@@ -502,49 +529,29 @@ def _cover_branch(masks, through, disjoint, squares, allowed, limit, first):
     full = (1 << len(through)) - 1
     n = masks[first].bit_count()
 
-    def last(uncov, allowed, left, cap):
-        m = through[(uncov & -uncov).bit_length() - 1] & allowed
-        if left == 2:
-            k = m.bit_count()
-            return k if k < cap else cap
+    def rec(uncov, allowed, nxt, left, squares, cap):
+        m = through[(uncov & -uncov).bit_length() - 1] & allowed  # unused once uncov is 0
+        if left <= 2:
+            if squares == 1:
+                if left < 2:
+                    return 1
+                k = m.bit_count()
+                return k if k < cap else cap
+            if not left:
+                return rec(full, nxt, nxt, n, squares - 1, cap)
         total = 0
         while m:
             b = m & -m
             m ^= b
             t = b.bit_length() - 1
-            total += last(uncov ^ masks[t], allowed & disjoint[t], left - 1, cap - total)  # masks[t] lies in uncov
+            total += rec(uncov ^ masks[t], allowed & disjoint[t], nxt & ~disjoint[t] if squares > 1 else nxt,
+                         left - 1, squares, cap - total)  # masks[t] lies in uncov
             if total >= cap:
                 return cap
         return total
 
-    def upper(uncov, allowed, nxt, left, squares, cap):
-        total = 0
-        if not left:  # a whole cover: the next one's part through cell 0
-            m = through[0] & nxt
-            while m:
-                b = m & -m
-                m ^= b
-                total += branch(squares - 1, nxt, b.bit_length() - 1, cap - total)
-                if total >= cap:
-                    return cap
-            return total
-        m = through[(uncov & -uncov).bit_length() - 1] & allowed
-        while m:
-            b = m & -m
-            m ^= b
-            t = b.bit_length() - 1
-            total += upper(uncov ^ masks[t], allowed & disjoint[t], nxt & ~disjoint[t], left - 1, squares, cap - total)
-            if total >= cap:
-                return cap
-        return total
-
-    def branch(squares, allowed, first, cap):
-        uncov = full ^ masks[first]
-        if squares > 1:
-            return upper(uncov, allowed & disjoint[first], allowed & ~disjoint[first], n - 1, squares, cap)
-        return last(uncov, allowed & disjoint[first], n - 1, cap) if n > 2 else 1
-
-    return branch(squares, allowed, first, math.inf if limit is None else limit)
+    return rec(full ^ masks[first], allowed & disjoint[first], allowed & ~disjoint[first], n - 1,
+               squares, math.inf if limit is None else limit)
 
 
 def _covers(masks, through, disjoint, uncov, allowed) -> Iterator[tuple[int, ...]]:

@@ -352,6 +352,23 @@ def test_count_extensions_refuses_a_system_without_square_or_partition(cli, caps
     assert cli(["verify", str(orphan)])[0] == 2
 
 
+@pytest.mark.parametrize("extra", [["--partition", "boxes:4"], ["--square", "cayley:3"]])
+def test_count_extensions_refuses_a_system_with_square_or_partition(cli, capsys, tmp_path, extra):
+    # the document holds the whole system: an extra flag is refused, not ignored
+    sysfile = tmp_path / "sys.txt"
+    sysfile.write_text(Z3_TEXT)
+    assert cli(["count", "extensions", "--system", str(sysfile), *extra])[:2] == (4, b"")
+    err = capsys.readouterr().err
+    assert err.startswith("error: --system takes neither") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind", ["certify", "construct"])
+@pytest.mark.parametrize("constant", ["nan", "inf"])
+def test_constant_refuses_a_non_finite_target(cli, capsys, kind, constant):
+    assert cli([kind, "constant", "--constant", constant])[:2] == (4, b"")
+    assert capsys.readouterr().err == f"error: C must be finite, got {constant}\n"
+
+
 def test_count_extensions_partition_only(cli):
     doc = run_structured(cli, ["count", "extensions", "--partition", "boxes:4"])
     assert fields_by_name(doc)["extensions"]["value"] == "288"

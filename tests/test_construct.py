@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -17,6 +18,7 @@ from molscope.construct import (
     translate_mates,
 )
 from molscope.core import (
+    LatinSquare,
     Square,
     Transversal,
     check_orthogonal,
@@ -29,7 +31,7 @@ from molscope.errors import (
     NotATransversal,
     NotFoundWithinLimit,
 )
-from molscope.search import count_mates
+from molscope.search import count_mates, iter_latin_direct
 
 
 def test_group_spec_arithmetic():
@@ -223,10 +225,48 @@ def test_construct_for_constant_order4():
 def test_construct_for_constant_not_found():
     with pytest.raises(NotFoundWithinLimit):
         construct_for_constant(1.3, search_limit=4)
+    # the default limit walks every order-5 square with row 0 = 0, ..., 4
+    with pytest.raises(NotFoundWithinLimit):
+        construct_for_constant(1.3)
     with pytest.raises(InvalidParams):
         construct_for_constant(0.0)
+    for C in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidParams):
+            construct_for_constant(C)
     with pytest.raises(InvalidParams):
         construct_for_constant(1.1, search_limit=1)
+
+
+def _first_base(C, limit):
+    """The oracle: the first square of the direct walk, over orders 2 to
+    ``limit``, whose mate count reaches C^(m^2); None if there is none."""
+    for m in range(2, limit + 1):
+        need = Fraction(C) ** (m * m)
+        threshold = math.ceil(need) if need > 1 else 1
+        for g in iter_latin_direct(m):
+            mates = count_mates(LatinSquare(Square(g))).value.count
+            if mates >= threshold:
+                return g, mates
+    return None
+
+
+# every order-3 square has 6 mates (6^(1/9) = 1.2203...), and the order-4
+# squares have 0 or 48 (48^(1/16) = 1.2739...): bases of order 3 and 4
+@pytest.mark.parametrize("C", [0.5, 1.0, 1.1, 1.2, 1.22, 1.221, 1.25, 1.27, 1.2739, 1.274, 1.3])
+@pytest.mark.parametrize("limit", [3, 4])
+def test_construct_for_constant_matches_direct_walk(C, limit):
+    want = _first_base(C, limit)
+    if want is None:
+        with pytest.raises(NotFoundWithinLimit):
+            construct_for_constant(C, search_limit=limit)
+        return
+    grid, mates = want
+    m = len(grid)
+    cert = construct_for_constant(C, search_limit=limit)
+    assert cert.base.grid == LatinSquare(Square(grid)).grid
+    assert cert.base_mates == mates
+    assert cert.log_lower_bound == power_mate_bound(m, math.log(mates), 2)
+    assert (cert.power, cert.order) == (2, m * m)
 
 
 def test_construct_for_constant_trivial_target():

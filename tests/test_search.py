@@ -1,16 +1,20 @@
 import hashlib
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import molscope
 import oracles
 from molscope.arrays import NearlyOrthArray, system_to_noa
-from molscope.construct import GroupSpec, _transversals_through_origin, cayley_table, kronecker
+from molscope.construct import GroupSpec, cayley_table, kronecker
 from molscope.core import (
     Square,
     check_orthogonal,
@@ -352,6 +356,8 @@ def test_count_extensions_matches_with_column_validation():
     "n,k,expected",
     [
         (1, 1, 1),
+        (1, 2, 1),  # order-1 chains: each cover is one part
+        (1, 3, 1),
         (2, 1, 2),
         (3, 1, 12),
         (4, 1, 576),
@@ -550,6 +556,33 @@ RANDOM_7 = _random_latin(7, 1)
 RANDOM_8 = _random_latin(8, 2)
 
 
+STOPPED_POOLS = """
+from molscope.construct import GroupSpec, cayley_table
+from molscope.search import (SearchOptions, count_mates, count_transversal_partitions,
+                             enumerate_transversals)
+z2cubed, z7 = cayley_table(GroupSpec([2, 2, 2])), cayley_table(GroupSpec([7]))
+for i in range(150):
+    count_transversal_partitions(z2cubed, SearchOptions(stop_threshold=1 + i % 50, threads=2))
+    enumerate_transversals(z7, SearchOptions(stop_threshold=1 + i % 7, threads=2))
+    count_mates(z7, SearchOptions(stop_threshold=1 + i % 30, threads=2))
+"""
+
+
+def test_threshold_stopped_pools_never_hang():
+    # A threshold stop kills the workers mid-branch.  Two processes stopping
+    # pools at once keep the CPUs busy, so workers are often killed while
+    # sending a result: a worker killed holding a lock it shares with the
+    # pool would hang the teardown for good.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(molscope.__file__)))
+    procs = [subprocess.Popen([sys.executable, "-c", STOPPED_POOLS], env=env) for _ in range(2)]
+    try:
+        assert [p.wait(timeout=120) for p in procs] == [0, 0]
+    finally:
+        for p in procs:
+            p.kill()
+            p.wait()
+
+
 @pytest.mark.parametrize("threads", [None, 1, 2])
 @pytest.mark.parametrize("threshold", [None, 7])
 def test_transversal_branches_are_the_row_0_columns(monkeypatch, threads, threshold):
@@ -591,7 +624,7 @@ def test_transversals_through_origin_match_oracle():
     order5 = itertools.islice(iter_latin_direct(5), 0, 20000, 101)
     for g in itertools.chain(iter_latin_direct(4), order5):
         want = sum(1 for t in oracles.transversals(g) if (0, 0) in t)
-        assert _transversals_through_origin(L(g)) == want
+        assert _transversal_branch(_symbol_codes(L(g)), len(g), None, (0,)) == want
 
 
 # --------------------------------------------------------------------------
