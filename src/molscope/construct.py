@@ -31,7 +31,7 @@ from .errors import (
     TranslatesNotDisjoint,
 )
 from .bounds import log_factorial
-from .search import _chain_tree, _check_limit
+from .search import _chain_tree, _check_limit, check_census_order
 
 DEFAULT_CONSTRUCT_LIMIT = 64
 
@@ -247,9 +247,10 @@ def construct_for_constant(
     0, ..., m-1: relabelling symbols keeps the mate count and makes any
     square read so, which leaves it no larger lexicographically.
 
-    Only small C is satisfiable at desk scale; when no base square
-    qualifies, the exhaustive outcome is reported honestly as
-    :class:`NotFoundWithinLimit` rather than extrapolated.
+    Only small C is satisfiable at desk scale.  An order m past the census
+    limit (:func:`check_census_order`) raises :class:`LimitExceeded` before
+    its walk; when no base square qualifies, the exhaustive outcome is
+    reported honestly as :class:`NotFoundWithinLimit` rather than extrapolated.
     """
     if C <= 0:
         raise InvalidParams("C must be positive")
@@ -263,6 +264,7 @@ def construct_for_constant(
     for m in range(2, search_limit + 1):
         need = frac_c ** (m * m)
         threshold = math.ceil(need) if need > 1 else 1
+        check_census_order(m)
         nodes = ((cols[0], count) for cols, count in _chain_tree(partition_rows(m), 1)
                  if cols and count >= threshold)
         col, mates = min(nodes, default=(None, 0))

@@ -39,7 +39,8 @@ before it, is a k-tuple of squares worth (n!)^k.  The census walks that
 chain tree (:func:`_chain_tree`): a node at depth j is a j-system, and its
 extension count is n! times its child covers.
 
-The input square's own symmetries reduce transversal and partition counts.
+The input square's own symmetries reduce transversal, partition and mate
+counts (a mate count is n! times the partition count, on the same plan).
 An autotopism (α, β, γ) of L, with L[α(i)][β(j)] = γ(L[i][j]) at every
 cell, maps transversals to transversals and partitions to partitions.  One
 with α(0) = 0 maps the transversals through (0, j) onto those through
@@ -153,8 +154,7 @@ class ExtensionCount:
 
 
 DEFAULT_ENUM_LIMIT = 16  # transversals / single-column extensions
-DEFAULT_MOLS_LIMIT = 5  # exhaustive k-tuple counts
-DEFAULT_MAX_EXT_LIMIT = 4  # "enumerate every system" operations
+DEFAULT_MOLS_LIMIT = 5  # every walk of the chain tree: tuple counts, censuses
 
 
 def order_limit(default: int) -> int:
@@ -569,16 +569,25 @@ def _covers(masks, through, disjoint, uncov, allowed) -> Iterator[tuple[int, ...
             yield (t,) + rest
 
 
-def _count_covers(tables, opts: SearchOptions, squares: int = 1, weight: int = 1,
-                  branches: Optional[list[tuple[int, int]]] = None) -> ExtensionCount:
-    """Count chains of ``squares`` exact covers by the options of
-    ``tables``, each chain worth ``weight``, with one branch per option
-    through cell 0 (every cover has exactly one), or per (option, orbit
-    size) pair of ``branches``."""
-    masks = tables[0]
-    every = (1 << len(masks)) - 1
-    if branches is None:
-        branches = [(t, 1) for t, m in enumerate(masks) if m & 1]
+def _cover_plan(codes, n: int, grid=None) -> tuple[list, tuple, list[tuple[int, int]]]:
+    """The options of an exact cover by the transversals of ``codes`` (as
+    their column per row), their :func:`_cover_tables`, and its branches as
+    (option, orbit size) pairs: each option through cell 0, or one per orbit
+    (:func:`_cover_orbits`) when ``grid`` is the square with these transversals."""
+    options = list(_transversals(codes, n, ()))
+    tables = _cover_tables(options, n)
+    if grid is None:
+        branches = [(t, 1) for t, m in enumerate(tables[0]) if m & 1]
+    else:
+        branches = _cover_orbits(grid, options)
+    return options, tables, branches
+
+
+def _count_covers(plan, opts: SearchOptions, squares: int = 1, weight: int = 1) -> ExtensionCount:
+    """Count chains of ``squares`` exact covers on a :func:`_cover_plan`,
+    each chain worth ``weight``, one pooled branch per branch of the plan."""
+    _, tables, branches = plan
+    every = (1 << len(tables[0])) - 1
     return _aggregate((_cover_branch, (*tables, squares, every), branches), opts, weight)
 
 
@@ -601,21 +610,6 @@ def _cover_orbits(grid, options: Sequence[tuple[int, ...]]) -> list[tuple[int, i
             perm[t] = index[tuple(img)]
         perms.append(perm)
     return _orbits(list(index.values()), perms)
-
-
-def _count_chains(a: NearlyOrthArray, squares: int, opts: SearchOptions) -> ExtensionCount:
-    """Ordered ``squares``-tuples of new columns that together extend ``a``.
-
-    A column extends ``a`` exactly when each of its symbol classes is an
-    array transversal, so the tuples are the chains of exact covers by
-    array transversals, with part s of each cover getting symbol s: the
-    parts come in order of their lowest cells, so part s holds cell (0, s)
-    and row 0 of every new square reads 0, 1, ..., n-1.  Relabelling each
-    square's symbols gives the rest, so each chain is worth (n!)^squares.
-    """
-    n = a.order
-    options = list(_transversals(_array_codes(a), n, ()))
-    return _count_covers(_cover_tables(options, n), opts, squares, math.factorial(n) ** squares)
 
 
 # --------------------------------------------------------------------------
@@ -673,40 +667,46 @@ def count_transversal_partitions(
     opts = opts or SearchOptions()
     n = l.order
     _check_limit(n, DEFAULT_ENUM_LIMIT, "partition enumeration")
-    options = list(_transversals(_symbol_codes(l), n, ()))
-    tables = _cover_tables(options, n)
-    res = _count_covers(tables, opts, branches=_cover_orbits(l.grid, options))
+    plan = _cover_plan(_symbol_codes(l), n, l.grid)
+    options, tables, _ = plan
     covers = _covers(*tables, (1 << n * n) - 1, (1 << len(options)) - 1)
     parts = (tuple(tuple(enumerate(options[t])) for t in c) for c in covers)
-    return _with_witnesses(res, opts.cap, parts)
+    return _with_witnesses(_count_covers(plan, opts), opts.cap, parts)
 
 
 def count_extensions(a: NearlyOrthArray, opts: SearchOptions | None = None) -> ExtensionCount:
     """Count the columns whose appending keeps ``a`` a valid array.
 
     The count is n! times the exact covers of the cells by the array
-    transversals of ``a`` (:func:`_count_chains`), with one branch per
-    transversal through cell 0.  With a cap, witnesses are the first
-    min(cap, count) columns of :func:`iter_extensions`' walk of the full
-    tree, so they come in full lexicographic order however the count ran.
-    Every mate/extension count in the package funnels through here.
+    transversals of ``a`` (part s of a cover gets symbol s; see the module
+    docstring), with one branch per transversal through cell 0.  With a
+    cap, witnesses are the first min(cap, count) columns of
+    :func:`iter_extensions`' walk of the full tree, so they come in full
+    lexicographic order however the count ran.
     """
     opts = opts or SearchOptions()
     n = a.order
     _check_limit(n, DEFAULT_ENUM_LIMIT, "extension counting")
-    return _with_witnesses(_count_chains(a, 1, opts), opts.cap, iter_extensions(a))
+    res = _count_covers(_cover_plan(_array_codes(a), n), opts, weight=math.factorial(n))
+    return _with_witnesses(res, opts.cap, iter_extensions(a))
 
 
 def count_mates(l: LatinSquare, opts: SearchOptions | None = None) -> ExtensionCount:
-    """Orthogonal mates of ``l`` via the extension engine."""
-    sys = validate_mols([l], partition_rows(l.order))
-    return count_extensions(system_to_noa(sys), opts)
+    """Orthogonal mates of ``l``: n! times its transversal partitions, on the
+    orbit branches of :func:`count_transversal_partitions`.  Witnesses come
+    from :func:`iter_extensions` on the rows array of {l}."""
+    opts = opts or SearchOptions()
+    n = l.order
+    _check_limit(n, DEFAULT_ENUM_LIMIT, "extension counting")
+    res = _count_covers(_cover_plan(_symbol_codes(l), n, l.grid), opts, weight=math.factorial(n))
+    rows = system_to_noa(validate_mols([l], partition_rows(n)))
+    return _with_witnesses(res, opts.cap, iter_extensions(rows))
 
 
 def count_mols(n: int, k: int, opts: SearchOptions | None = None) -> ExtensionCount:
     """The number of ordered k-tuples of pairwise orthogonal Latin squares:
     chains of k exact covers of the cells by the permutation transversals of
-    the empty system (:func:`_count_chains`), each worth (n!)^k.
+    the empty system, each worth (n!)^k (see the module docstring).
     """
     opts = opts or SearchOptions()
     if n < 1 or k < 0:
@@ -716,7 +716,8 @@ def count_mols(n: int, k: int, opts: SearchOptions | None = None) -> ExtensionCo
         return ExtensionCount(Exact(1), True)
     if n >= 2 and k > n - 1:
         return ExtensionCount(Exact(0), True)
-    return _count_chains(system_to_noa(validate_mols([], partition_rows(n))), k, opts)
+    plan = _cover_plan(_array_codes(system_to_noa(validate_mols([], partition_rows(n)))), n)
+    return _count_covers(plan, opts, k, math.factorial(n) ** k)
 
 
 def _chain_tree(partition: RegionPartition, kmax: int) -> Iterator[tuple[list, int]]:
@@ -732,8 +733,8 @@ def _chain_tree(partition: RegionPartition, kmax: int) -> Iterator[tuple[list, i
     One set of cover tables serves the whole walk.
     """
     n = partition.order
-    options = list(_transversals(_array_codes(system_to_noa(validate_mols([], partition))), n, ()))
-    masks, through, disjoint = _cover_tables(options, n)
+    noa = system_to_noa(validate_mols([], partition))
+    options, (masks, through, disjoint), _ = _cover_plan(_array_codes(noa), n)
     cols: list[tuple[int, ...]] = []
 
     def rec(allowed):
@@ -820,7 +821,7 @@ def max_extensions(n: int, k: int) -> tuple[ExtensionCount, Optional[MolsSystem]
 
 def check_census_order(n: int) -> None:
     """Refuse a census at order n; callers check before building the n×n partition."""
-    _check_limit(n, DEFAULT_MAX_EXT_LIMIT, "census over all systems")
+    _check_limit(n, DEFAULT_MOLS_LIMIT, "census over all systems")
 
 
 def extension_census(

@@ -1,9 +1,11 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
 import oracles
+from molscope import bounds as bounds_mod, cli as cli_mod, construct as construct_mod
 from molscope.cli import (
     _split_top_level,
     format_document,
@@ -15,7 +17,7 @@ from molscope.cli import (
 from molscope.construct import GroupSpec, cayley_table
 from molscope.core import RegionPartition, Square, partition_from_square, partition_rows
 from molscope.errors import FormatError
-from molscope.search import count_mols, extension_census, max_extensions
+from molscope.search import Exact, ExtensionCount, count_mols, extension_census, max_extensions
 
 Z3_TEXT = "3\n1 2 3\n2 3 1\n3 1 2\n"
 
@@ -436,7 +438,7 @@ def test_kinds_refuse_runs_without_the_flags_they_need(cli, capsys, argv, flags)
     assert capsys.readouterr().err == f"error: {' '.join(argv[:2])} needs {flags}\n"
 
 
-@pytest.mark.parametrize("n", ["5", "6", "100000"])
+@pytest.mark.parametrize("n", ["6", "100000"])
 def test_certify_gerechte_checks_the_order_limit_first(cli, capsys, monkeypatch, n):
     # both targets census every system of order n on the rows partition; the
     # limit is checked before any n×n partition is built
@@ -453,6 +455,18 @@ def test_certify_gerechte_checks_the_order_limit_first(cli, capsys, monkeypatch,
         assert (code, out) == (3, b"")
         assert "exceeds the configured limit" in capsys.readouterr().err
         assert seconds < 0.5
+
+
+@pytest.mark.parametrize("kind", ["certify", "construct"])
+def test_constant_search_checks_each_order_against_the_census_limit(cli, capsys, monkeypatch, kind):
+    monkeypatch.delenv("MOLSCOPE_LIMIT_N", raising=False)
+    code, out, _ = cli([kind, "constant", "--constant", "1.1", "--limit", "7"])
+    assert code == 0 and out  # answered at order 3, before any order past the limit
+    # --limit 6, not 7: without the gate order 6 takes about 18 s and fails, order 7 never ends
+    code, out, seconds = cli([kind, "constant", "--constant", "1.3", "--limit", "6"])
+    assert (code, out) == (3, b"")
+    assert "at order 6 exceeds the configured limit 5" in capsys.readouterr().err
+    assert seconds < 1.0
 
 
 @pytest.mark.parametrize("argv", [
@@ -759,6 +773,16 @@ def test_certify_extension_order_5_matches_count_and_maximum(cli, monkeypatch):
         assert f[f"dominates_k{k}"]["value"] is True
 
 
+def test_certify_extension_order_5_needs_no_limit_override(cli, monkeypatch):
+    monkeypatch.delenv("MOLSCOPE_LIMIT_N", raising=False)
+    f = fields_by_name(run_structured(cli, ["certify", "extension", "--n", "5", "--all-k"]))
+    assert [f[f"systems_k{k}"]["value"] for k in range(4)] == ["1", "161280", "6220800", "1492992000"]
+    assert [f[f"max_extensions_k{k}"]["value"] for k in range(4)] == ["161280", "360", "240", "120"]
+    assert [f[f"bound_k{k}"]["value"] for k in range(4)] == [
+        17.914665755703904, 13.805354329446336, 11.215020111155491, 9.438435715387005]
+    assert all(f[f"dominates_k{k}"]["value"] is True for k in range(4))
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_certify_gerechte_symbol_classes_match_reduced_squares(cli, monkeypatch, n):
     # the census of each reduced square's symbol classes, standing for the
@@ -797,6 +821,35 @@ def test_certify_constant_structured(cli):
     assert f["base_order"]["value"] == "3"
     assert f["base_mates"]["value"] == "6"
     assert f["certified"]["value"] is True
+
+
+_construct_for_constant = construct_mod.construct_for_constant
+
+# per certificate: the function replaced (module, name, fake), a run that
+# passes without the fake, and the comparison the fake flips
+FAILING_CERTIFICATES = {
+    "extension": (bounds_mod, "extension_bound_mols", lambda n, k: -1.0,
+                  ["--n", "3", "--all-k"], "dominates_k0"),
+    "gerechte": (bounds_mod, "extension_bound_general", lambda *args: -1.0,
+                 ["--n", "3"], "symbol-classes_dominates_k0"),
+    # the count, not the bound: a huge bound would make the cover run to its full count
+    "product": (cli_mod, "count_transversal_partitions", lambda *args: ExtensionCount(Exact(0), True),
+                ["--base", "cayley:3"], "certified"),
+    "power": (construct_mod, "product_mate_bound", lambda *args: -1.0,
+              ["--m", "3", "--q", "6", "--k", "2"], "recursion_holds_k1"),
+    "constant": (construct_mod, "construct_for_constant",
+                 lambda *args: replace(_construct_for_constant(*args), log_lower_bound=0.0),
+                 ["--constant", "1.2", "--limit", "3"], "certified"),
+}
+
+
+@pytest.mark.parametrize("target", list(FAILING_CERTIFICATES))
+def test_every_certificate_can_fail(cli, monkeypatch, target):
+    module, name, fake, argv, field = FAILING_CERTIFICATES[target]
+    monkeypatch.setattr(module, name, fake)
+    code, out, _ = cli(["certify", target, *argv, "--format", "structured"])
+    assert code == 5
+    assert fields_by_name(json.loads(out))[field]["value"] is False
 
 
 def test_certify_product_mateless_base(cli):

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -267,6 +268,17 @@ def test_construct_for_constant_matches_direct_walk(C, limit):
     assert cert.base_mates == mates
     assert cert.log_lower_bound == power_mate_bound(m, math.log(mates), 2)
     assert (cert.power, cert.order) == (2, m * m)
+
+
+def test_construct_for_constant_checks_each_order_against_the_census_limit(monkeypatch):
+    monkeypatch.delenv("MOLSCOPE_LIMIT_N", raising=False)
+    # order 3 qualifies, so the orders past the limit are never reached
+    assert construct_for_constant(1.1, search_limit=7).base.order == 3
+    # no square up to order 5 qualifies, and order 6 is past the limit
+    started = time.monotonic()
+    with pytest.raises(LimitExceeded, match="at order 6 exceeds the configured limit 5"):
+        construct_for_constant(1.3, search_limit=6)
+    assert time.monotonic() - started < 1.0
 
 
 def test_construct_for_constant_trivial_target():

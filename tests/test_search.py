@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import molscope
 import oracles
 from molscope.arrays import NearlyOrthArray, system_to_noa
-from molscope.construct import GroupSpec, cayley_table, kronecker
+from molscope.construct import GroupSpec, cayley_table, construct_for_constant, kronecker
 from molscope.core import (
     Square,
     check_orthogonal,
@@ -1284,7 +1284,7 @@ def test_order_limits(monkeypatch):
     with pytest.raises(LimitExceeded):
         count_mols(6, 1)
     with pytest.raises(LimitExceeded):
-        max_extensions(5, 1)
+        max_extensions(6, 1)
     monkeypatch.setenv("MOLSCOPE_LIMIT_N", "3")
     with pytest.raises(LimitExceeded):
         count_mols(4, 1)
@@ -1294,6 +1294,32 @@ def test_order_limits(monkeypatch):
     monkeypatch.setenv("MOLSCOPE_LIMIT_N", "bogus")
     with pytest.raises(InvalidParams):
         count_mols(3, 1)
+
+
+# every exhaustive walk, given an order-4 input under a limit of 3
+EXHAUSTIVE_WALKS = {
+    "enumerate_transversals": lambda: enumerate_transversals(L(Z4)),
+    "count_transversal_partitions": lambda: count_transversal_partitions(L(Z4)),
+    "count_extensions": lambda: count_extensions(system_to_noa(validate_mols([L(Z4)], partition_rows(4)))),
+    "count_mates": lambda: count_mates(L(Z4)),
+    "count_mols": lambda: count_mols(4, 1),
+    "extension_census": lambda: extension_census(partition_rows(4), 1),
+    "max_extensions": lambda: max_extensions(4, 1),
+    # no order-2 or order-3 square has 1.3^(m^2) mates, so the walk reaches 4
+    "construct_for_constant": lambda: construct_for_constant(1.3, search_limit=4),
+}
+
+
+@pytest.mark.parametrize("walk", list(EXHAUSTIVE_WALKS))
+def test_every_exhaustive_walk_refuses_an_order_past_its_limit(monkeypatch, walk):
+    monkeypatch.setenv("MOLSCOPE_LIMIT_N", "3")
+    started = time.monotonic()
+    with pytest.raises(LimitExceeded) as err:
+        EXHAUSTIVE_WALKS[walk]()
+    assert time.monotonic() - started < 0.5
+    assert "at order 4 exceeds the configured limit 3" in str(err.value)
+    if walk == "count_mates":
+        assert str(err.value).startswith("extension counting")
 
 
 def test_invalid_search_params():
