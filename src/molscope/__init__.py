@@ -16,10 +16,6 @@ from .arrays import (
     OrthArray,
     cell_profile,
     coordinate_columns,
-    mols_to_oa,
-    noa_to_system,
-    oa_to_mols,
-    system_to_noa,
     vectors_orthogonal,
 )
 from .bounds import (
@@ -66,7 +62,6 @@ from .core import (
 )
 from .errors import (
     FormatError,
-    InvalidColumns,
     InvalidNOA,
     InvalidOA,
     InvalidParams,
@@ -102,7 +97,6 @@ from .search import (
     gerechte_mates_direct,
     iter_extensions,
     iter_latin_direct,
-    iter_mols_systems,
     max_extensions,
 )
 

@@ -1,11 +1,14 @@
-"""Array forms of square systems and the per-cell profile.
+"""Array forms of square systems and the per-cell profile of a partition.
 
 A system of k squares of order n, with a region partition, flattens to an
 n^2-by-(k+3) array: one row per cell in row-major order, columns holding the
 cell's row index, column index, region label, and the k symbols.  The first
 two columns are forced, the third is only balanced, and every later column
-must be orthogonal to all others — validation here is the trust anchor for
-every count made by the search engine.
+must be orthogonal to all others.  These types state the paper's array
+view and validate it on their own; the engines do not build them.  They
+read a system that :func:`molscope.core.validate_mols` has checked, and
+that check is what every count trusts.  :func:`cell_profile` reads a
+partition's labels: the per-cell counts the general bound integrates.
 """
 
 from __future__ import annotations
@@ -14,15 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import (
-    LatinSquare,
-    MolsSystem,
-    RegionPartition,
-    Square,
-    validate_mols,
-)
+from .core import RegionPartition
 from .errors import (
-    InvalidColumns,
     InvalidNOA,
     InvalidOA,
     InvalidParams,
@@ -183,91 +179,20 @@ class CellProfile:
                 raise InvalidParams("profile entries out of range")
 
 
-def mols_to_oa(sys: MolsSystem) -> OrthArray:
-    """Flatten a partition-free system to rows [i, j, L_1(i,j), ...]."""
-    if sys.partition is not None:
-        raise InvalidParams(
-            "system carries a partition; flatten it with system_to_noa instead"
-        )
-    n = sys.order
-    rows = [
-        [i, j] + [s.value(i, j) for s in sys.squares]
-        for i in range(n)
-        for j in range(n)
-    ]
-    return OrthArray(n, rows)
-
-
-def oa_to_mols(a: OrthArray, rowcol: tuple[int, int] = (0, 1)) -> MolsSystem:
-    """Read two columns as cell coordinates and the rest as squares.
-
-    Any two distinct columns work; the default (0, 1) inverts
-    :func:`mols_to_oa` exactly.
-    """
-    r, c = rowcol
-    d = a.width
-    if r == c or not (0 <= r < d and 0 <= c < d):
-        raise InvalidColumns(f"column pair {(r + 1, c + 1)} invalid for width {d}")
-    n = a.order
-    rest = [j for j in range(d) if j != r and j != c]
-    grids = [[[-1] * n for _ in range(n)] for _ in rest]
-    for row in a.rows:
-        i, j = row[r], row[c]
-        for t, col in enumerate(rest):
-            grids[t][i][j] = row[col]
-    squares = [LatinSquare(Square(g)) for g in grids]
-    return validate_mols(squares, order=n)
-
-
-def system_to_noa(sys: MolsSystem) -> NearlyOrthArray:
-    """Flatten a system with a partition to rows [i, j, region, symbols...].
-
-    Plain k-tuples of squares are handled by attaching the partition into
-    rows, which restates Latinness and adds no constraint.
-    """
-    if sys.partition is None:
-        raise InvalidParams("system has no partition; attach partition_rows(n)")
-    n = sys.order
-    p = sys.partition
-    rows = [
-        [i, j, p.labels[i * n + j]] + [s.value(i, j) for s in sys.squares]
-        for i in range(n)
-        for j in range(n)
-    ]
-    return NearlyOrthArray(n, rows)
-
-
-def noa_to_system(a: NearlyOrthArray) -> MolsSystem:
-    """Recover the squares and the partition; inverse of system_to_noa."""
-    n = a.order
-    labels = a.column(2)
-    try:
-        partition = RegionPartition(n, labels)
-    except Exception as exc:
-        raise InvalidNOA(str(exc)) from exc
-    squares = []
-    for col in range(3, a.width):
-        g = [[0] * n for _ in range(n)]
-        for l, row in enumerate(a.rows):
-            g[l // n][l % n] = row[col]
-        squares.append(LatinSquare(Square(g)))
-    return validate_mols(squares, partition, order=n)
-
-
-def cell_profile(a: NearlyOrthArray) -> CellProfile:
+def cell_profile(partition: RegionPartition) -> CellProfile:
     """Count, for each cell, the other cells sharing (row, region) and
-    (column, region).  Cells are grouped by the shared pair, so every member
-    of a group of size g gets g-1."""
-    n = a.order
+    (column, region) of ``partition``.  Cells are grouped by the shared
+    pair, so every member of a group of size g gets g-1."""
+    n = partition.order
     nn = n * n
-    v3 = a.column(2)
+    labels = partition.labels
     r = [0] * nn
     c = [0] * nn
     row_groups: dict[tuple[int, int], list[int]] = {}
     col_groups: dict[tuple[int, int], list[int]] = {}
     for l in range(nn):
-        row_groups.setdefault((l // n, v3[l]), []).append(l)
-        col_groups.setdefault((l % n, v3[l]), []).append(l)
+        row_groups.setdefault((l // n, labels[l]), []).append(l)
+        col_groups.setdefault((l % n, labels[l]), []).append(l)
     for group in row_groups.values():
         for l in group:
             r[l] = len(group) - 1

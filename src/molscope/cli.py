@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence
 
 from . import bounds as bounds_mod
 from . import construct as construct_mod
-from .arrays import CellProfile, cell_profile, system_to_noa
+from .arrays import CellProfile, cell_profile
 from .core import (
     LatinSquare,
     MolsSystem,
@@ -480,16 +480,17 @@ def _read_system(args) -> tuple[MolsSystem, dict]:
     squares = [resolve_square_spec(s) for s in args.square or []]
     if not squares and not args.partition:
         raise InvalidParams("need --system, --square, or --partition")
+    # every input's flag and order, so that a mismatch names its flags
+    named = [(f"--square {spec}", sq.order) for spec, sq in zip(args.square or [], squares)]
+    partition = None
     if args.partition:
         partition = resolve_partition_spec(args.partition)
-    else:
-        partition = partition_rows(squares[0].order)
-    order = squares[0].order if squares else partition.order
-    return validate_mols(squares, partition, order=order), params
-
-
-def _count_system(system: MolsSystem, opts: SearchOptions) -> ExtensionCount:
-    return count_extensions(system_to_noa(system), opts)
+        named.append((f"--partition {args.partition}", partition.order))
+    (first, order), *rest = named
+    for flag, n in rest:
+        if n != order:
+            raise InvalidParams(f"{first} has order {order}, but {flag} has order {n}")
+    return validate_mols(squares, partition or partition_rows(order)), params
 
 
 def _partition_doc(square: LatinSquare, parts) -> str:
@@ -653,7 +654,7 @@ def _certify_gerechte(args, doc: ReportDocument) -> None:
             raise InvalidParams(f"certify gerechte --n {n} does not match the "
                                 f"order {p.order} of partition {args.partition}")
         suites.append((args.partition or "boxes", extension_census(p, kmax),
-                       cell_profile(system_to_noa(validate_mols([], p)))))
+                       cell_profile(p)))
     if not args.partition:
         # k-systems gerechte for a square's symbol classes are the (k+1)-systems
         # on the rows that start with it; its classes have r = c = 0 everywhere
@@ -825,7 +826,8 @@ KINDS: dict[str, dict[str, tuple[tuple[str, ...], Callable]]] = {
             _read_square, lambda sq, opts: count_mates(sq, opts), "mates", "extension-engine",
             lambda sq, col: format_document([sq.grid, _column_grid(col, sq.order)]))),
         "extensions": ((), _counter(
-            _read_system, _count_system, "extensions", "extension-engine", _extension_doc)),
+            _read_system, lambda system, opts: count_extensions(system, opts),
+            "extensions", "extension-engine", _extension_doc)),
         "mols": (("--n",), _counter(
             lambda args: ((args.n, args.k), {"n": args.n, "k": args.k}),
             lambda nk, opts: count_mols(*nk, opts), "count", "chained-extension-engine",
@@ -834,7 +836,8 @@ KINDS: dict[str, dict[str, tuple[tuple[str, ...], Callable]]] = {
         "sudoku": (("--n",), _counter(
             lambda args: (validate_mols([], partition_boxes(_searchable_order(args.n))),
                           {"n": args.n}),
-            _count_system, "sudoku_squares", "extension-engine", _extension_doc,
+            lambda system, opts: count_extensions(system, opts), "sudoku_squares",
+            "extension-engine", _extension_doc,
             _cross_check(lambda system: count_sudoku_direct(system.order)))),
     },
     "bound": {

@@ -99,10 +99,6 @@ class InvalidNOA(MolscopeError):
     """A nearly orthogonal array failed validation."""
 
 
-class InvalidColumns(MolscopeError):
-    """Bad column indices passed to an array coordinatization."""
-
-
 class LimitExceeded(MolscopeError):
     """An enumeration was requested beyond the configured order limit."""
 

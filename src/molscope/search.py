@@ -1,11 +1,14 @@
 """Exact enumeration: transversals, partitions, extension columns, systems.
 
 One engine does the counting: exact cover of the n x n cells by array
-transversals.  A column extends a nearly orthogonal array exactly when each
-of its symbol classes is an *array transversal*: n cells, one per row, with
-distinct values in every other column of the array.  For the rows array of
-one square these are its Latin transversals; with a region column they also
-meet each region once.  Orthogonal mates, gerechte mates, k-tuples and
+transversals.  A square extends a system of squares with a region
+partition (a :class:`MolsSystem`, already checked by ``validate_mols``)
+exactly when each of its symbol classes is an *array transversal* of the
+system: n cells, one per row and one per column, meeting every region once
+and every symbol of every square once.  The engines read these from
+per-cell codes built straight off the partition's labels and the squares
+(:func:`_array_codes`).  For the rows partition and one square they are its
+Latin transversals.  Orthogonal mates, gerechte mates, k-tuples and
 transversal partitions are all covers of some array's transversals.  A
 second, structurally different engine over plain grids is kept alongside it
 so headline counts can be confirmed by two engines that share no code path;
@@ -50,10 +53,9 @@ branches of one orbit count alike, and a count runs the branch of each
 orbit's smallest member, weighed by the orbit's size.  The maps come from
 a bounded search (:func:`_autotopisms`), and each is checked cell by cell
 before use; a missed map only splits an orbit.  Walks that must produce
-objects in lexicographic order (witnesses, :func:`iter_extensions`,
-:func:`iter_mols_systems`) keep an unreduced walk.  The direct engine is
-never reduced (every square is one leaf of its walk), so it stays an
-independent check.
+objects in lexicographic order (witnesses, :func:`iter_extensions`) keep
+an unreduced walk.  The direct engine is never reduced (every square is one
+leaf of its walk), so it stays an independent check.
 
 Determinism contract: results never depend on thread count.  Branches
 return counts; witnesses are the first min(cap, count) leaves of one
@@ -87,7 +89,6 @@ from dataclasses import InitVar, dataclass, replace
 from itertools import islice, permutations
 from typing import Iterator, Optional, Sequence
 
-from .arrays import NearlyOrthArray, system_to_noa
 from .core import (
     LatinSquare,
     MolsSystem,
@@ -179,19 +180,20 @@ def _check_limit(n: int, default: int, what: str) -> None:
 
 # --------------------------------------------------------------------------
 # the column walk: the symbol classes of a new column grown as array
-# transversals (witnesses and lexicographic walks over systems)
+# transversals (the witnesses of extension and mate counts)
 
 
-def iter_extensions(a: NearlyOrthArray) -> Iterator[tuple[int, ...]]:
-    """All columns that extend ``a``, in lexicographic order (sequential,
+def iter_extensions(system: MolsSystem) -> Iterator[tuple[int, ...]]:
+    """All squares that extend ``system`` (which needs a partition), as
+    flat row-major symbol columns in lexicographic order (sequential,
     unreduced): the walk grows the n symbol classes as partial array
     transversals.  Cell (i, j) has code ``1 << i | 1 << n + j | c << 2n``,
     ``c`` its :func:`_array_codes` bits, and ``used[s]`` ORs the codes of
     the cells holding s.  Cells go in row-major order, each taking in turn
     every s whose ``used[s]`` its code misses, as in :func:`_transversals`."""
-    n = a.order
+    n = system.order
     codes = [1 << i | 1 << n + j | c << 2 * n
-             for i, row in enumerate(_array_codes(a)) for j, c in enumerate(row)]
+             for i, row in enumerate(_array_codes(system)) for j, c in enumerate(row)]
     used = [0] * n
     col = [0] * len(codes)
     last = len(codes) - 1
@@ -434,13 +436,18 @@ def _symbol_codes(l: LatinSquare) -> list[list[int]]:
     return [[1 << x for x in row] for row in l.grid]
 
 
-def _array_codes(a: NearlyOrthArray) -> list[list[int]]:
-    """Per cell, bit b*n + x for value x of column b + 2 of ``a``: the
-    transversals of these codes are the array transversals of ``a``, the
-    n cells meeting every value of every column once."""
-    n = a.order
-    codes = [sum(1 << (b * n + x) for b, x in enumerate(r[2:])) for r in a.rows]
-    return [codes[i * n : (i + 1) * n] for i in range(n)]
+def _array_codes(system: MolsSystem) -> list[list[int]]:
+    """Per cell, bit x for its region x and bit (b+1)*n + x for value x of
+    square b of ``system``: the transversals of these codes are the array
+    transversals of the system, the n cells meeting every region and every
+    value of every square once."""
+    if system.partition is None:
+        raise InvalidParams("system has no partition; attach partition_rows(n)")
+    n = system.order
+    labels = system.partition.labels
+    grids = [s.grid for s in system.squares]
+    return [[1 << labels[i * n + j] | sum(1 << (b * n + g[i][j]) for b, g in enumerate(grids, 1))
+             for j in range(n)] for i in range(n)]
 
 
 def _transversals(codes, n: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -674,33 +681,34 @@ def count_transversal_partitions(
     return _with_witnesses(_count_covers(plan, opts), opts.cap, parts)
 
 
-def count_extensions(a: NearlyOrthArray, opts: SearchOptions | None = None) -> ExtensionCount:
-    """Count the columns whose appending keeps ``a`` a valid array.
+def count_extensions(system: MolsSystem, opts: SearchOptions | None = None) -> ExtensionCount:
+    """Count the squares that extend ``system``, which needs a partition:
+    those orthogonal to each of its squares and gerechte for the partition.
 
     The count is n! times the exact covers of the cells by the array
-    transversals of ``a`` (part s of a cover gets symbol s; see the module
-    docstring), with one branch per transversal through cell 0.  With a
-    cap, witnesses are the first min(cap, count) columns of
+    transversals of the system (part s of a cover gets symbol s; see the
+    module docstring), with one branch per transversal through cell 0.
+    With a cap, witnesses are the first min(cap, count) columns of
     :func:`iter_extensions`' walk of the full tree, so they come in full
     lexicographic order however the count ran.
     """
     opts = opts or SearchOptions()
-    n = a.order
+    n = system.order
     _check_limit(n, DEFAULT_ENUM_LIMIT, "extension counting")
-    res = _count_covers(_cover_plan(_array_codes(a), n), opts, weight=math.factorial(n))
-    return _with_witnesses(res, opts.cap, iter_extensions(a))
+    res = _count_covers(_cover_plan(_array_codes(system), n), opts, weight=math.factorial(n))
+    return _with_witnesses(res, opts.cap, iter_extensions(system))
 
 
 def count_mates(l: LatinSquare, opts: SearchOptions | None = None) -> ExtensionCount:
     """Orthogonal mates of ``l``: n! times its transversal partitions, on the
-    orbit branches of :func:`count_transversal_partitions`.  Witnesses come
-    from :func:`iter_extensions` on the rows array of {l}."""
+    orbit branches of :func:`count_transversal_partitions`.  Witnesses, as
+    flat row-major symbol columns, come from :func:`iter_extensions` on the
+    system {l} with the rows partition, which adds no constraint."""
     opts = opts or SearchOptions()
     n = l.order
     _check_limit(n, DEFAULT_ENUM_LIMIT, "extension counting")
     res = _count_covers(_cover_plan(_symbol_codes(l), n, l.grid), opts, weight=math.factorial(n))
-    rows = system_to_noa(validate_mols([l], partition_rows(n)))
-    return _with_witnesses(res, opts.cap, iter_extensions(rows))
+    return _with_witnesses(res, opts.cap, iter_extensions(validate_mols([l], partition_rows(n))))
 
 
 def count_mols(n: int, k: int, opts: SearchOptions | None = None) -> ExtensionCount:
@@ -716,7 +724,7 @@ def count_mols(n: int, k: int, opts: SearchOptions | None = None) -> ExtensionCo
         return ExtensionCount(Exact(1), True)
     if n >= 2 and k > n - 1:
         return ExtensionCount(Exact(0), True)
-    plan = _cover_plan(_array_codes(system_to_noa(validate_mols([], partition_rows(n)))), n)
+    plan = _cover_plan(_array_codes(validate_mols([], partition_rows(n))), n)
     return _count_covers(plan, opts, k, math.factorial(n) ** k)
 
 
@@ -733,8 +741,8 @@ def _chain_tree(partition: RegionPartition, kmax: int) -> Iterator[tuple[list, i
     One set of cover tables serves the whole walk.
     """
     n = partition.order
-    noa = system_to_noa(validate_mols([], partition))
-    options, (masks, through, disjoint), _ = _cover_plan(_array_codes(noa), n)
+    plan = _cover_plan(_array_codes(validate_mols([], partition)), n)
+    options, (masks, through, disjoint), _ = plan
     cols: list[tuple[int, ...]] = []
 
     def rec(allowed):
@@ -763,41 +771,6 @@ def _chain_tree(partition: RegionPartition, kmax: int) -> Iterator[tuple[list, i
     yield from rec((1 << len(options)) - 1)
 
 
-def iter_mols_systems(n: int, k: int) -> Iterator[MolsSystem]:
-    """All ordered k-tuples of pairwise orthogonal squares, lexicographically
-    by the concatenated flattened grids (sequential, unreduced).  Columns
-    are appended to the array only above the leaves; each leaf's system is
-    validated once, by :func:`columns_to_system`."""
-    if n < 1 or k < 0:
-        raise InvalidParams("need n >= 1 and k >= 0")
-    if n >= 2 and k > n - 1:
-        return
-    if k == 0:
-        yield columns_to_system(n, [])
-        return
-    cols: list[tuple[int, ...]] = []
-
-    def rec(noa: NearlyOrthArray):
-        for x in iter_extensions(noa):
-            cols.append(x)
-            if len(cols) == k:
-                yield columns_to_system(n, cols)
-            else:
-                yield from rec(noa.with_column(x))
-            cols.pop()
-
-    yield from rec(system_to_noa(validate_mols([], partition_rows(n))))
-
-
-def columns_to_system(n: int, cols: Sequence[Sequence[int]]) -> MolsSystem:
-    """Reshape flat symbol columns into a validated system."""
-    squares = [
-        LatinSquare(Square([col[i * n : (i + 1) * n] for i in range(n)]))
-        for col in cols
-    ]
-    return validate_mols(squares, order=n)
-
-
 def max_extensions(n: int, k: int) -> tuple[ExtensionCount, Optional[MolsSystem]]:
     """Maximum extension count over every k-tuple system of order n, with the
     lexicographically first maximizer as witness.
@@ -815,7 +788,8 @@ def max_extensions(n: int, k: int) -> tuple[ExtensionCount, Optional[MolsSystem]
     for cols, cnt in _chain_tree(partition_rows(n), k):
         if len(cols) == k and (cnt > best or cnt == best and cols < best_cols):
             best, best_cols = cnt, list(cols)
-    witness = None if best_cols is None else columns_to_system(n, best_cols)
+    witness = None if best_cols is None else validate_mols(
+        [LatinSquare(Square([col[i * n : (i + 1) * n] for i in range(n)])) for col in best_cols], order=n)
     return ExtensionCount(Exact(max(best, 0)), True), witness
 
 

@@ -8,13 +8,10 @@ from molscope.arrays import (
     OrthArray,
     cell_profile,
     coordinate_columns,
-    mols_to_oa,
-    noa_to_system,
-    oa_to_mols,
-    system_to_noa,
     vectors_orthogonal,
 )
 from molscope.core import (
+    RegionPartition,
     Square,
     partition_boxes,
     partition_from_square,
@@ -23,7 +20,6 @@ from molscope.core import (
     validate_mols,
 )
 from molscope.errors import (
-    InvalidColumns,
     InvalidNOA,
     InvalidOA,
     InvalidParams,
@@ -37,6 +33,14 @@ Z3_MATE = [[0, 1, 2], [2, 0, 1], [1, 2, 0]]
 
 def _sys(grids, partition=None):
     return validate_mols([validate_latin(Square(g)) for g in grids], partition)
+
+
+def _noa(system):
+    """The array of a system with a partition: rows [i, j, region, symbols...]."""
+    n = system.order
+    return NearlyOrthArray(n, [[i, j, system.partition.labels[i * n + j]]
+                               + [s.grid[i][j] for s in system.squares]
+                               for i in range(n) for j in range(n)])
 
 
 def test_coordinate_columns():
@@ -57,28 +61,6 @@ def test_vectors_orthogonal():
         vectors_orthogonal((0, 5, 0, 1), (0, 1, 1, 0))  # symbol out of range
 
 
-def test_oa_round_trip():
-    sys = _sys([Z3, Z3_MATE])
-    a = mols_to_oa(sys)
-    assert isinstance(a, OrthArray)
-    assert a.width == 4
-    back = oa_to_mols(a)
-    assert [s.grid for s in back.squares] == [s.grid for s in sys.squares]
-    # reading other column pairs as coordinates also yields a valid system
-    alt = oa_to_mols(a, rowcol=(2, 3))
-    assert alt.k == 2
-    with pytest.raises(InvalidColumns):
-        oa_to_mols(a, rowcol=(1, 1))
-    with pytest.raises(InvalidColumns):
-        oa_to_mols(a, rowcol=(0, 7))
-
-
-def test_mols_to_oa_rejects_partition():
-    sys = _sys([Z3], partition_rows(3))
-    with pytest.raises(InvalidParams):
-        mols_to_oa(sys)
-
-
 def test_oa_validation():
     v1, v2 = coordinate_columns(2)
     rows = [[v1[l], v2[l]] for l in range(4)]
@@ -94,10 +76,11 @@ def test_oa_validation():
 
 def test_noa_round_trip_and_validation():
     sys = _sys([Z3], partition_from_square(Square(Z3_MATE)))
-    a = system_to_noa(sys)
-    assert isinstance(a, NearlyOrthArray)
+    a = _noa(sys)
     assert a.width == 4
-    back = noa_to_system(a)
+    # the region and symbol columns read back as the same system
+    back = _sys([[a.column(3)[i * 3 : (i + 1) * 3] for i in range(3)]],
+                RegionPartition(3, a.column(2)))
     assert back.partition == sys.partition
     assert [s.grid for s in back.squares] == [s.grid for s in sys.squares]
 
@@ -121,20 +104,12 @@ def test_noa_round_trip_and_validation():
 def test_noa_region_column_exempt_from_orthogonality():
     # the rows partition's label column equals the row-index column, which is
     # NOT orthogonal to column 1 -- and must still be accepted
-    sys = _sys([Z3], partition_rows(3))
-    a = system_to_noa(sys)
+    a = _noa(_sys([Z3], partition_rows(3)))
     assert a.column(2) == a.column(0)
 
 
-def test_system_to_noa_requires_partition():
-    sys = _sys([Z3])
-    with pytest.raises(InvalidParams):
-        system_to_noa(sys)
-
-
 def test_with_column():
-    sys = _sys([Z3], partition_rows(3))
-    a = system_to_noa(sys)
+    a = _noa(_sys([Z3], partition_rows(3)))
     mate_col = tuple(x for row in Z3_MATE for x in row)
     b = a.with_column(mate_col)
     assert b.width == 5
@@ -163,18 +138,20 @@ LATIN_4 = [_flat(g) for g in iter_latin_direct(4)]
 
 
 def _arrays_4():
-    """Order-4 arrays under rows, boxes and a symbol-class partition, with
-    zero, one and two symbol columns."""
+    """(system, array) pairs of order 4 under rows, boxes and a symbol-class
+    partition, with zero, one and two symbol columns."""
     out = []
     for p in (partition_rows(4), partition_boxes(4), partition_from_square(Square(K4))):
-        a = system_to_noa(validate_mols([], p))
-        out.append(a)
+        system = validate_mols([], p)
+        a = _noa(system)
+        out.append((system, a))
         for _ in range(2):
-            x = next(iter_extensions(a), None)
+            x = next(iter_extensions(system), None)
             if x is None:
                 break
+            system = _sys([*(s.grid for s in system.squares), [x[i * 4 : (i + 1) * 4] for i in range(4)]], p)
             a = _appended(a, x)
-            out.append(a)
+            out.append((system, a))
     return out
 
 
@@ -182,11 +159,11 @@ ARRAYS_4 = _arrays_4()
 
 
 def test_arrays_4_cover_widths():
-    assert sorted(a.width for a in ARRAYS_4) == [3, 3, 3, 4, 4, 4, 5, 5, 5]
+    assert sorted(a.width for _, a in ARRAYS_4) == [3, 3, 3, 4, 4, 4, 5, 5, 5]
 
 
-@pytest.mark.parametrize("a", ARRAYS_4, ids=lambda a: f"w{a.width}-{a.column(2)[:4]}")
-def test_with_column_equals_full_constructor(a):
+@pytest.mark.parametrize("system, a", ARRAYS_4, ids=[f"w{a.width}-{a.column(2)[:4]}" for _, a in ARRAYS_4])
+def test_with_column_equals_full_constructor(system, a):
     cases = list(LATIN_4)  # every Latin column: valid, or failing some pair
     cases += [x[:-1] for x in LATIN_4[:3]]  # too short
     cases += [x[:5] + (4,) + x[6:] for x in LATIN_4[:3]]  # out of range
@@ -200,7 +177,7 @@ def test_with_column_equals_full_constructor(a):
         assert _outcome(lambda: a.with_column(x)) == want
         valid += want[0] is not InvalidNOA
     # the valid cases are exactly the extensions the engine counts
-    assert valid == count_extensions(a).value.count
+    assert valid == count_extensions(system).value.count
 
 
 @settings(max_examples=300, deadline=None)
@@ -211,7 +188,7 @@ def test_with_column_equals_full_constructor(a):
     drop=st.integers(0, 2),
 )
 def test_with_column_equals_full_constructor_random(index, square, edits, drop):
-    a = ARRAYS_4[index]
+    _, a = ARRAYS_4[index]
     x = list(LATIN_4[square])
     for l, v in edits:
         x[l] = v
@@ -220,24 +197,19 @@ def test_with_column_equals_full_constructor_random(index, square, edits, drop):
 
 
 def test_with_column_rejects_a_long_column():
-    a = ARRAYS_4[0]
+    _, a = ARRAYS_4[0]
     with pytest.raises(InvalidNOA, match="expected 16 rows, got 17"):
         a.with_column(LATIN_4[0] + (0,))
 
 
 def test_cell_profiles():
-    rows3 = system_to_noa(validate_mols([], partition_rows(3)))
-    p = cell_profile(rows3)
+    p = cell_profile(partition_rows(3))
     assert p.r == (2,) * 9 and p.c == (0,) * 9
 
-    boxes4 = system_to_noa(validate_mols([], partition_boxes(4)))
-    p = cell_profile(boxes4)
+    p = cell_profile(partition_boxes(4))
     assert p.r == (1,) * 16 and p.c == (1,) * 16
 
-    classes3 = system_to_noa(
-        validate_mols([], partition_from_square(Square(Z3)))
-    )
-    p = cell_profile(classes3)
+    p = cell_profile(partition_from_square(Square(Z3)))
     assert p.r == (0,) * 9 and p.c == (0,) * 9
 
 

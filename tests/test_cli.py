@@ -364,6 +364,26 @@ def test_count_extensions_refuses_a_system_with_square_or_partition(cli, capsys,
     assert err.startswith("error: --system takes neither") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--square", "cayley:3", "--partition", "rows:4"],
+     "--square cayley:3 has order 3, but --partition rows:4 has order 4"),
+    (["--square", "cayley:3", "--square", "cayley:4"],
+     "--square cayley:3 has order 3, but --square cayley:4 has order 4"),
+])
+def test_count_extensions_refuses_flags_of_different_orders(cli, capsys, flags, message):
+    # a parameter error, like certify gerechte --n 3 --partition boxes:4
+    assert cli(["count", "extensions", *flags])[:2] == (4, b"")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_count_extensions_refuses_a_system_document_of_mixed_orders(cli, capsys, tmp_path):
+    # a document that fails validation stays a validation failure
+    sysfile = tmp_path / "sys.txt"
+    sysfile.write_text(Z3_TEXT + "\n" + format_square(cayley_table(GroupSpec([4])).grid))
+    assert cli(["count", "extensions", "--system", str(sysfile)])[:2] == (1, b"")
+    assert capsys.readouterr().err == "error: orders 4 and 3 differ\n"
+
+
 @pytest.mark.parametrize("kind", ["certify", "construct"])
 @pytest.mark.parametrize("constant", ["nan", "inf"])
 def test_constant_refuses_a_non_finite_target(cli, capsys, kind, constant):

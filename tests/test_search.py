@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import molscope
 import oracles
-from molscope.arrays import NearlyOrthArray, system_to_noa
+from molscope.arrays import NearlyOrthArray
 from molscope.construct import GroupSpec, cayley_table, construct_for_constant, kronecker
 from molscope.core import (
     Square,
@@ -42,7 +42,6 @@ from molscope.search import (
     gerechte_mates_direct,
     iter_extensions,
     iter_latin_direct,
-    iter_mols_systems,
     max_extensions,
     _array_codes,
     _autotopisms,
@@ -72,6 +71,15 @@ Z3_BY_Z3 = kronecker(cayley_table(GroupSpec([3])), cayley_table(GroupSpec([3])))
 
 def L(grid):
     return validate_latin(Square(grid))
+
+
+def _grid(col, n):
+    """A flat row-major symbol column as an n x n grid."""
+    return [list(col[i * n : (i + 1) * n]) for i in range(n)]
+
+
+def _system(grids, p):
+    return validate_mols([L(g) for g in grids], p)
 
 
 # --------------------------------------------------------------------------
@@ -276,9 +284,7 @@ def test_mate_witnesses_verify():
 
 
 def test_extension_columns_equal_brute_force_mates():
-    sys = validate_mols([L(Z3)], partition_rows(3))
-    noa = system_to_noa(sys)
-    cols = list(iter_extensions(noa))
+    cols = list(iter_extensions(validate_mols([L(Z3)], partition_rows(3))))
     expected = {
         tuple(x for row in m for x in row) for m in oracles.mates(Z3)
     }
@@ -287,9 +293,7 @@ def test_extension_columns_equal_brute_force_mates():
 
 
 def test_extensions_respect_gerechte_partition():
-    base = validate_mols([], partition_boxes(4))
-    noa = system_to_noa(base)
-    res = count_extensions(noa)
+    res = count_extensions(validate_mols([], partition_boxes(4)))
     assert res.value.count == 288
     squares = oracles.brute_latin_squares(4)
     labels = [(i // 2) * 2 + (j // 2) for i in range(4) for j in range(4)]
@@ -310,9 +314,8 @@ EXTENSION_SYSTEMS = {
 @pytest.mark.parametrize("name", EXTENSION_SYSTEMS)
 def test_extension_columns_equal_brute_force_extensions(name):
     grids, p = EXTENSION_SYSTEMS[name]
-    a = system_to_noa(validate_mols([L(g) for g in grids], p))
     want = sorted(oracles.extensions(grids, p.labels))
-    assert want and list(iter_extensions(a)) == want
+    assert want and list(iter_extensions(_system(grids, p))) == want
 
 
 # sha256 of the first 1,000 columns of iter_extensions, one line of digits
@@ -331,8 +334,7 @@ EXTENSION_DIGESTS = {
 @pytest.mark.parametrize("name", EXTENSION_DIGESTS)
 def test_first_extension_columns_are_pinned(name):
     grids, p, digest = EXTENSION_DIGESTS[name]
-    a = system_to_noa(validate_mols([L(g) for g in grids], p))
-    cols = list(itertools.islice(iter_extensions(a), 1000))
+    cols = list(itertools.islice(iter_extensions(_system(grids, p)), 1000))
     assert len(cols) == 1000
     h = hashlib.sha256()
     for col in cols:
@@ -341,11 +343,14 @@ def test_first_extension_columns_are_pinned(name):
 
 
 def test_count_extensions_matches_with_column_validation():
-    # every reported extension column must re-validate
-    sys = validate_mols([L(Z3)], partition_rows(3))
-    noa = system_to_noa(sys)
-    for col in iter_extensions(noa):
-        noa.with_column(col)  # raises on any engine bug
+    # every reported extension column must validate as one more square of
+    # the system, by the core checks alone, and the count must match
+    for grids, p in (([Z3], partition_rows(3)), ([], partition_boxes(4))):
+        system = _system(grids, p)
+        cols = list(iter_extensions(system))
+        for col in cols:
+            validate_mols([*system.squares, L(_grid(col, p.order))], p)  # raises on any engine bug
+        assert len(set(cols)) == len(cols) == count_extensions(system).value.count > 0
 
 
 # --------------------------------------------------------------------------
@@ -612,10 +617,10 @@ def test_capped_mate_count_is_reduced():
     # a cap leaves the count reduced (first row fixed, times 7!), and the
     # witnesses are the first columns of the unreduced walk; an unreduced
     # count of this tree takes minutes
-    a = system_to_noa(validate_mols([L(cayley(7))], partition_rows(7)))
+    rows = validate_mols([L(cayley(7))], partition_rows(7))
     res = count_mates(L(cayley(7)), SearchOptions(cap=5))
     assert res.value.count == 3200400 and res.exact_flag
-    assert res.witnesses == tuple(itertools.islice(iter_extensions(a), 5))
+    assert res.witnesses == tuple(itertools.islice(iter_extensions(rows), 5))
 
 
 def test_transversals_through_origin_match_oracle():
@@ -637,25 +642,26 @@ PARTITIONS_4 = {
 }
 
 
-def _chain_arrays(p):
-    """The base array of ``p`` and its first extension at depths 1 and 2."""
-    arrays = [system_to_noa(validate_mols([], p))]
+def _chain_systems(p):
+    """The empty system on ``p`` and its first extension at depths 1 and 2."""
+    systems = [validate_mols([], p)]
     for _ in range(2):
-        first = next(iter_extensions(arrays[-1]), None)
+        first = next(iter_extensions(systems[-1]), None)
         if first is None:
             break
-        arrays.append(arrays[-1].with_column(first))
-    return arrays
+        systems.append(validate_mols([*systems[-1].squares, L(_grid(first, p.order))], p))
+    return systems
 
 
-ARRAYS_4 = [(name, a) for name, p in PARTITIONS_4.items() for a in _chain_arrays(p)]
+# named by the width k + 3 of the system's array: coordinates, regions, squares
+SYSTEMS_4 = [(name, s) for name, p in PARTITIONS_4.items() for s in _chain_systems(p)]
 
 
 def test_arrays_4_reach_symbol_columns():
-    assert {a.width for _, a in ARRAYS_4} == {3, 4, 5}
+    assert {s.k for _, s in SYSTEMS_4} == {0, 1, 2}
 
 
-@pytest.mark.parametrize("name, a", ARRAYS_4, ids=[f"{n}-w{a.width}" for n, a in ARRAYS_4])
+@pytest.mark.parametrize("name, a", SYSTEMS_4, ids=[f"{n}-w{s.k + 3}" for n, s in SYSTEMS_4])
 def test_one_branch_equals_pooled(name, a):
     exts = list(iter_extensions(a))
     pooled = SearchOptions(threads=2)
@@ -683,14 +689,14 @@ def test_one_branch_equals_pooled(name, a):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    index=st.integers(0, len(ARRAYS_4) - 1),
+    index=st.integers(0, len(SYSTEMS_4) - 1),
     cap=st.none() | st.integers(1, 400),
     threshold=st.none() | st.integers(1, 400),
 )
 def test_one_branch_matches_enumeration(index, cap, threshold):
     # With a threshold the tree is cut into branches; without one it is one
     # branch.  Both must agree with plain enumeration.
-    _, a = ARRAYS_4[index]
+    _, a = SYSTEMS_4[index]
     exts = list(iter_extensions(a))
     res = count_extensions(a, SearchOptions(cap=cap, stop_threshold=threshold))
     stopped = threshold is not None and threshold <= len(exts)
@@ -769,7 +775,7 @@ def test_capped_gerechte_counts_match_oracle(name):
     p = GERECHTE_PARTITIONS[name]
     systems = list(oracles.all_systems(p.order, p.labels, 1))
     for squares, ext in systems[::5]:
-        a = _array(squares, p)
+        a = _system(squares, p)
         assert count_extensions(a).value.count == ext
         _check_stops(lambda t: count_extensions(a, SearchOptions(stop_threshold=t)), ext)
 
@@ -812,7 +818,7 @@ def test_capped_branch_is_the_full_branch_capped():
 
 
 def test_capped_chain_branch_is_the_full_branch_capped():
-    empty = system_to_noa(validate_mols([], partition_rows(4)))
+    empty = validate_mols([], partition_rows(4))
     tables, every, first = _branches(list(_transversals(_array_codes(empty), 4, ())), 4)
     for squares in (1, 2, 3):
         for b in first:
@@ -1008,27 +1014,23 @@ def test_transversal_threshold_at_order_16():
 # symmetry reduction: counts fix the new column's first row and multiply by n!
 
 
-def _array(grids, p):
-    return system_to_noa(validate_mols([L(g) for g in grids], p))
-
-
 FIRST5 = next(iter_latin_direct(5))  # a square of order 5 with no mate
 Z5_TWICE = [[(2 * i + j) % 5 for j in range(5)] for i in range(5)]  # a mate of Z5
 REDUCED_CASES = (
-    [(f"{name}-w{a.width}", a) for name, a in ARRAYS_4]
+    [(f"{name}-w{s.k + 3}", s) for name, s in SYSTEMS_4]
     + [
-        ("n1-rows", _array([], partition_rows(1))),
-        ("n1-rows-w4", _array([[[0]]], partition_rows(1))),
-        ("n2-rows", _array([], partition_rows(2))),
-        ("n2-rows-w4", _array([[[0, 1], [1, 0]]], partition_rows(2))),
-        ("n3-rows", _array([], partition_rows(3))),
-        ("n3-rows-w4", _array([Z3], partition_rows(3))),
-        ("n3-classes", _array([], partition_from_square(Square(Z3)))),
-        ("n4-rows-Z4", _array([Z4], partition_rows(4))),
-        ("n4-boxes-w4", _array([[[0, 1, 2, 3], [2, 3, 0, 1], [1, 0, 3, 2], [3, 2, 1, 0]]], partition_boxes(4))),
-        ("n5-rows-Z5", _array([Z5], partition_rows(5))),
-        ("n5-rows-first", _array([FIRST5], partition_rows(5))),
-        ("n5-classes-Z5", _array([Z5_TWICE], partition_from_square(Square(Z5)))),
+        ("n1-rows", _system([], partition_rows(1))),
+        ("n1-rows-w4", _system([[[0]]], partition_rows(1))),
+        ("n2-rows", _system([], partition_rows(2))),
+        ("n2-rows-w4", _system([[[0, 1], [1, 0]]], partition_rows(2))),
+        ("n3-rows", _system([], partition_rows(3))),
+        ("n3-rows-w4", _system([Z3], partition_rows(3))),
+        ("n3-classes", _system([], partition_from_square(Square(Z3)))),
+        ("n4-rows-Z4", _system([Z4], partition_rows(4))),
+        ("n4-boxes-w4", _system([[[0, 1, 2, 3], [2, 3, 0, 1], [1, 0, 3, 2], [3, 2, 1, 0]]], partition_boxes(4))),
+        ("n5-rows-Z5", _system([Z5], partition_rows(5))),
+        ("n5-rows-first", _system([FIRST5], partition_rows(5))),
+        ("n5-classes-Z5", _system([Z5_TWICE], partition_from_square(Square(Z5)))),
     ]
 )
 
@@ -1054,10 +1056,10 @@ def test_reduced_cases_are_not_trivial():
     assert counts["n1-rows"] == counts["n1-rows-w4"] == 1
     assert counts["n2-rows"] == 2 and counts["n2-rows-w4"] == 0
     assert counts["n5-classes-Z5"] > 0
-    assert {a.width for _, a in REDUCED_CASES} == {3, 4, 5}
+    assert {s.k for _, s in REDUCED_CASES} == {0, 1, 2}
 
 
-RELABEL_CASES = [a for _, a in REDUCED_CASES if a.width > 3]
+RELABEL_CASES = [s for _, s in REDUCED_CASES if s.k > 0]
 
 
 @settings(max_examples=40, deadline=None)
@@ -1065,12 +1067,13 @@ RELABEL_CASES = [a for _, a in REDUCED_CASES if a.width > 3]
 def test_extension_count_invariant_under_symbol_relabelling(index, data):
     # the fact the reduction rests on: permuting the symbols of one square
     # of the system keeps its extension count
-    a = RELABEL_CASES[index]
-    col = data.draw(st.integers(3, a.width - 1))
-    perm = data.draw(st.permutations(range(a.order)))
-    rows = [r[:col] + (perm[r[col]],) + r[col + 1 :] for r in a.rows]
-    relabelled = NearlyOrthArray(a.order, rows)
-    assert count_extensions(relabelled) == count_extensions(a)
+    system = RELABEL_CASES[index]
+    b = data.draw(st.integers(0, system.k - 1))
+    perm = data.draw(st.permutations(range(system.order)))
+    grids = [s.grid for s in system.squares]
+    grids[b] = [[perm[x] for x in row] for row in grids[b]]
+    relabelled = _system(grids, system.partition)
+    assert count_extensions(relabelled) == count_extensions(system)
 
 
 # (partition, kmax): order 1 extends by 1 at every level, and order 2 has
@@ -1159,34 +1162,6 @@ def test_count_mols_order_6(monkeypatch):
 # system iteration, maximisation, census
 
 
-def test_iter_mols_systems():
-    systems = list(iter_mols_systems(3, 2))
-    assert len(systems) == 72
-    for sys in systems[:5]:
-        assert sys.k == 2
-    assert list(iter_mols_systems(2, 2)) == []
-
-
-def test_iter_mols_systems_appends_columns_only_above_the_leaves(monkeypatch):
-    # one array per 1-system of order 3, none per 2-system; the systems and
-    # their order are pinned by a digest of their flattened grids
-    appended = []
-    with_column = NearlyOrthArray.with_column
-
-    def counting(self, x):
-        appended.append(x)
-        return with_column(self, x)
-
-    monkeypatch.setattr(NearlyOrthArray, "with_column", counting)
-    h = hashlib.sha256()
-    for sys in iter_mols_systems(3, 2):
-        h.update((",".join("".join(map(str, itertools.chain(*s.grid))) for s in sys.squares)
-                  + "\n").encode())
-    assert len(appended) == 12
-    assert h.hexdigest() == "d27759029c653e0de16023c397ddcf76de5731077e44ce02167c5e954ece5fce"
-    assert [s.k for s in iter_mols_systems(3, 0)] == [0]
-
-
 def test_max_extensions_small():
     res, witness = max_extensions(3, 1)
     assert res.value.count == 6
@@ -1201,15 +1176,15 @@ def test_max_extensions_small():
 
 @pytest.mark.parametrize("n, k", [(3, 1), (3, 2), (4, 1)])
 def test_max_extensions_matches_system_iteration(n, k):
+    # the oracle's k-systems come in lexicographic order of their grids, so
+    # the first one with the most extensions is the witness
     best, best_sys = -1, None
-    for sys in iter_mols_systems(n, k):
-        noa = system_to_noa(validate_mols(list(sys.squares), partition_rows(n)))
-        c = count_extensions(noa).value.count
-        if c > best:
-            best, best_sys = c, sys
+    for squares, ext in oracles.all_systems(n, partition_rows(n).labels, k):
+        if len(squares) == k and ext > best:
+            best, best_sys = ext, squares
     res, witness = max_extensions(n, k)
     assert res.value.count == best
-    assert [s.grid for s in witness.squares] == [s.grid for s in best_sys.squares]
+    assert [s.grid for s in witness.squares] == list(best_sys)
     assert witness.partition is None
 
 
@@ -1251,6 +1226,34 @@ def test_census_builds_no_per_system_array(monkeypatch):
     assert [s.grid for s in witness.squares] == [
         ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)),
         ((0, 1, 2, 3), (2, 3, 0, 1), (3, 2, 1, 0), (1, 0, 3, 2))]
+
+
+def test_no_engine_builds_an_array(monkeypatch, cli, tmp_path):
+    # the engines read validated systems; the array types are never built
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an engine built an array")
+
+    monkeypatch.setattr(NearlyOrthArray, "__init__", forbidden)
+    monkeypatch.setattr(NearlyOrthArray, "with_column", forbidden)
+    z3 = validate_mols([L(Z3)], partition_rows(3))
+    assert count_extensions(z3, SearchOptions(cap=2)).witnesses == tuple(
+        itertools.islice(iter_extensions(z3), 2))
+    assert count_mates(L(K4), SearchOptions(cap=3)).value.count == 48
+    assert count_mols(4, 2).value.count == 6912
+    assert extension_census(partition_boxes(4), 1)[1] == {0: 192, 24: 96}
+    assert max_extensions(4, 1)[0].value.count == 48
+    for argv in (["count", "extensions", "--square", "cayley:3", "--emit-witnesses", str(tmp_path)],
+                 ["count", "sudoku", "--n", "4"],
+                 ["certify", "gerechte", "--n", "4", "--partition", "boxes:4"]):
+        assert cli(argv)[0] == 0, argv
+
+
+def test_extension_engines_require_a_partition():
+    plain = validate_mols([L(Z3)])
+    with pytest.raises(InvalidParams, match="no partition"):
+        count_extensions(plain)
+    with pytest.raises(InvalidParams, match="no partition"):
+        next(iter_extensions(plain))
 
 
 def test_max_extensions_matches_census():
@@ -1300,7 +1303,7 @@ def test_order_limits(monkeypatch):
 EXHAUSTIVE_WALKS = {
     "enumerate_transversals": lambda: enumerate_transversals(L(Z4)),
     "count_transversal_partitions": lambda: count_transversal_partitions(L(Z4)),
-    "count_extensions": lambda: count_extensions(system_to_noa(validate_mols([L(Z4)], partition_rows(4)))),
+    "count_extensions": lambda: count_extensions(validate_mols([L(Z4)], partition_rows(4))),
     "count_mates": lambda: count_mates(L(Z4)),
     "count_mols": lambda: count_mols(4, 1),
     "extension_census": lambda: extension_census(partition_rows(4), 1),
