@@ -418,10 +418,6 @@ def _threads(args) -> int:
     return args.threads if args.threads is not None else (os.cpu_count() or 1)
 
 
-def _tol(args, default: float) -> float:
-    return args.tol if args.tol is not None else default
-
-
 # --------------------------------------------------------------------------
 # subcommand: verify
 
@@ -594,7 +590,7 @@ def _bound(evaluate: Callable, integer: bool = False) -> Callable:
             raise InvalidParams(f"{doc.command} needs a finite --n, got {args.n}")
         doc.params = {"n": n, "k": args.k}
         try:
-            evaluate(doc, n, args.k, _tol(args, bounds_mod.DEFAULT_TOL))
+            evaluate(doc, n, args.k, args.tol)
         except OverflowError as exc:
             raise InvalidParams(f"{doc.command} overflows at --n {args.n}") from exc
         for f in doc.fields:
@@ -609,9 +605,9 @@ def _bound(evaluate: Callable, integer: bool = False) -> Callable:
 
 
 def _dominance(doc: ReportDocument, prefix: str, k: int, hist: dict[int, int],
-               systems_from: str, bound: float, bound_from: str, tol: float) -> None:
+               systems_from: str, bound: float, bound_from: str) -> None:
     """Report census level k ({extension count: systems}) and whether
-    ln(max) <= bound + tol."""
+    ln(max) <= bound + 1e-6."""
     mx = max(hist, default=0)
     doc.add(f"{prefix}systems_k{k}", sum(hist.values()), unit="exact count",
             provenance=systems_from, exact=True)
@@ -619,7 +615,7 @@ def _dominance(doc: ReportDocument, prefix: str, k: int, hist: dict[int, int],
             provenance="extension-engine", exact=True)
     doc.add(f"{prefix}bound_k{k}", bound, unit="nats", provenance=bound_from)
     doc.add(f"{prefix}dominates_k{k}",
-            (math.log(mx) if mx else float("-inf")) <= bound + tol, provenance="comparison")
+            (math.log(mx) if mx else float("-inf")) <= bound + 1e-6, provenance="comparison")
 
 
 def _certify_extension(args, doc: ReportDocument) -> None:
@@ -636,7 +632,7 @@ def _certify_extension(args, doc: ReportDocument) -> None:
     census = extension_census(partition_rows(n), max(ks))
     for k in ks:
         _dominance(doc, "", k, census[k], "chained-extension-engine",
-                   bounds_mod.extension_bound_mols(n, k), "per-cell-integral", _tol(args, 1e-6))
+                   bounds_mod.extension_bound_mols(n, k), "per-cell-integral")
 
 
 def _certify_gerechte(args, doc: ReportDocument) -> None:
@@ -664,7 +660,7 @@ def _certify_gerechte(args, doc: ReportDocument) -> None:
         for k, hist in enumerate(census):
             _dominance(doc, f"{label}_", k, hist, "extension-engine",
                        bounds_mod.extension_bound_general(profile, k + 3),
-                       "general-profile-bound", _tol(args, 1e-6))
+                       "general-profile-bound")
 
 
 def _certify_product(args, doc: ReportDocument) -> None:
@@ -701,7 +697,6 @@ def _certify_power(args, doc: ReportDocument) -> None:
                             f"since k must be at least 1")
     doc.params = {"m": args.m, "q": args.q, "k": args.k}
     logq = math.log(args.q) if args.q else float("-inf")
-    ctol = _tol(args, 1e-9)
     for kk in range(1, args.k + 1):
         lhs = construct_mod.product_mate_bound(
             args.m**kk, args.m, construct_mod.power_mate_bound(args.m, logq, kk), logq)
@@ -709,7 +704,7 @@ def _certify_power(args, doc: ReportDocument) -> None:
         doc.add(f"step_bound_k{kk}", lhs, unit="nats", provenance="product-bound")
         doc.add(f"power_bound_k{kk + 1}", rhs, unit="nats", provenance="power-bound")
         doc.add(f"recursion_holds_k{kk}",
-                lhs >= rhs - ctol or (lhs == rhs == float("-inf")), provenance="comparison")
+                lhs >= rhs - 1e-9 or (lhs == rhs == float("-inf")), provenance="comparison")
 
 
 def _certify_constant(args, doc: ReportDocument) -> None:
@@ -731,7 +726,7 @@ def _certify_estimate(args, doc: ReportDocument) -> None:
         raise InvalidParams(f"certify estimate --max-n {args.max_n}: nothing to "
                             f"compare, since the sweep starts at n = 2")
     doc.params = {"max_n": args.max_n}
-    ctol = _tol(args, 2e-9)
+    tol = 2e-9
     worst = float("-inf")
     points = 0
     ns = [n for n in range(2, 51) if n <= args.max_n]
@@ -743,8 +738,8 @@ def _certify_estimate(args, doc: ReportDocument) -> None:
             points += 1
     doc.add("grid_points", points, unit="exact count", provenance="quadrature-sweep")
     doc.add("worst_gap", worst, unit="nats", provenance="quadrature-sweep")
-    doc.add("tolerance", ctol, unit="nats", provenance="quadrature-sweep")
-    doc.add("dominates", worst <= ctol, provenance="comparison")
+    doc.add("tolerance", tol, unit="nats", provenance="quadrature-sweep")
+    doc.add("dominates", worst <= tol, provenance="comparison")
 
 
 # --------------------------------------------------------------------------
@@ -924,7 +919,6 @@ _FLAGS = {
                        "(default 1000); ignored without it"),
     "--threshold": dict(type=int, default=None,
                         help="stop counting once at least this many are found"),
-    "--tol": dict(type=float, default=None, help="quadrature / comparison tolerance"),
     "--emit-witnesses": dict(metavar="DIR", default=None,
                              help="write witness files to this directory"),
 }
@@ -968,7 +962,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=tuple(KINDS["bound"]))
     p.add_argument("--n", type=float, required=True)
     p.add_argument("--k", type=int, default=1)
-    _add_common(p, "--tol")
+    p.add_argument("--tol", type=float, default=bounds_mod.DEFAULT_TOL, help="quadrature tolerance")
+    _add_common(p)
     p.set_defaults(func=cmd_kind)
 
     p = sub.add_parser("certify", help="check a bound against exact counts")
@@ -985,7 +980,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, default=5, help="max base order")
     p.add_argument("--power", type=int, default=2, help="power for the certificate")
     p.add_argument("--max-n", type=int, default=50, help="estimate sweep limit")
-    _add_common(p, "--threads", "--tol")
+    _add_common(p, "--threads")
     p.set_defaults(func=cmd_kind)
 
     p = sub.add_parser("construct", help="emit constructed objects")

@@ -292,11 +292,12 @@ class MolsSystem:
         k = len(sq)
         if n >= 2 and k > n - 1:
             raise TooManySquares(k, n)
-        for s in sq:
+        for i, s in enumerate(sq, 1):
             if s.order != n:
-                raise OrderMismatch(f"orders {s.order} and {n} differ")
+                raise OrderMismatch(f"square {i} has order {s.order}, but the system has order {n}")
         if partition is not None and partition.order != n:
-            raise OrderMismatch(f"orders {partition.order} and {n} differ")
+            raise OrderMismatch(f"the partition has order {partition.order}, "
+                                f"but the system has order {n}")
         for i in range(k):
             for j in range(i + 1, k):
                 if not check_orthogonal(sq[i], sq[j]):

@@ -1,23 +1,24 @@
 """Exact enumeration: transversals, partitions, extension columns, systems.
 
 One engine does the counting: exact cover of the n x n cells by array
-transversals.  A square extends a system of squares with a region
-partition (a :class:`MolsSystem`, already checked by ``validate_mols``)
-exactly when each of its symbol classes is an *array transversal* of the
-system: n cells, one per row and one per column, meeting every region once
-and every symbol of every square once.  The engines read these from
-per-cell codes built straight off the partition's labels and the squares
+transversals.  A square extends a system of squares with a region partition
+(a :class:`MolsSystem`, already checked by ``validate_mols``) exactly when
+each of its symbol classes is an *array transversal* of the system: n
+cells, one per row and one per column, meeting every region once and every
+symbol of every square once.  The engines read these from per-cell codes
+built straight off the partition's labels and the squares
 (:func:`_array_codes`).  For the rows partition and one square they are its
-Latin transversals.  Orthogonal mates, gerechte mates, k-tuples and
-transversal partitions are all covers of some array's transversals.  A
-second, structurally different engine over plain grids is kept alongside it
-so headline counts can be confirmed by two engines that share no code path;
-it serves those cross-checks and the tests, and no count or construction
-reads its answers.  It builds each square row by row, every row one of the
-n! permutations, and keeps a row when its column code (and, for gerechte or
-Sudoku squares, its region code) misses those of the rows above; a pair of
-squares is orthogonal when every symbol class of the second is in the
-first's set of transversal cell masks.
+Latin transversals, since a cell's row bit never clashes, so a square's
+transversal and partition counts read the codes of that system.  Orthogonal
+mates, gerechte mates, k-tuples and transversal partitions are all covers
+of some array's transversals.  A second, structurally different engine over
+plain grids is kept alongside it so headline counts can be confirmed by two
+engines that share no code path; it serves those cross-checks and the
+tests, and no count or construction reads its answers.  It builds each
+square row by row, every row one of the n! permutations, and keeps a row
+when its column code (and, for gerechte or Sudoku squares, its region code)
+misses those of the rows above; a pair of squares is orthogonal when every
+symbol class of the second is in the first's set of transversal cell masks.
 
 The cover is Knuth's Algorithm X (arXiv cs/0011047) over bitsets: cells
 are the items, the T transversals the options, and every set of options is
@@ -42,20 +43,23 @@ before it, is a k-tuple of squares worth (n!)^k.  The census walks that
 chain tree (:func:`_chain_tree`): a node at depth j is a j-system, and its
 extension count is n! times its child covers.
 
-The input square's own symmetries reduce transversal, partition and mate
-counts (a mate count is n! times the partition count, on the same plan).
-An autotopism (α, β, γ) of L, with L[α(i)][β(j)] = γ(L[i][j]) at every
-cell, maps transversals to transversals and partitions to partitions.  One
-with α(0) = 0 maps the transversals through (0, j) onto those through
-(0, β(j)); one that also has β(0) = 0 fixes cell 0 and maps the partitions
-containing a part through cell 0 onto those containing its image.  So the
-branches of one orbit count alike, and a count runs the branch of each
-orbit's smallest member, weighed by the orbit's size.  The maps come from
-a bounded search (:func:`_autotopisms`), and each is checked cell by cell
-before use; a missed map only splits an orbit.  Walks that must produce
-objects in lexicographic order (witnesses, :func:`iter_extensions`) keep
-an unreduced walk.  The direct engine is never reduced (every square is one
-leaf of its walk), so it stays an independent check.
+The input square's own symmetries reduce transversal counts, and the exact
+covers of a system of one square on the rows: its partition count and its
+extension count, which is its mate count (n! times the partition count, on
+the same plan, :func:`_cover_plan`).  No other system is reduced: its
+partition need not be kept by the square's maps.  An autotopism (α, β, γ)
+of L, with L[α(i)][β(j)] = γ(L[i][j]) at every cell, maps transversals to
+transversals and partitions to partitions.  One with α(0) = 0 maps the
+transversals through (0, j) onto those through (0, β(j)); one that also has
+β(0) = 0 fixes cell 0 and maps the partitions containing a part through
+cell 0 onto those containing its image.  So the branches of one orbit count
+alike, and a count runs the branch of each orbit's smallest member, weighed
+by the orbit's size.  The maps come from a bounded search
+(:func:`_autotopisms`), and each is checked cell by cell before use; a
+missed map only splits an orbit.  Walks that must produce objects in
+lexicographic order (witnesses, :func:`iter_extensions`) keep an unreduced
+walk.  The direct engine is never reduced (every square is one leaf of its
+walk), so it stays an independent check.
 
 Determinism contract: results never depend on thread count.  Branches
 return counts; witnesses are the first min(cap, count) leaves of one
@@ -65,7 +69,7 @@ only that far.  The exact cover always branches on the part through cell
 choice, whatever the options: the option through cell 0 of a cover, the
 column of row 0 of a transversal, one branch per orbit where the square's
 autotopisms join several.  The branches and their orbit sizes are fixed by
-the square alone.  Branches are processed in increasing order of their
+the instance alone.  Branches are processed in increasing order of their
 representatives and their counts added in that order.  With a threshold, a
 branch standing for an orbit of s branches whose leaves are worth w each
 counts only up to ⌈threshold / (w·s)⌉ leaves and returns the smaller of its
@@ -159,11 +163,12 @@ DEFAULT_MOLS_LIMIT = 5  # every walk of the chain tree: tuple counts, censuses
 
 
 def order_limit(default: int) -> int:
-    """Effective order limit; MOLSCOPE_LIMIT_N overrides every default."""
+    """Effective order limit: ``default``, or MOLSCOPE_LIMIT_N where that is
+    larger (the variable raises limits and never lowers one)."""
     env = os.environ.get("MOLSCOPE_LIMIT_N")
     if env:
         try:
-            return int(env)
+            return max(default, int(env))
         except ValueError as exc:
             raise InvalidParams(f"MOLSCOPE_LIMIT_N={env!r} is not an integer") from exc
     return default
@@ -430,12 +435,6 @@ def _orbits(points: Sequence[int], perms: Sequence) -> list[tuple[int, int]]:
 # transversals and exact covers
 
 
-def _symbol_codes(l: LatinSquare) -> list[list[int]]:
-    """Per cell, one bit for its symbol: the transversals of these codes
-    are the Latin transversals of ``l``."""
-    return [[1 << x for x in row] for row in l.grid]
-
-
 def _array_codes(system: MolsSystem) -> list[list[int]]:
     """Per cell, bit x for its region x and bit (b+1)*n + x for value x of
     square b of ``system``: the transversals of these codes are the array
@@ -576,17 +575,21 @@ def _covers(masks, through, disjoint, uncov, allowed) -> Iterator[tuple[int, ...
             yield (t,) + rest
 
 
-def _cover_plan(codes, n: int, grid=None) -> tuple[list, tuple, list[tuple[int, int]]]:
-    """The options of an exact cover by the transversals of ``codes`` (as
-    their column per row), their :func:`_cover_tables`, and its branches as
-    (option, orbit size) pairs: each option through cell 0, or one per orbit
-    (:func:`_cover_orbits`) when ``grid`` is the square with these transversals."""
-    options = list(_transversals(codes, n, ()))
+def _cover_plan(system: MolsSystem) -> tuple[list, tuple, list[tuple[int, int]]]:
+    """The options of the exact cover of the cells by the array transversals
+    of ``system`` (as their column per row), their :func:`_cover_tables`, and
+    its branches as (option, orbit size) pairs.  For one square on the rows
+    the options are that square's Latin transversals, and its autotopisms
+    fixing cell 0 map covers (and chains of covers) to covers: one branch
+    per orbit (:func:`_cover_orbits`).  Any other system, whose partition
+    those maps need not keep, branches on each option through cell 0."""
+    n = system.order
+    options = list(_transversals(_array_codes(system), n, ()))
     tables = _cover_tables(options, n)
-    if grid is None:
-        branches = [(t, 1) for t, m in enumerate(tables[0]) if m & 1]
+    if system.k == 1 and system.partition == partition_rows(n):
+        branches = _cover_orbits(system.squares[0].grid, options)
     else:
-        branches = _cover_orbits(grid, options)
+        branches = [(t, 1) for t, m in enumerate(tables[0]) if m & 1]
     return options, tables, branches
 
 
@@ -626,19 +629,19 @@ def _cover_orbits(grid, options: Sequence[tuple[int, ...]]) -> list[tuple[int, i
 def enumerate_transversals(l: LatinSquare, opts: SearchOptions | None = None) -> ExtensionCount:
     """Count (and optionally collect) all transversals of ``l``.
 
-    Row-by-row backtracking over column choices with column and symbol
-    bitmasks (:func:`_transversals`), with one branch per orbit of the
-    columns of row 0 under the autotopisms of ``l`` with α(0) = 0
-    (:func:`_autotopisms`): such a map sends each transversal through (0, j)
-    to one through (0, β(j)), so the branch on an orbit's smallest column
-    counts for the whole orbit.  Witnesses, cell tuples sorted by row, are
-    the first min(cap, count) transversals of one sequential walk in
-    lexicographic order of their columns.
+    Row-by-row backtracking over column choices (:func:`_transversals`) on
+    the per-cell codes of the system {l} on the rows, with one branch per
+    orbit of the columns of row 0 under the autotopisms of ``l`` with
+    α(0) = 0 (:func:`_autotopisms`): such a map sends each transversal
+    through (0, j) to one through (0, β(j)), so the branch on an orbit's
+    smallest column counts for the whole orbit.  Witnesses, cell tuples
+    sorted by row, are the first min(cap, count) transversals of one
+    sequential walk in lexicographic order of their columns.
     """
     opts = opts or SearchOptions()
     n = l.order
     _check_limit(n, DEFAULT_ENUM_LIMIT, "transversal enumeration")
-    codes = _symbol_codes(l)
+    codes = _array_codes(validate_mols([l], partition_rows(n)))
     orbits = _orbits(range(n), [b for _, b, _ in _autotopisms(l.grid, False)])
     res = _aggregate((_transversal_branch, (codes, n), [((j,), size) for j, size in orbits]), opts)
     return _with_witnesses(res, opts.cap, (tuple(enumerate(c)) for c in _transversals(codes, n, ())))
@@ -664,17 +667,17 @@ def count_transversal_partitions(
     level's count is the number of allowed transversals through the cell.
     Branches count, each only as far as the threshold needs (see the module
     docstring): one per orbit of the parts through cell 0 under the
-    autotopisms of ``l`` fixing cell 0 (:func:`_cover_orbits`), weighed by
-    the orbit's size.  Witnesses are the first
-    min(cap, count) partitions of one sequential walk in that same order,
-    i.e. in lexicographic order of their parts' transversal indices.
+    autotopisms of ``l`` fixing cell 0, weighed by the orbit's size, on the
+    :func:`_cover_plan` of the system {l} on the rows.  Witnesses are the
+    first min(cap, count) partitions of one sequential walk in that same
+    order, i.e. in lexicographic order of their parts' transversal indices.
     Orthogonal mates are in bijection with (partition, symbol assignment)
     pairs, so mates(l) = partitions(l) * n!.
     """
     opts = opts or SearchOptions()
     n = l.order
     _check_limit(n, DEFAULT_ENUM_LIMIT, "partition enumeration")
-    plan = _cover_plan(_symbol_codes(l), n, l.grid)
+    plan = _cover_plan(validate_mols([l], partition_rows(n)))
     options, tables, _ = plan
     covers = _covers(*tables, (1 << n * n) - 1, (1 << len(options)) - 1)
     parts = (tuple(tuple(enumerate(options[t])) for t in c) for c in covers)
@@ -687,28 +690,24 @@ def count_extensions(system: MolsSystem, opts: SearchOptions | None = None) -> E
 
     The count is n! times the exact covers of the cells by the array
     transversals of the system (part s of a cover gets symbol s; see the
-    module docstring), with one branch per transversal through cell 0.
-    With a cap, witnesses are the first min(cap, count) columns of
+    module docstring), on the branches of its :func:`_cover_plan`: one per
+    transversal through cell 0, or one per orbit of them when the system is
+    one square on the rows (its mates; see :func:`count_mates`).  With a
+    cap, witnesses are the first min(cap, count) columns of
     :func:`iter_extensions`' walk of the full tree, so they come in full
     lexicographic order however the count ran.
     """
     opts = opts or SearchOptions()
     n = system.order
     _check_limit(n, DEFAULT_ENUM_LIMIT, "extension counting")
-    res = _count_covers(_cover_plan(_array_codes(system), n), opts, weight=math.factorial(n))
+    res = _count_covers(_cover_plan(system), opts, weight=math.factorial(n))
     return _with_witnesses(res, opts.cap, iter_extensions(system))
 
 
 def count_mates(l: LatinSquare, opts: SearchOptions | None = None) -> ExtensionCount:
-    """Orthogonal mates of ``l``: n! times its transversal partitions, on the
-    orbit branches of :func:`count_transversal_partitions`.  Witnesses, as
-    flat row-major symbol columns, come from :func:`iter_extensions` on the
-    system {l} with the rows partition, which adds no constraint."""
-    opts = opts or SearchOptions()
-    n = l.order
-    _check_limit(n, DEFAULT_ENUM_LIMIT, "extension counting")
-    res = _count_covers(_cover_plan(_symbol_codes(l), n, l.grid), opts, weight=math.factorial(n))
-    return _with_witnesses(res, opts.cap, iter_extensions(validate_mols([l], partition_rows(n))))
+    """Orthogonal mates of ``l``: the extensions of the system {l} on the
+    rows partition, which adds no constraint (:func:`count_extensions`)."""
+    return count_extensions(validate_mols([l], partition_rows(l.order)), opts)
 
 
 def count_mols(n: int, k: int, opts: SearchOptions | None = None) -> ExtensionCount:
@@ -724,7 +723,7 @@ def count_mols(n: int, k: int, opts: SearchOptions | None = None) -> ExtensionCo
         return ExtensionCount(Exact(1), True)
     if n >= 2 and k > n - 1:
         return ExtensionCount(Exact(0), True)
-    plan = _cover_plan(_array_codes(validate_mols([], partition_rows(n))), n)
+    plan = _cover_plan(validate_mols([], partition_rows(n)))
     return _count_covers(plan, opts, k, math.factorial(n) ** k)
 
 
@@ -741,7 +740,7 @@ def _chain_tree(partition: RegionPartition, kmax: int) -> Iterator[tuple[list, i
     One set of cover tables serves the whole walk.
     """
     n = partition.order
-    plan = _cover_plan(_array_codes(validate_mols([], partition)), n)
+    plan = _cover_plan(validate_mols([], partition))
     options, (masks, through, disjoint), _ = plan
     cols: list[tuple[int, ...]] = []
 

@@ -15,7 +15,7 @@ from molscope.cli import (
     resolve_square_spec,
 )
 from molscope.construct import GroupSpec, cayley_table
-from molscope.core import RegionPartition, Square, partition_from_square, partition_rows
+from molscope.core import RegionPartition, Square, partition_from_square, partition_rows, validate_mols
 from molscope.errors import FormatError
 from molscope.search import Exact, ExtensionCount, count_mols, extension_census, max_extensions
 
@@ -261,17 +261,6 @@ def test_internal_error_exits_6(cli, monkeypatch, capsys):
     assert err == "internal error: invariant broken\n"
 
 
-def test_exit_violation_on_unattainable_tolerance(cli):
-    code, out, _ = cli(
-        ["certify", "estimate", "--max-n", "5", "--tol", "-1",
-         "--format", "structured"]
-    )
-    assert code == 5
-    doc = json.loads(out)
-    flags = {f["name"]: f["value"] for f in doc["results"]}
-    assert flags["dominates"] is False
-
-
 # --------------------------------------------------------------------------
 # counting through the CLI
 
@@ -381,7 +370,7 @@ def test_count_extensions_refuses_a_system_document_of_mixed_orders(cli, capsys,
     sysfile = tmp_path / "sys.txt"
     sysfile.write_text(Z3_TEXT + "\n" + format_square(cayley_table(GroupSpec([4])).grid))
     assert cli(["count", "extensions", "--system", str(sysfile)])[:2] == (1, b"")
-    assert capsys.readouterr().err == "error: orders 4 and 3 differ\n"
+    assert capsys.readouterr().err == "error: square 2 has order 4, but the system has order 3\n"
 
 
 @pytest.mark.parametrize("kind", ["certify", "construct"])
@@ -429,6 +418,7 @@ def test_count_mols_says_when_it_skips_the_cross_check(cli, monkeypatch, n, k, v
     ["bound", "extension", "--n", "4", "--threads", "8"],
     ["construct", "cayley", "--group", "3", "--threads", "2"],
     ["certify", "product", "--base", "cayley:3", "--threshold", "5"],
+    ["certify", "extension", "--n", "4", "--tol", "1"],
 ])
 def test_commands_refuse_flags_they_do_not_read(cli, argv):
     with pytest.raises(SystemExit) as exc:
@@ -860,6 +850,8 @@ FAILING_CERTIFICATES = {
     "constant": (construct_mod, "construct_for_constant",
                  lambda *args: replace(_construct_for_constant(*args), log_lower_bound=0.0),
                  ["--constant", "1.2", "--limit", "3"], "certified"),
+    "estimate": (bounds_mod, "closed_form_estimate", lambda *args: -100.0,
+                 ["--max-n", "5"], "dominates"),
 }
 
 
@@ -916,7 +908,7 @@ def test_construct_translate_mates_stops_at_the_first_transversal(cli, monkeypat
     # the built-in transversal is the first of the lexicographic walk, and
     # the search for it stops there instead of counting every transversal
     import molscope.cli as cli_mod
-    from molscope.search import _symbol_codes, _transversals
+    from molscope.search import _array_codes, _transversals
 
     seen = []
     engine = cli_mod.enumerate_transversals
@@ -929,7 +921,7 @@ def test_construct_translate_mates_stops_at_the_first_transversal(cli, monkeypat
     doc = run_structured(cli, ["construct", "translate-mates", "--group", "13", "--count", "2"])
     assert [(o.cap, o.stop_threshold) for o in seen] == [(1, 1)]
     table = cayley_table(GroupSpec([13]))
-    first = next(_transversals(_symbol_codes(table), 13, ()))
+    first = next(_transversals(_array_codes(validate_mols([table], partition_rows(13))), 13, ()))
     parsed = parse_document(fields_by_name(doc)["document"]["value"])
     assert parsed.transversal == list(enumerate(first))
     assert fields_by_name(doc)["mates_emitted"]["value"] == "2"

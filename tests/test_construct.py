@@ -83,11 +83,14 @@ def test_power():
 
 
 def test_construct_order_limit(monkeypatch):
+    import molscope.construct as construct_mod
+
     z8 = GroupSpec([8])
-    monkeypatch.setenv("MOLSCOPE_LIMIT_N", "7")
-    with pytest.raises(LimitExceeded):
-        cayley_table(z8)
-    monkeypatch.delenv("MOLSCOPE_LIMIT_N")
+    monkeypatch.delenv("MOLSCOPE_LIMIT_N", raising=False)
+    with monkeypatch.context() as m:
+        m.setattr(construct_mod, "DEFAULT_CONSTRUCT_LIMIT", 7)
+        with pytest.raises(LimitExceeded):
+            cayley_table(z8)
     big = cayley_table(GroupSpec([8]))
     with pytest.raises(LimitExceeded):
         power(big, 3)  # 512 > default 64

@@ -194,8 +194,11 @@ def test_mols_system_error_order():
     with pytest.raises(NotGerechte) as e4:
         validate_mols([a], partition_from_square(Square(Z3)))
     assert e4.value.i == 0
-    with pytest.raises(OrderMismatch):
+    # an order mismatch names the culprit
+    with pytest.raises(OrderMismatch, match="^the partition has order 4, but the system has order 3$"):
         validate_mols([a], partition_rows(4))
+    with pytest.raises(OrderMismatch, match="^square 2 has order 4, but the system has order 3$"):
+        validate_mols([a, c4])
     with pytest.raises(OrderMismatch):
         validate_mols([], None)
 

@@ -49,8 +49,8 @@ from molscope.search import (
     _cover_branch,
     _cover_orbits,
     _cover_tables,
+    _cover_plan,
     _orbits,
-    _symbol_codes,
     _transversal_branch,
     _transversals,
 )
@@ -71,6 +71,12 @@ Z3_BY_Z3 = kronecker(cayley_table(GroupSpec([3])), cayley_table(GroupSpec([3])))
 
 def L(grid):
     return validate_latin(Square(grid))
+
+
+def _row_codes(grid):
+    """The per-cell codes of the system {grid} on the rows: their
+    transversals are the Latin transversals of the square."""
+    return _array_codes(validate_mols([L(grid)], partition_rows(len(grid))))
 
 
 def _grid(col, n):
@@ -629,7 +635,7 @@ def test_transversals_through_origin_match_oracle():
     order5 = itertools.islice(iter_latin_direct(5), 0, 20000, 101)
     for g in itertools.chain(iter_latin_direct(4), order5):
         want = sum(1 for t in oracles.transversals(g) if (0, 0) in t)
-        assert _transversal_branch(_symbol_codes(L(g)), len(g), None, (0,)) == want
+        assert _transversal_branch(_row_codes(g), len(g), None, (0,)) == want
 
 
 # --------------------------------------------------------------------------
@@ -808,7 +814,7 @@ def _branches(options, n):
 
 def test_capped_branch_is_the_full_branch_capped():
     # the certify-product instance: branch 0 holds 110,580 partitions
-    tables, every, first = _branches(list(_transversals(_symbol_codes(L(Z3_BY_Z3)), 9, ())), 9)
+    tables, every, first = _branches(list(_transversals(_row_codes(Z3_BY_Z3), 9, ())), 9)
     ends = (first[0], first[-1])
     full = [_cover_branch(*tables, 1, every, None, b) for b in ends]
     assert full == [110580, 44751]
@@ -839,7 +845,7 @@ def test_branch_limit_is_the_least_count_reaching_the_threshold():
 
 
 def test_capped_transversal_branch_is_the_full_branch_capped():
-    codes = _symbol_codes(L(cayley(7)))
+    codes = _row_codes(cayley(7))
     for prefix in ((), (0,), (0, 2)):
         full = _transversal_branch(codes, 7, None, prefix)
         assert full > 1
@@ -900,7 +906,7 @@ ORBIT_PARTITION_CASES = {
 def test_orbit_weighted_transversals_equal_plain_sums(name):
     grid = ORBIT_TRANSVERSAL_CASES[name]
     n = len(grid)
-    codes = _symbol_codes(L(grid))
+    codes = _row_codes(grid)
     plain = [_transversal_branch(codes, n, None, (j,)) for j in range(n)]
     maps = _autotopisms(grid, False)
     _check_maps(grid, maps, False)
@@ -920,7 +926,7 @@ def test_orbit_weighted_transversals_equal_plain_sums(name):
 def test_orbit_weighted_partitions_equal_plain_sums(name):
     grid = ORBIT_PARTITION_CASES[name]
     n = len(grid)
-    options = list(_transversals(_symbol_codes(L(grid)), n, ()))
+    options = list(_transversals(_row_codes(grid), n, ()))
     tables, every, first = _branches(options, n)
     plain = {t: _cover_branch(*tables, 1, every, None, t) for t in first}
     maps = _autotopisms(grid, True)
@@ -967,6 +973,60 @@ def test_orbit_weighted_stops_and_witnesses_match_the_plain_walk(name, threads):
         assert res.value.count == (threshold if stopped else total)
         assert res.exact_flag is not stopped
         assert list(res.witnesses) == want[: min(cap, res.value.count)]
+
+
+RANDOM_5 = _random_latin(5, 1)  # its only autotopism fixing cell 0 is the identity
+MATE_CASES = {"K4": K4, "Z5": Z5, "Z2^3-iso": _isotope(Z2_CUBED, 4), "random5": RANDOM_5}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", MATE_CASES)
+def test_mates_are_the_extensions_of_the_square_on_the_rows(name, threads):
+    # the same count, flag and witnesses as count_extensions of {l} on the
+    # rows: min(threshold, total) against the unreduced branch sum, and the
+    # first leaves of the column walk
+    grid = MATE_CASES[name]
+    n = len(grid)
+    rows = validate_mols([L(grid)], partition_rows(n))
+    options, tables, _ = _cover_plan(rows)
+    every = (1 << len(options)) - 1
+    covers = sum(_cover_branch(*tables, 1, every, None, t) for t, cols in enumerate(options) if cols[0] == 0)
+    total = math.factorial(n) * covers
+    cap = 5
+    want = list(itertools.islice(iter_extensions(rows), cap))
+    for threshold in [None] + sorted({1, 2, 7, total // 3, total // 2, total - 1, total, total + 1} - {0, -1}):
+        opts = SearchOptions(cap=cap, stop_threshold=threshold, threads=threads)
+        res = count_mates(L(grid), opts)
+        assert res == count_extensions(rows, opts)
+        stopped = threshold is not None and threshold <= total
+        assert res.value.count == (threshold if stopped else total)
+        assert res.exact_flag is not stopped
+        assert list(res.witnesses) == want[: min(cap, res.value.count)]
+    if name == "random5":
+        assert len(_autotopisms(grid, True)) == 1 and total == 0
+
+
+def test_the_cover_plan_takes_orbits_only_for_one_square_on_the_rows():
+    def plain(options):
+        return [(t, 1) for t, cols in enumerate(options) if cols[0] == 0]
+
+    # Z2^3 on the rows: its 48 transversals through cell 0 in 2 orbits
+    _, _, branches = _cover_plan(validate_mols([L(Z2_CUBED)], partition_rows(8)))
+    assert [size for _, size in branches] == [24, 24]
+    # a square gerechte for the boxes: some of its maps send an option to a
+    # transversal that misses a box, so its orbits are not the plan's
+    boxed = [[0, 1, 2, 3], [2, 3, 0, 1], [1, 0, 3, 2], [3, 2, 1, 0]]
+    system = validate_mols([L(boxed)], partition_boxes(4))
+    options, _, branches = _cover_plan(system)
+    assert branches == plain(options)
+    with pytest.raises(KeyError):
+        _cover_orbits(boxed, options)
+    labels = partition_boxes(4).labels
+    brute = [m for m in oracles.mates(boxed) if oracles.gerechte(m, labels)]
+    assert count_extensions(system).value.count == len(brute)
+    # the empty system on the rows has no square to take maps from
+    options, _, branches = _cover_plan(validate_mols([], partition_rows(4)))
+    assert branches == plain(options) and len(branches) == 6
 
 
 def test_a_cut_short_finder_only_splits_orbits(monkeypatch):
@@ -1283,12 +1343,24 @@ def test_census_symbol_classes_order3():
 # limits
 
 
+def _lower_limits(monkeypatch, n):
+    """Lower every default order limit to ``n`` (MOLSCOPE_LIMIT_N only
+    raises them)."""
+    import molscope.construct as construct_mod
+    import molscope.search as search
+
+    monkeypatch.delenv("MOLSCOPE_LIMIT_N", raising=False)
+    monkeypatch.setattr(search, "DEFAULT_ENUM_LIMIT", n)
+    monkeypatch.setattr(search, "DEFAULT_MOLS_LIMIT", n)
+    monkeypatch.setattr(construct_mod, "DEFAULT_CONSTRUCT_LIMIT", n)
+
+
 def test_order_limits(monkeypatch):
     with pytest.raises(LimitExceeded):
         count_mols(6, 1)
     with pytest.raises(LimitExceeded):
         max_extensions(6, 1)
-    monkeypatch.setenv("MOLSCOPE_LIMIT_N", "3")
+    _lower_limits(monkeypatch, 3)
     with pytest.raises(LimitExceeded):
         count_mols(4, 1)
     with pytest.raises(LimitExceeded):
@@ -1315,7 +1387,7 @@ EXHAUSTIVE_WALKS = {
 
 @pytest.mark.parametrize("walk", list(EXHAUSTIVE_WALKS))
 def test_every_exhaustive_walk_refuses_an_order_past_its_limit(monkeypatch, walk):
-    monkeypatch.setenv("MOLSCOPE_LIMIT_N", "3")
+    _lower_limits(monkeypatch, 3)
     started = time.monotonic()
     with pytest.raises(LimitExceeded) as err:
         EXHAUSTIVE_WALKS[walk]()
@@ -1323,6 +1395,17 @@ def test_every_exhaustive_walk_refuses_an_order_past_its_limit(monkeypatch, walk
     assert "at order 4 exceeds the configured limit 3" in str(err.value)
     if walk == "count_mates":
         assert str(err.value).startswith("extension counting")
+
+
+def test_the_limit_variable_only_raises_limits(monkeypatch):
+    # raised for the census walks, it leaves the higher limits where they are
+    import molscope.search as search
+
+    monkeypatch.setenv("MOLSCOPE_LIMIT_N", "6")
+    assert search.order_limit(search.DEFAULT_MOLS_LIMIT) == 6
+    assert search.order_limit(search.DEFAULT_ENUM_LIMIT) == 16
+    assert cayley_table(GroupSpec([8])).order == 8
+    assert enumerate_transversals(L(cayley(7))).value.count == 133
 
 
 def test_invalid_search_params():
