@@ -10,7 +10,7 @@ boxes:4, classes:(A).
 
 Exit codes: 0 ok, 1 validation failure, 2 I/O or parse error, 3 search
 limit exceeded, 4 invalid parameters, 5 certified inequality violated,
-6 internal error (a broken invariant).
+6 internal error (a broken invariant or any other unexpected exception).
 
 Structured reports are deterministic: exact counts are decimal strings,
 every value carries a unit and the operation that produced it, and nothing
@@ -722,20 +722,9 @@ def _certify_constant(args, doc: ReportDocument) -> None:
 
 
 def _certify_estimate(args, doc: ReportDocument) -> None:
-    if args.max_n < 2:
-        raise InvalidParams(f"certify estimate --max-n {args.max_n}: nothing to "
-                            f"compare, since the sweep starts at n = 2")
     doc.params = {"max_n": args.max_n}
     tol = 2e-9
-    worst = float("-inf")
-    points = 0
-    ns = [n for n in range(2, 51) if n <= args.max_n]
-    ns += [n for n in (100, 500, 1000) if n <= args.max_n]
-    for n in ns:
-        for d in range(2, n + 1):
-            gap = bounds_mod.integral_I(n, d) - bounds_mod.closed_form_estimate(n, d)
-            worst = max(worst, gap)
-            points += 1
+    points, worst = bounds_mod.estimate_sweep(args.max_n)
     doc.add("grid_points", points, unit="exact count", provenance="quadrature-sweep")
     doc.add("worst_gap", worst, unit="nats", provenance="quadrature-sweep")
     doc.add("tolerance", tol, unit="nats", provenance="quadrature-sweep")
@@ -1020,6 +1009,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INVALID
     except RuntimeError as exc:  # a broken internal invariant
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:  # any other unexpected failure is a bug too
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -5,10 +5,14 @@ import pytest
 import oracles
 from molscope.arrays import CellProfile
 from molscope.bounds import (
+    _SCREEN_MARGIN,
+    _SCREEN_TOL,
     MAX_QUADRATURES,
     BoundReport,
     c_beta,
     closed_form_estimate,
+    estimate_grid,
+    estimate_sweep,
     extension_bound_general,
     extension_bound_mols,
     integral_I,
@@ -68,19 +72,43 @@ def test_closed_form_estimate_domain():
     closed_form_estimate(1000, 1000)
 
 
-def test_estimate_dominates_integral_on_grid():
-    worst = -math.inf
-    for n in list(range(2, 51)) + [100, 500, 1000]:
-        for d in range(2, min(n, 60) + 1):
-            gap = integral_I(n, d) - closed_form_estimate(n, d)
-            worst = max(worst, gap)
-    assert worst <= 2e-9
-
-
 def test_estimate_huge_d_no_overflow():
     val = closed_form_estimate(1000, 1000)
     assert math.isfinite(val)
     assert val > integral_I(1000, 1000) - 2e-9
+
+
+@pytest.fixture(scope="module")
+def estimate_reference():
+    """Per point of the full estimate grid: (integral at the screening
+    tolerance, integral at the default tolerance, closed-form estimate)."""
+    return {(n, d): (integral_I(n, d, _SCREEN_TOL), integral_I(n, d), closed_form_estimate(n, d))
+            for n, d in estimate_grid(1000)}
+
+
+def test_the_estimate_screen_is_within_a_quarter_margin_everywhere(estimate_reference):
+    # the grid is fixed and --max-n only truncates it, so this covers every
+    # point any sweep can reach; Simpson's own error estimate is not trusted
+    assert len(estimate_reference) == 2822
+    deviation = max(abs(screened - full) for screened, full, _ in estimate_reference.values())
+    assert deviation <= _SCREEN_MARGIN / 4
+
+
+@pytest.mark.parametrize("max_n", [2, 3, 10, 50, 100, 500, 1000])
+def test_estimate_sweep_equals_the_full_tolerance_sweep(estimate_reference, max_n):
+    gaps = [full - est for (n, _), (_, full, est) in estimate_reference.items() if n <= max_n]
+    assert estimate_sweep(max_n) == (len(gaps), max(gaps))
+
+
+def test_estimate_dominates_integral_on_grid(estimate_reference):
+    assert max(full - est for _, full, est in estimate_reference.values()) <= 2e-9
+
+
+def test_estimate_sweep_domain():
+    with pytest.raises(InvalidParams):
+        estimate_sweep(1)
+    assert estimate_grid(1) == []
+    assert estimate_grid(3) == [(2, 2), (3, 2), (3, 3)]
 
 
 # --------------------------------------------------------------------------

@@ -261,6 +261,19 @@ def test_internal_error_exits_6(cli, monkeypatch, capsys):
     assert err == "internal error: invariant broken\n"
 
 
+def test_any_unexpected_exception_exits_6(cli, monkeypatch, capsys):
+    import molscope.cli as cli_mod
+
+    def broken(*args):
+        raise KeyError("k9")
+
+    monkeypatch.setattr(cli_mod, "extension_census", broken)
+    code, out, _ = cli(["certify", "extension", "--n", "3", "--all-k"])
+    assert code == 6
+    assert out == b""
+    assert capsys.readouterr().err == "internal error: KeyError: 'k9'\n"
+
+
 # --------------------------------------------------------------------------
 # counting through the CLI
 
@@ -862,6 +875,23 @@ def test_every_certificate_can_fail(cli, monkeypatch, target):
     code, out, _ = cli(["certify", target, *argv, "--format", "structured"])
     assert code == 5
     assert fields_by_name(json.loads(out))[field]["value"] is False
+
+
+def test_certify_estimate_catches_one_bad_interior_point(cli, monkeypatch):
+    # the screen must keep whichever point is worst, not only (1000, 1000)
+    true_estimate = bounds_mod.closed_form_estimate
+
+    def one_bad(n, d):
+        return true_estimate(n, d) - (1.0 if (n, d) == (500, 250) else 0.0)
+
+    monkeypatch.setattr(bounds_mod, "closed_form_estimate", one_bad)
+    code, out, _ = cli(["certify", "estimate", "--max-n", "1000", "--format", "structured"])
+    assert code == 5
+    f = fields_by_name(json.loads(out))
+    assert f["dominates"]["value"] is False
+    brute = max(bounds_mod.integral_I(n, d) - one_bad(n, d)
+                for n, d in bounds_mod.estimate_grid(1000))
+    assert f["worst_gap"]["value"] == brute
 
 
 def test_certify_product_mateless_base(cli):
