@@ -2,18 +2,17 @@
 
 Every value here is the natural log of a count ("nats per design"); base-e
 is used throughout the package.  Integrals are evaluated by adaptive
-Simpson quadrature with an absolute-error target (default 1e-9) and a hard
-subdivision cap; the integrands are smooth and monotone on their intervals,
-so the only reason the choice matters is that every acceptance inequality
-carries the tolerance.  Quadratures and sums always run in a fixed
-sequential order, so results are bit-reproducible.
+Simpson quadrature at one fixed absolute-error target, DEFAULT_TOL = 1e-9,
+with a hard subdivision cap, so a bound is fixed by its parameters; a
+report's quadrature_error is Simpson's own error estimate.  Quadratures and
+sums run in a fixed sequential order, so results are bit-reproducible.
 
-The estimate sweep (``estimate_sweep``) screens its grid at a loose
-tolerance and recomputes at the default one only the points near the
+The estimate sweep (``estimate_sweep``) screens its grid at the looser
+``_SCREEN_TOL`` and recomputes at DEFAULT_TOL only the points near the
 screened worst gap.  At a loose tolerance Simpson's error estimate can
 understate the true error by orders of magnitude, so it is never used as a
 bound: the screen rests on a fixed margin that a test checks against the
-default-tolerance value at every point of the finite grid.
+DEFAULT_TOL value at every point of the finite grid.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ _MAX_DEPTH = 48
 # mols_count_bound runs one quadrature per d = 2..k+1, about 0.3 ms each
 MAX_QUADRATURES = 10_000
 # estimate_sweep's grid, its screening tolerance, and the distance below the
-# screened maximum within which a point is recomputed at the default tolerance
+# screened maximum within which a point is recomputed at DEFAULT_TOL
 _ESTIMATE_NS = (*range(2, 51), 100, 500, 1000)
 _SCREEN_TOL = 1e-7
 _SCREEN_MARGIN = 1e-4
@@ -44,9 +43,6 @@ def _adaptive_simpson(
     f: Callable[[float], float], a: float, b: float, tol: float
 ) -> tuple[float, float]:
     """Integrate f on [a, b]; returns (value, absolute error estimate)."""
-    if not tol > 0:
-        raise InvalidParams("tolerance must be positive")
-
     fa, fb = f(a), f(b)
     m = 0.5 * (a + b)
     fm = f(m)
@@ -107,8 +103,8 @@ def _integral_I_err(n: float, d: int, tol: float) -> tuple[float, float]:
     return _ext_general_err(n, [((0, 0), 1)], d, tol)
 
 
-def integral_I(n: float, d: int, tol: float = DEFAULT_TOL) -> float:
-    """The per-cell extension integral: int_0^1 log(1 + (n-1) t^d) dt.
+def integral_I(n: float, d: int) -> float:
+    """The per-cell extension integral int_0^1 log(1 + (n-1) t^d) dt, at DEFAULT_TOL.
 
     The useful domain is 2 <= d <= n; d = 1 and d > n are allowed for
     exploratory calls (callers that assert inequalities stay on the narrow
@@ -116,7 +112,7 @@ def integral_I(n: float, d: int, tol: float = DEFAULT_TOL) -> float:
     """
     if n < 2 or d < 1:
         raise InvalidParams("need n >= 2 and d >= 1")
-    return _integral_I_err(n, d, tol)[0]
+    return _integral_I_err(n, d, DEFAULT_TOL)[0]
 
 
 def closed_form_estimate(n: float, d: int) -> float:
@@ -139,14 +135,14 @@ def estimate_grid(max_n: int) -> list[tuple[int, int]]:
 
 def estimate_sweep(max_n: int) -> tuple[int, float]:
     """(points, worst gap) of integral_I - closed_form_estimate over
-    ``estimate_grid(max_n)``, the gap at the default tolerance.
+    ``estimate_grid(max_n)``, the gap at DEFAULT_TOL.
 
-    The sweep screens every point at ``_SCREEN_TOL`` and recomputes at the
-    default tolerance only the points whose screened gap is within
+    The sweep screens every point at ``_SCREEN_TOL`` and recomputes at
+    DEFAULT_TOL only the points whose screened gap is within
     ``_SCREEN_MARGIN`` of the screened maximum.  Over the whole grid the
     screened integral stays within a quarter of the margin of the default
     one (a test checks every point), so the worst point is always
-    recomputed and the result equals a full default-tolerance sweep bit
+    recomputed and the result equals a full DEFAULT_TOL sweep bit
     for bit.
     """
     grid = estimate_grid(max_n)
@@ -154,7 +150,7 @@ def estimate_sweep(max_n: int) -> tuple[int, float]:
         raise InvalidParams(f"estimate sweep to n = {max_n}: nothing to compare, "
                             f"since the grid starts at n = 2")
     estimates = [closed_form_estimate(n, d) for n, d in grid]
-    screened = [integral_I(n, d, _SCREEN_TOL) - e for (n, d), e in zip(grid, estimates)]
+    screened = [_integral_I_err(n, d, _SCREEN_TOL)[0] - e for (n, d), e in zip(grid, estimates)]
     cut = max(screened) - _SCREEN_MARGIN
     worst = max(integral_I(n, d) - e
                 for (n, d), e, g in zip(grid, estimates, screened) if g >= cut)
@@ -194,9 +190,9 @@ def _ext_general_err(
     return total, err
 
 
-def extension_bound_general(profile: CellProfile, d: int, tol: float = DEFAULT_TOL) -> float:
+def extension_bound_general(profile: CellProfile, d: int) -> float:
     """Per-cell extension bound for a width-d array with the given profile:
-    sum over cells of int_0^1 log(1 + (r+c) t^(d-1) + (n-r-c-1) t^d) dt.
+    sum over cells of int_0^1 log(1 + (r+c) t^(d-1) + (n-r-c-1) t^d) dt at DEFAULT_TOL.
 
     Cells are bucketed by (r, c) and each bucket integrated once; buckets
     are summed in sorted order.
@@ -205,7 +201,7 @@ def extension_bound_general(profile: CellProfile, d: int, tol: float = DEFAULT_T
         raise InvalidParams("general bound applies to arrays of width >= 3")
     if profile.order < 2:
         raise InvalidParams("order must be at least 2")
-    return _ext_general_err(profile.order, _profile_buckets(profile), d, tol)[0]
+    return _ext_general_err(profile.order, _profile_buckets(profile), d, DEFAULT_TOL)[0]
 
 
 def log_factorial(m: int) -> float:
@@ -224,8 +220,8 @@ def log_factorial(m: int) -> float:
 # aggregate bound reports
 
 
-def c_beta(beta: float, tol: float = DEFAULT_TOL) -> float:
-    """The correction factor 1 - (1/beta) int_0^beta x (1 - e^(-1/x)) dx.
+def c_beta(beta: float) -> float:
+    """The correction factor 1 - (1/beta) int_0^beta x (1 - e^(-1/x)) dx at DEFAULT_TOL.
 
     The integrand extends continuously by 0 at x = 0; the result always
     lies in [0, 1] and is clamped there after a sanity window check.
@@ -238,15 +234,15 @@ def c_beta(beta: float, tol: float = DEFAULT_TOL) -> float:
             return 0.0
         return -x * math.expm1(-1.0 / x)
 
-    val, err = _adaptive_simpson(f, 0.0, beta, tol)
+    val, err = _adaptive_simpson(f, 0.0, beta, DEFAULT_TOL)
     c = 1.0 - val / beta
     if c < -1e-6 or c > 1.0 + 1e-6:
         raise RuntimeError(f"c(beta) left [0,1] by more than noise: {c}")
     return min(1.0, max(0.0, c))
 
 
-def mols_count_bound(n: float, k: int, tol: float = DEFAULT_TOL) -> BoundReport:
-    """Everything known about log of the number of k-tuple systems.
+def mols_count_bound(n: float, k: int) -> BoundReport:
+    """Everything known about log of the number of k-tuple systems, at DEFAULT_TOL.
 
     Entries:
       summed_quadrature   n^2 sum_{d=2}^{k+1} I_d        (the assertable bound)
@@ -273,7 +269,7 @@ def mols_count_bound(n: float, k: int, tol: float = DEFAULT_TOL) -> BoundReport:
     total = 0.0
     qerr = 0.0
     for d in range(2, k + 2):
-        v, e = _integral_I_err(n, d, tol)
+        v, e = _integral_I_err(n, d, DEFAULT_TOL)
         total += v
         qerr += e
     summed = nn * total
@@ -284,7 +280,7 @@ def mols_count_bound(n: float, k: int, tol: float = DEFAULT_TOL) -> BoundReport:
 
     regime_i = nn * (k * logn - math.comb(k + 2, 2) + 1 + k * k * float(n) ** (-1.0 / (k + 2)))
     beta = k / logn
-    regime_ii = c_beta(beta, tol) * k * nn * logn
+    regime_ii = c_beta(beta) * k * nn * logn
     regime_iii = 0.5 * (math.log(k) - math.log(logn)) * nn * logn * logn
     trivial = k * nn * logn
     reference = nn * (k * logn - math.comb(k + 2, 2) + 1)
@@ -337,8 +333,8 @@ def reference_asymptotics(n: float, k: int = 1) -> BoundReport:
     return BoundReport(n, k, entries, 0.0)
 
 
-def sudoku_extension_bound(n: int, k: int, tol: float = DEFAULT_TOL) -> BoundReport:
-    """Extension bound for k-tuple box-balanced systems of order n = m^2.
+def sudoku_extension_bound(n: int, k: int) -> BoundReport:
+    """Extension bound for k-tuple box-balanced systems of order n = m^2, at DEFAULT_TOL.
 
     Entries:
       general_quadrature  the exact bucketed bound at profile r = c = m-1
@@ -346,7 +342,7 @@ def sudoku_extension_bound(n: int, k: int, tol: float = DEFAULT_TOL) -> BoundRep
       correction_limit    n^2 * 2 log n / ((k+3) sqrt(n-1))
       split_total         split_integral + correction_limit
     The decomposition dominates the exact bound; that inequality is checked
-    here and a violation raises (it would mean an implementation bug).
+    here to DEFAULT_TOL; a violation raises (it would mean an implementation bug).
     """
     if n < 4 or k < 0:
         raise InvalidParams("need n = m^2 >= 4 and k >= 0")
@@ -356,13 +352,13 @@ def sudoku_extension_bound(n: int, k: int, tol: float = DEFAULT_TOL) -> BoundRep
     nn = n * n
     d = k + 3
     # every cell has profile r = c = m-1: one bucket of n^2 cells
-    general, qerr = _ext_general_err(n, [((m - 1, m - 1), nn)], d, tol)
-    base, e2 = _integral_I_err(n, d, tol)
+    general, qerr = _ext_general_err(n, [((m - 1, m - 1), nn)], d, DEFAULT_TOL)
+    base, e2 = _integral_I_err(n, d, DEFAULT_TOL)
     base *= nn
     qerr += nn * e2
     correction = nn * 2.0 * math.log(n) / (d * math.sqrt(n - 1.0))
     split_total = base + correction
-    if general > split_total + tol:
+    if general > split_total + DEFAULT_TOL:
         raise RuntimeError(
             f"split form {split_total} fails to dominate exact bound {general}"
         )

@@ -38,7 +38,6 @@ from .core import (
     RegionPartition,
     Square,
     Transversal,
-    is_transversal,
     partition_boxes,
     partition_from_square,
     partition_rows,
@@ -433,11 +432,7 @@ def cmd_verify(args) -> int:
             if doc.transversal is not None:
                 if not latins:
                     raise FormatError("TRANSVERSAL block without a square")
-                if not is_transversal(latins[0], doc.transversal):
-                    raise InvalidParams(
-                        "cells do not hit every row, column, and symbol "
-                        "exactly once"
-                    )
+                Transversal.of(latins[0], doc.transversal)
             print(f"{path}: ok")
         except FormatError as exc:
             print(f"{path}: parse error: {exc}", file=sys.stderr)
@@ -579,7 +574,7 @@ def _add_report_entries(doc: ReportDocument, report) -> None:
 
 
 def _bound(evaluate: Callable, integer: bool = False) -> Callable:
-    """The run of one ``bound`` kind: ``evaluate(doc, n, k, tol)`` adds its
+    """The run of one ``bound`` kind: ``evaluate(doc, n, k)`` adds its
     fields.  An ``integer`` kind refuses a fractional --n."""
 
     def run(args, doc: ReportDocument) -> None:
@@ -590,7 +585,7 @@ def _bound(evaluate: Callable, integer: bool = False) -> Callable:
             raise InvalidParams(f"{doc.command} needs a finite --n, got {args.n}")
         doc.params = {"n": n, "k": args.k}
         try:
-            evaluate(doc, n, args.k, args.tol)
+            evaluate(doc, n, args.k)
         except OverflowError as exc:
             raise InvalidParams(f"{doc.command} overflows at --n {args.n}") from exc
         for f in doc.fields:
@@ -825,14 +820,14 @@ KINDS: dict[str, dict[str, tuple[tuple[str, ...], Callable]]] = {
             _cross_check(lambda system: count_sudoku_direct(system.order)))),
     },
     "bound": {
-        "extension": ((), _bound(lambda doc, n, k, tol: doc.add(
+        "extension": ((), _bound(lambda doc, n, k: doc.add(
             "extension_bound", bounds_mod.extension_bound_mols(n, k), unit="nats",
             provenance="per-cell-integral"), integer=True)),
-        "mols-count": ((), _bound(lambda doc, n, k, tol: _add_report_entries(
-            doc, bounds_mod.mols_count_bound(n, k, tol)))),
-        "sudoku": ((), _bound(lambda doc, n, k, tol: _add_report_entries(
-            doc, bounds_mod.sudoku_extension_bound(n, k, tol)), integer=True)),
-        "reference": ((), _bound(lambda doc, n, k, tol: _add_report_entries(
+        "mols-count": ((), _bound(lambda doc, n, k: _add_report_entries(
+            doc, bounds_mod.mols_count_bound(n, k)))),
+        "sudoku": ((), _bound(lambda doc, n, k: _add_report_entries(
+            doc, bounds_mod.sudoku_extension_bound(n, k)), integer=True)),
+        "reference": ((), _bound(lambda doc, n, k: _add_report_entries(
             doc, bounds_mod.reference_asymptotics(n, k)))),
     },
     "certify": {
@@ -951,7 +946,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=tuple(KINDS["bound"]))
     p.add_argument("--n", type=float, required=True)
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--tol", type=float, default=bounds_mod.DEFAULT_TOL, help="quadrature tolerance")
     _add_common(p)
     p.set_defaults(func=cmd_kind)
 

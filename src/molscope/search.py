@@ -900,6 +900,8 @@ def count_latin_direct(n: int) -> int:
 def count_sudoku_direct(n: int) -> int:
     """Count order-n box-balanced Latin squares directly: the row-wise walk
     with the boxes as regions."""
+    if n < 1:
+        raise InvalidParams("order must be positive")
     m = math.isqrt(n)
     if m * m != n:
         raise InvalidParams(f"order {n} is not a perfect square")
@@ -917,6 +919,8 @@ def count_mols_direct(n: int, k: int) -> int:
     (the permutations p whose cells (i, p[i]) hold distinct symbols of a).
     Most pairs fail at the first lookup.
     """
+    if n < 1 or k < 0:
+        raise InvalidParams("need n >= 1 and k >= 0")
     if k == 0:
         return 1
     if k == 1 and n <= 5:

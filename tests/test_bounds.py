@@ -9,6 +9,7 @@ from molscope.bounds import (
     _SCREEN_TOL,
     MAX_QUADRATURES,
     BoundReport,
+    _integral_I_err,
     c_beta,
     closed_form_estimate,
     estimate_grid,
@@ -80,9 +81,10 @@ def test_estimate_huge_d_no_overflow():
 
 @pytest.fixture(scope="module")
 def estimate_reference():
-    """Per point of the full estimate grid: (integral at the screening
-    tolerance, integral at the default tolerance, closed-form estimate)."""
-    return {(n, d): (integral_I(n, d, _SCREEN_TOL), integral_I(n, d), closed_form_estimate(n, d))
+    """Per point of the full estimate grid: (integral at _SCREEN_TOL,
+    integral_I at DEFAULT_TOL, closed-form estimate)."""
+    return {(n, d): (_integral_I_err(n, d, _SCREEN_TOL)[0], integral_I(n, d),
+                     closed_form_estimate(n, d))
             for n, d in estimate_grid(1000)}
 
 

@@ -152,13 +152,19 @@ def test_verify_ok_and_mixed(cli, tmp_path):
     assert code == 2
 
 
-def test_verify_transversal_block(cli, tmp_path):
+def test_verify_transversal_block(cli, capsys, tmp_path):
     ok = tmp_path / "with-t.txt"
     ok.write_text(Z3_TEXT + "\nTRANSVERSAL\n1 1\n2 2\n3 3\n")
     assert cli(["verify", str(ok)])[0] == 0
     bad = tmp_path / "bad-t.txt"
-    bad.write_text(Z3_TEXT + "\nTRANSVERSAL\n1 1\n2 1\n3 1\n")
-    assert cli(["verify", str(bad)])[0] == 1
+    for cells in ("1 1\n2 1\n3 1\n",  # one column three times
+                  "1 1\n2 2\n",  # too few cells
+                  "1 1\n2 2\n3 3\n1 2\n",  # too many cells
+                  "1 1\n2 2\n4 4\n"):  # a cell outside the square
+        bad.write_text(Z3_TEXT + "\nTRANSVERSAL\n" + cells)
+        assert cli(["verify", str(bad)])[0] == 1
+        assert capsys.readouterr().err == (
+            f"{bad}: invalid: cells do not hit every row, column, and symbol exactly once\n")
     orphan = tmp_path / "orphan.txt"
     orphan.write_text("TRANSVERSAL\n1 1\n")
     assert cli(["verify", str(orphan)])[0] == 2
@@ -432,6 +438,8 @@ def test_count_mols_says_when_it_skips_the_cross_check(cli, monkeypatch, n, k, v
     ["construct", "cayley", "--group", "3", "--threads", "2"],
     ["certify", "product", "--base", "cayley:3", "--threshold", "5"],
     ["certify", "extension", "--n", "4", "--tol", "1"],
+    ["bound", "mols-count", "--n", "5", "--k", "2", "--tol", "1e-3"],
+    ["bound", "extension", "--n", "4", "--k", "0", "--tol", "0"],
 ])
 def test_commands_refuse_flags_they_do_not_read(cli, argv):
     with pytest.raises(SystemExit) as exc:

@@ -411,6 +411,19 @@ def test_direct_engine_stops_at_its_reach(monkeypatch):
 def test_count_sudoku_direct():
     assert count_sudoku_direct(4) == 288
     assert count_sudoku_direct(1) == 1
+    for bad in (0, -4):
+        with pytest.raises(InvalidParams, match="order must be positive"):
+            count_sudoku_direct(bad)
+    with pytest.raises(InvalidParams, match="not a perfect square"):
+        count_sudoku_direct(8)
+
+
+@pytest.mark.parametrize("n, k", [(0, 0), (0, 1), (3, -1), (-1, 2)])
+def test_direct_engine_refuses_what_count_mols_refuses(n, k):
+    # InvalidParams (exit 4), not LimitExceeded (exit 3), and never a count
+    for engine in (count_mols_direct, count_mols):
+        with pytest.raises(InvalidParams, match=r"need n >= 1 and k >= 0"):
+            engine(n, k)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
