@@ -8,9 +8,14 @@ trailing block opened by a "PARTITION" line (and, for witnesses, a
 file plumbing: cayley:3, cayley:2x2, kron:(A,B), power:(A,2), rows:3,
 boxes:4, classes:(A).
 
-Exit codes: 0 ok, 1 validation failure, 2 I/O or parse error, 3 search
-limit exceeded, 4 invalid parameters, 5 certified inequality violated,
-6 internal error (a broken invariant or any other unexpected exception).
+Every kind of a command is one row of ``KINDS``: the flags it reads with
+their defaults, and its run.  The parser has one sub-parser per kind, built
+from that table, so a flag the kind does not read is a usage error.
+
+Exit codes: 0 ok, 1 validation failure, 2 I/O, parse or usage error, 3
+search limit exceeded, 4 invalid parameters, 5 certified inequality
+violated, 6 internal error (a broken invariant or any other unexpected
+exception).
 
 Structured reports are deterministic: exact counts are decimal strings,
 every value carries a unit and the operation that produced it, and nothing
@@ -185,6 +190,8 @@ def parse_document(text: str) -> ParsedDocument:
                     f"line {no0}: a square block starts with its order on a line"
                 )
             n = head_row[0]
+            if n < 1:
+                raise FormatError(f"line {no0}: a square's order must be at least 1, got {n}")
             body = block[1:]
             if len(body) != n:
                 raise FormatError(
@@ -417,6 +424,10 @@ def _threads(args) -> int:
     return args.threads if args.threads is not None else (os.cpu_count() or 1)
 
 
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
 # --------------------------------------------------------------------------
 # subcommand: verify
 
@@ -615,6 +626,8 @@ def _dominance(doc: ReportDocument, prefix: str, k: int, hist: dict[int, int],
 
 def _certify_extension(args, doc: ReportDocument) -> None:
     n = args.n
+    if args.all_k and args.k is not None:
+        raise InvalidParams("certify extension takes --k or --all-k, not both")
     ks = list(range(n - 1)) if args.all_k else [args.k or 0]
     if not args.all_k and ks[0] < 0:
         raise InvalidParams(f"certify extension needs a nonnegative --k, got {args.k}")
@@ -669,8 +682,7 @@ def _certify_product(args, doc: ReportDocument) -> None:
     bound_exact = construct_mod.product_mate_bound_exact(n1, n1, q, q)
     fact = math.factorial(n)
     threshold = max(1, -(-bound_exact // fact))  # ceil
-    res = count_transversal_partitions(
-        product, SearchOptions(stop_threshold=threshold, threads=_threads(args)))
+    res = count_transversal_partitions(product, SearchOptions(stop_threshold=threshold))
     mates_certified = res.value.count * fact
     doc.add("base_mates", q, unit="exact count", provenance="extension-engine", exact=True)
     doc.add("product_order", n, provenance="block-product")
@@ -734,18 +746,18 @@ def _group(args) -> construct_mod.GroupSpec:
     return construct_mod.GroupSpec([_spec_int(d, "--group") for d in args.group.split("x")])
 
 
-def _square_kind(build: Callable, *params: str) -> Callable:
-    """The run of a ``construct`` kind that prints the square
-    ``build(args, doc)`` returns, with the flags ``params`` as the report
+def _square_kind(flags: dict, build: Callable) -> tuple[dict, Callable]:
+    """The row of a ``construct`` kind that reads ``flags`` and prints the
+    square ``build(args, doc)`` returns, with those flags as the report
     params; none of these has witnesses."""
 
     def run(args, doc: ReportDocument) -> str:
         if args.emit_witnesses:
             raise InvalidParams(f"{doc.command} has no witnesses to emit")
-        doc.params = {p: getattr(args, p) for p in params}
+        doc.params = {_dest(f): getattr(args, _dest(f)) for f in flags}
         return format_square(build(args, doc).grid)
 
-    return run
+    return flags, run
 
 
 def _constant_base(args, doc: ReportDocument) -> LatinSquare:
@@ -785,34 +797,38 @@ def _translate_mates(args, doc: ReportDocument) -> str:
 
 
 # --------------------------------------------------------------------------
-# the kind table and its dispatcher
+# the kind table, its parser and its dispatcher
 
 
-# KINDS[command][kind] = (needs, run).  ``needs`` are the flags the kind
-# cannot run without; ``run(args, doc)`` sets the report's params, adds its
-# fields and returns the document a ``construct`` kind prints (None for the
-# other commands).
-KINDS: dict[str, dict[str, tuple[tuple[str, ...], Callable]]] = {
+NEEDED = object()  # the default of a flag its kind cannot run without
+
+
+# KINDS[command][kind] = (flags, run).  ``flags`` maps each flag the kind
+# reads, beside those COMMANDS gives its whole command, to its default, or
+# to NEEDED; ``run(args, doc)`` sets the report's params, adds its fields and
+# returns the document a ``construct`` kind prints (None for the other
+# commands).
+KINDS: dict[str, dict[str, tuple[dict, Callable]]] = {
     "count": {
-        "transversals": ((), _counter(
+        "transversals": ({"--square": None}, _counter(
             _read_square, lambda sq, opts: enumerate_transversals(sq, opts),
             "transversals", "row-backtracking",
             lambda sq, cells: format_document([sq.grid], transversal=cells))),
-        "partitions": ((), _counter(
+        "partitions": ({"--square": None}, _counter(
             _read_square, lambda sq, opts: count_transversal_partitions(sq, opts),
             "transversal_partitions", "exact-cover", _partition_doc, _mates_implied)),
-        "mates": ((), _counter(
+        "mates": ({"--square": None}, _counter(
             _read_square, lambda sq, opts: count_mates(sq, opts), "mates", "extension-engine",
             lambda sq, col: format_document([sq.grid, _column_grid(col, sq.order)]))),
-        "extensions": ((), _counter(
+        "extensions": ({"--system": None, "--square": None, "--partition": None}, _counter(
             _read_system, lambda system, opts: count_extensions(system, opts),
             "extensions", "extension-engine", _extension_doc)),
-        "mols": (("--n",), _counter(
+        "mols": ({"--n": NEEDED, "--k": 1}, _counter(
             lambda args: ((args.n, args.k), {"n": args.n, "k": args.k}),
             lambda nk, opts: count_mols(*nk, opts), "count", "chained-extension-engine",
             then=_cross_check(lambda nk: count_mols_direct(*nk)))),
         # a Sudoku square is an extension of the empty system on the boxes
-        "sudoku": (("--n",), _counter(
+        "sudoku": ({"--n": NEEDED}, _counter(
             lambda args: (validate_mols([], partition_boxes(_searchable_order(args.n))),
                           {"n": args.n}),
             lambda system, opts: count_extensions(system, opts), "sudoku_squares",
@@ -820,35 +836,78 @@ KINDS: dict[str, dict[str, tuple[tuple[str, ...], Callable]]] = {
             _cross_check(lambda system: count_sudoku_direct(system.order)))),
     },
     "bound": {
-        "extension": ((), _bound(lambda doc, n, k: doc.add(
+        "extension": ({"--k": 1}, _bound(lambda doc, n, k: doc.add(
             "extension_bound", bounds_mod.extension_bound_mols(n, k), unit="nats",
             provenance="per-cell-integral"), integer=True)),
-        "mols-count": ((), _bound(lambda doc, n, k: _add_report_entries(
+        "mols-count": ({"--k": 1}, _bound(lambda doc, n, k: _add_report_entries(
             doc, bounds_mod.mols_count_bound(n, k)))),
-        "sudoku": ((), _bound(lambda doc, n, k: _add_report_entries(
+        "sudoku": ({"--k": 1}, _bound(lambda doc, n, k: _add_report_entries(
             doc, bounds_mod.sudoku_extension_bound(n, k)), integer=True)),
-        "reference": ((), _bound(lambda doc, n, k: _add_report_entries(
+        "reference": ({"--k": 1}, _bound(lambda doc, n, k: _add_report_entries(
             doc, bounds_mod.reference_asymptotics(n, k)))),
     },
     "certify": {
-        "extension": (("--n",), _certify_extension),
-        "gerechte": (("--n",), _certify_gerechte),
-        "product": (("--base",), _certify_product),
-        "power": (("--m", "--q", "--k"), _certify_power),
-        "constant": (("--constant",), _certify_constant),
-        "estimate": ((), _certify_estimate),
+        "extension": ({"--n": NEEDED, "--k": None, "--all-k": False}, _certify_extension),
+        "gerechte": ({"--n": NEEDED, "--partition": None}, _certify_gerechte),
+        "product": ({"--base": NEEDED}, _certify_product),
+        "power": ({"--m": NEEDED, "--q": NEEDED, "--k": NEEDED}, _certify_power),
+        "constant": ({"--constant": NEEDED, "--limit": 5, "--power": 2}, _certify_constant),
+        "estimate": ({"--max-n": 50}, _certify_estimate),
     },
     "construct": {
-        "cayley": (("--group",), _square_kind(
-            lambda args, doc: construct_mod.cayley_table(_group(args)), "group")),
-        "kron": (("--a", "--b"), _square_kind(lambda args, doc: construct_mod.kronecker(
-            resolve_square_spec(args.a), resolve_square_spec(args.b)), "a", "b")),
-        "power": (("--base",), _square_kind(lambda args, doc: construct_mod.power(
-            resolve_square_spec(args.base), args.k), "base", "k")),
-        "translate-mates": (("--group",), _translate_mates),
-        "constant": (("--constant",), _square_kind(
-            _constant_base, "constant", "limit", "power")),
+        "cayley": _square_kind({"--group": NEEDED},
+                               lambda args, doc: construct_mod.cayley_table(_group(args))),
+        "kron": _square_kind({"--a": NEEDED, "--b": NEEDED}, lambda args, doc: (
+            construct_mod.kronecker(resolve_square_spec(args.a), resolve_square_spec(args.b)))),
+        "power": _square_kind({"--base": NEEDED, "--k": 2}, lambda args, doc: (
+            construct_mod.power(resolve_square_spec(args.base), args.k))),
+        "translate-mates": ({"--group": NEEDED, "--transversal": None, "--count": None},
+                            _translate_mates),
+        "constant": _square_kind({"--constant": NEEDED, "--limit": 5, "--power": 2},
+                                 _constant_base),
     },
+}
+
+# COMMANDS[command] = (help, the flags every kind of it reads beside --format).
+# verify and certify read no --threads, but take it: bench/run.py passes it
+# to every command it times.
+COMMANDS = {
+    "verify": ("validate square/system documents", ("--threads",)),
+    "count": ("exact enumeration", ("--threads", "--cap", "--threshold", "--emit-witnesses")),
+    "bound": ("numeric bound evaluation", ()),
+    "certify": ("check a bound against exact counts", ("--threads",)),
+    "construct": ("emit constructed objects", ("--emit-witnesses",)),
+}
+
+# Each flag's argparse keywords.  A kind's own flag takes its default from
+# the kind's row; a flag COMMANDS gives a whole command defaults to None,
+# but --format to table.
+FLAGS = {
+    "--square": dict(action="append", help="square spec (file or generator); repeatable"),
+    "--system": dict(help="system document file"),
+    "--partition": dict(help="partition spec"),
+    "--n": dict(type=int),
+    "--k": dict(type=int),
+    "--all-k": dict(action="store_true"),
+    "--base": dict(help="base square spec"),
+    "--m": dict(type=int, help="base order"),
+    "--q": dict(type=int, help="base mate count"),
+    "--constant": dict(type=float, help="target constant"),
+    "--limit": dict(type=int, help="max base order"),
+    "--power": dict(type=int, help="power for the certificate"),
+    "--max-n": dict(type=int, help="estimate sweep limit"),
+    "--group": dict(help="cyclic factors, e.g. 3 or 2x2"),
+    "--a": dict(help="first factor square spec"),
+    "--b": dict(help="second factor square spec"),
+    "--transversal": dict(help="file with a TRANSVERSAL block"),
+    "--count": dict(type=int, help="how many mates to emit"),
+    "--threads": dict(type=int, help="worker processes of a count (default: all "
+                                     "cores); verify and certify run in-process"),
+    "--cap": dict(type=int, help="max witness files to emit with --emit-witnesses "
+                                 "(default 1000); ignored without it"),
+    "--threshold": dict(type=int, help="stop counting once at least this many are found"),
+    "--emit-witnesses": dict(metavar="DIR", help="write witness files to this directory"),
+    "--format": dict(choices=("table", "structured"), default="table", help="report format"),
 }
 
 
@@ -870,11 +929,11 @@ def cmd_kind(args) -> int:
     refuse it without a flag it needs, print its report, and exit 5 when one
     of the report's comparisons or cross-checks failed."""
     started = time.monotonic()
-    kind = args.target if args.command == "certify" else args.kind
-    needs, run = KINDS[args.command][kind]
-    if any(getattr(args, flag[2:]) in (None, "") for flag in needs):
-        raise InvalidParams(f"{args.command} {kind} needs {_flag_list(needs)}")
-    doc = ReportDocument(f"{args.command} {kind}", {})
+    flags, run = KINDS[args.command][args.kind]
+    needs = [flag for flag, default in flags.items() if default is NEEDED]
+    if any(getattr(args, _dest(flag)) in (None, "") for flag in needs):
+        raise InvalidParams(f"{args.command} {args.kind} needs {_flag_list(needs)}")
+    doc = ReportDocument(f"{args.command} {args.kind}", {})
     text = run(args, doc)
     if args.format == "structured":
         if text is not None:
@@ -889,106 +948,41 @@ def cmd_kind(args) -> int:
     return EXIT_VIOLATION if _violated(doc) else EXIT_OK
 
 
-# --------------------------------------------------------------------------
-# argument parsing
-
-
-_FLAGS = {
-    "--threads": dict(type=int, default=None,
-                      help="worker processes (default: all cores); of the "
-                           "certify targets only product uses them, the others "
-                           "run many small counts in-process"),
-    "--cap": dict(type=int, default=None,
-                  help="max witness files to emit with --emit-witnesses "
-                       "(default 1000); ignored without it"),
-    "--threshold": dict(type=int, default=None,
-                        help="stop counting once at least this many are found"),
-    "--emit-witnesses": dict(metavar="DIR", default=None,
-                             help="write witness files to this directory"),
-}
-
-
-def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
-    """Add ``--format`` and those of ``_FLAGS`` the command reads."""
-    for flag in flags:
-        p.add_argument(flag, **_FLAGS[flag])
-    p.add_argument("--format", choices=("table", "structured"),
-                   default="table", help="report format")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """One sub-parser per command, and under each command but verify one
+    per kind, with the flags COMMANDS and KINDS give it."""
     ap = argparse.ArgumentParser(
         prog="molscope",
         description="Workbench for mutually orthogonal Latin squares and "
                     "gerechte designs: validate, count, bound, certify, "
                     "construct.",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", help="validate square/system documents")
-    p.add_argument("paths", nargs="+")
-    # verify reads no --threads; bench/run.py passes it to every command it times
-    _add_common(p, "--threads")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("count", help="exact enumeration")
-    p.add_argument("kind", choices=tuple(KINDS["count"]))
-    p.add_argument("--square", action="append",
-                   help="square spec (file or generator); repeatable")
-    p.add_argument("--system", help="system document file")
-    p.add_argument("--partition", help="partition spec")
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int, default=1)
-    _add_common(p, "--threads", "--cap", "--threshold", "--emit-witnesses")
-    p.set_defaults(func=cmd_kind)
-
-    p = sub.add_parser("bound", help="numeric bound evaluation")
-    p.add_argument("kind", choices=tuple(KINDS["bound"]))
-    p.add_argument("--n", type=float, required=True)
-    p.add_argument("--k", type=int, default=1)
-    _add_common(p)
-    p.set_defaults(func=cmd_kind)
-
-    p = sub.add_parser("certify", help="check a bound against exact counts")
-    # named "target" in --help; cmd_kind reads it as the kind
-    p.add_argument("target", choices=tuple(KINDS["certify"]))
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--all-k", action="store_true")
-    p.add_argument("--partition", help="partition spec (gerechte)")
-    p.add_argument("--base", help="base square spec (product)")
-    p.add_argument("--m", type=int, help="base order (power)")
-    p.add_argument("--q", type=int, help="base mate count (power)")
-    p.add_argument("--constant", type=float, help="target constant")
-    p.add_argument("--limit", type=int, default=5, help="max base order")
-    p.add_argument("--power", type=int, default=2, help="power for the certificate")
-    p.add_argument("--max-n", type=int, default=50, help="estimate sweep limit")
-    _add_common(p, "--threads")
-    p.set_defaults(func=cmd_kind)
-
-    p = sub.add_parser("construct", help="emit constructed objects")
-    p.add_argument("kind", choices=tuple(KINDS["construct"]))
-    p.add_argument("--group", help="cyclic factors, e.g. 3 or 2x2")
-    p.add_argument("--a", help="first factor square spec")
-    p.add_argument("--b", help="second factor square spec")
-    p.add_argument("--base", help="base square spec")
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--transversal", help="file with a TRANSVERSAL block")
-    p.add_argument("--count", type=int, default=None,
-                   help="how many mates to emit")
-    p.add_argument("--constant", type=float)
-    p.add_argument("--limit", type=int, default=5)
-    p.add_argument("--power", type=int, default=2)
-    _add_common(p, "--emit-witnesses")
-    p.set_defaults(func=cmd_kind)
-
+    commands = ap.add_subparsers(dest="command", required=True)
+    for command, (help_text, shared) in COMMANDS.items():
+        common = argparse.ArgumentParser(add_help=False)
+        for flag in (*shared, "--format"):
+            common.add_argument(flag, **FLAGS[flag])
+        if command == "bound":
+            common.add_argument("--n", type=float, required=True)
+        if command == "verify":
+            p = commands.add_parser(command, help=help_text, parents=[common])
+            p.add_argument("paths", nargs="+")
+            continue
+        kinds = commands.add_parser(command, help=help_text).add_subparsers(
+            dest="kind", required=True, help=", ".join(KINDS[command]),
+            metavar="target" if command == "certify" else "kind")
+        for kind, (flags, _) in KINDS[command].items():
+            k = kinds.add_parser(kind, parents=[common])
+            for flag, default in flags.items():
+                k.add_argument(flag, default=None if default is NEEDED else default,
+                               **FLAGS[flag])
     return ap
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return (cmd_verify if args.command == "verify" else cmd_kind)(args)
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -64,6 +64,7 @@ def test_parse_square_only():
         ("PARTITION\n1 2 1\n2 1 2\n", "must be square"),
         ("PARTITION\n1 3\n3 1\n", "region labels must be 1..2"),
         ("TRANSVERSAL\n1 1 1\n", "expected 'row col'"),
+        ("0\n", "line 1: a square's order must be at least 1, got 0"),
         (Z3_TEXT + "\nTRANSVERSAL\n1 1\n\nTRANSVERSAL\n2 2\n", "second TRANSVERSAL"),
     ],
 )
@@ -170,6 +171,16 @@ def test_verify_transversal_block(cli, capsys, tmp_path):
     assert cli(["verify", str(orphan)])[0] == 2
 
 
+def test_an_order_below_one_is_a_parse_error(cli, capsys, tmp_path):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("0\n")
+    says = "line 1: a square's order must be at least 1, got 0\n"
+    assert cli(["verify", str(empty)])[:2] == (2, b"")
+    assert capsys.readouterr().err == f"{empty}: parse error: {says}"
+    assert cli(["count", "mates", "--square", str(empty)])[:2] == (2, b"")
+    assert capsys.readouterr().err == f"error: {says}"
+
+
 def test_verify_orthogonal_pair(cli, tmp_path):
     pair = tmp_path / "pair.txt"
     pair.write_text(Z3_TEXT + "\n3\n1 2 3\n3 1 2\n2 3 1\n")
@@ -207,6 +218,8 @@ def test_exit_limit_and_params(cli, capsys, tmp_path):
                        (["bound", "reference", "--n", "3", "--k", "-2"], "k >= 0"),
                        (["certify", "extension", "--n", "4", "--k", "-1"],
                         "needs a nonnegative --k, got -1"),
+                       (["certify", "extension", "--n", "4", "--k", "-2", "--all-k"],
+                        "takes --k or --all-k, not both"),
                        (["certify", "gerechte", "--n", "3", "--partition", "boxes:4"],
                         "--n 3 does not match the order 4")):
         capsys.readouterr()
@@ -440,11 +453,41 @@ def test_count_mols_says_when_it_skips_the_cross_check(cli, monkeypatch, n, k, v
     ["certify", "extension", "--n", "4", "--tol", "1"],
     ["bound", "mols-count", "--n", "5", "--k", "2", "--tol", "1e-3"],
     ["bound", "extension", "--n", "4", "--k", "0", "--tol", "0"],
+    # each kind takes only the flags it reads, not every flag of its command
+    ["certify", "extension", "--n", "4", "--partition", "boxes:4"],
+    ["count", "mols", "--n", "3", "--square", "cayley:3"],
+    ["count", "mates", "--square", "cayley:3", "--n", "9"],
+    ["count", "sudoku", "--n", "4", "--k", "1"],
+    ["certify", "gerechte", "--n", "4", "--k", "2"],
+    ["certify", "estimate", "--n", "4"],
+    ["construct", "cayley", "--group", "3", "--k", "2"],
+    ["construct", "kron", "--a", "cayley:2", "--b", "cayley:2", "--limit", "3"],
 ])
 def test_commands_refuse_flags_they_do_not_read(cli, argv):
     with pytest.raises(SystemExit) as exc:
         cli(argv)
     assert exc.value.code == 2
+
+
+def test_every_flag_is_read_by_some_kind_or_command():
+    declared = {"--format"}
+    for _, shared in cli_mod.COMMANDS.values():
+        declared.update(shared)
+    for kinds in cli_mod.KINDS.values():
+        for flags, _ in kinds.values():
+            declared.update(flags)
+    assert set(cli_mod.FLAGS) == declared
+
+
+HELP_RUNS = [[command] for command in cli_mod.COMMANDS] + [
+    [command, kind] for command, kinds in cli_mod.KINDS.items() for kind in kinds]
+
+
+@pytest.mark.parametrize("argv", HELP_RUNS, ids=["-".join(argv) for argv in HELP_RUNS])
+def test_help_renders_for_every_command_and_kind(cli, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli([*argv, "--help"])
+    assert exc.value.code == 0
 
 
 NEEDS = [
@@ -900,6 +943,16 @@ def test_certify_estimate_catches_one_bad_interior_point(cli, monkeypatch):
     brute = max(bounds_mod.integral_I(n, d) - one_bad(n, d)
                 for n, d in bounds_mod.estimate_grid(1000))
     assert f["worst_gap"]["value"] == brute
+
+
+def test_certify_product_runs_in_process(cli, monkeypatch):
+    import molscope.search as search_mod
+
+    def unpooled(*args):
+        raise AssertionError("certify product started a worker pool")
+
+    monkeypatch.setattr(search_mod, "_pooled", unpooled)
+    assert cli(["certify", "product", "--base", "cayley:3", "--threads", "2"])[0] == 0
 
 
 def test_certify_product_mateless_base(cli):
