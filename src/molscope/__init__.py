@@ -3,7 +3,7 @@ gerechte designs.
 
 Validate squares, systems, and region partitions; count transversals,
 transversal partitions, orthogonal mates, and k-tuples exactly (with two
-independent engines for headline numbers); evaluate the quadrature-based
+independent engines for headline numbers); evaluate the per-cell integral
 counting bounds and their closed-form estimates; construct block products
 and translate-based mates with certified mate-count lower bounds.
 

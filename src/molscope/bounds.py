@@ -1,38 +1,45 @@
 """Numeric evaluation of the counting bounds, in nats (natural-log units).
 
 Every value here is the natural log of a count ("nats per design"); base-e
-is used throughout the package.  Integrals are evaluated by adaptive
-Simpson quadrature at one fixed absolute-error target, DEFAULT_TOL = 1e-9,
-with a hard subdivision cap, so a bound is fixed by its parameters; a
-report's quadrature_error is Simpson's own error estimate.  Quadratures and
-sums run in a fixed sequential order, so results are bit-reproducible.
+is used throughout the package.
 
-The estimate sweep (``estimate_sweep``) screens its grid at the looser
-``_SCREEN_TOL`` and recomputes at DEFAULT_TOL only the points near the
-screened worst gap.  At a loose tolerance Simpson's error estimate can
-understate the true error by orders of magnitude, so it is never used as a
-bound: the screen rests on a fixed margin that a test checks against the
-DEFAULT_TOL value at every point of the finite grid.
+The paper's per-cell integral I_d = int_0^1 log(1 + (n-1) t^d) dt is
+evaluated in closed form (``integral_I``).  With a = n-1 and d >= 2,
+integrating by parts and using int_0^inf dt / (1 + a t^d) =
+a^(-1/d) (pi/d) / sin(pi/d) gives
+
+    I_d = log n - d + a^(-1/d) pi / sin(pi/d) - d K,
+    K = sum_{m>=0} (-1)^m b_m,   b_m = a^(-(m+1)) / (d(m+1) - 1).
+
+For a >= 1, b_m is a moment sequence on [0, 1/a], so Algorithm 1 of Cohen,
+Rodriguez Villegas and Zagier (Experimental Math. 9, 2000) sums K from
+its first 24 terms with a proven remainder of at most b_0 / T_24(3) <
+1e-18 b_0 (``_alternating_sum``).  For d = 1, I_1 = n log n / (n-1) - 1.
+
+Only the general (r, c) profile buckets and c_beta are integrated by
+adaptive Simpson quadrature, at one fixed absolute-error target,
+DEFAULT_TOL = 1e-9, with a hard subdivision cap, so a bound is fixed by
+its parameters.  A report's quadrature_error is Simpson's own error
+estimate on its general buckets plus the series remainder of its I_d
+terms.  Sums run in a fixed sequential order, so results are
+bit-reproducible.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .arrays import CellProfile
 from .errors import InvalidParams, LimitExceeded, NotPerfectSquare
 
 DEFAULT_TOL = 1e-9
 _MAX_DEPTH = 48
-# mols_count_bound runs one quadrature per d = 2..k+1, about 0.3 ms each
+# mols_count_bound evaluates one I_d per d = 2..k+1, about 10 us each
 MAX_QUADRATURES = 10_000
-# estimate_sweep's grid, its screening tolerance, and the distance below the
-# screened maximum within which a point is recomputed at DEFAULT_TOL
+# estimate_sweep's grid
 _ESTIMATE_NS = (*range(2, 51), 100, 500, 1000)
-_SCREEN_TOL = 1e-7
-_SCREEN_MARGIN = 1e-4
 
 
 # --------------------------------------------------------------------------
@@ -63,6 +70,41 @@ def _adaptive_simpson(
         return lv + rv, le + re
 
     return rec(a, fa, m, fm, b, fb, whole, tol, 0)
+
+
+# --------------------------------------------------------------------------
+# alternating series
+
+
+def _cvz_weights(terms: int) -> tuple[tuple[int, ...], int]:
+    """The integer weights c_k and divisor D = T_terms(3) of Algorithm 1 of
+    Cohen, Rodriguez Villegas and Zagier (2000)."""
+    prev, div = 1, 3  # T_0(3), T_1(3); T_(j+1) = 6 T_j - T_(j-1)
+    for _ in range(terms - 1):
+        prev, div = div, 6 * div - prev
+    b, c, weights = -1, -div, []
+    for k in range(terms):
+        c = b - c
+        weights.append(c)
+        # an exact division: b runs through the coefficients of -T_terms(1 - 2x)
+        b = 2 * (k + terms) * (k - terms) * b // ((2 * k + 1) * (k + 1))
+    return tuple(weights), div
+
+
+_CVZ_TERMS = 24
+_CVZ_WEIGHTS, _CVZ_DIV = _cvz_weights(_CVZ_TERMS)
+
+
+def _alternating_sum(b: Sequence) -> tuple:
+    """(sum_{m>=0} (-1)^m b_m, bound on its remainder) from b_0 … b_23, for
+    a moment sequence b_m = int_0^1 x^m dmu(x) of a positive measure mu.
+
+    The sum is sum_k c_k b_k / D.  It misses the series by
+    (1/D) int T_24(1 - 2x) / (1 + x) dmu, at most b_0 / D < 1e-18 b_0,
+    since |T_24(1 - 2x)| <= 1 on [0, 1].  The arithmetic is that of the
+    terms, so Fraction terms give the exact sum.
+    """
+    return sum(c * t for c, t in zip(_CVZ_WEIGHTS, b)) / _CVZ_DIV, b[0] / _CVZ_DIV
 
 
 # --------------------------------------------------------------------------
@@ -99,12 +141,19 @@ class BoundReport:
 # core integrals and estimates
 
 
-def _integral_I_err(n: float, d: int, tol: float) -> tuple[float, float]:
-    return _ext_general_err(n, [((0, 0), 1)], d, tol)
+def _integral_I_rem(n: float, d: int) -> tuple[float, float]:
+    """(I_d, bound on the remainder of its series K) in the closed form of
+    the module docstring."""
+    a = n - 1.0
+    if d == 1:
+        return n * math.log(n) / a - 1.0, 0.0
+    series, rem = _alternating_sum([a ** -(m + 1) / (d * (m + 1) - 1) for m in range(_CVZ_TERMS)])
+    return math.log(n) - d + a ** (-1.0 / d) * math.pi / math.sin(math.pi / d) - d * series, d * rem
 
 
 def integral_I(n: float, d: int) -> float:
-    """The per-cell extension integral int_0^1 log(1 + (n-1) t^d) dt, at DEFAULT_TOL.
+    """The per-cell extension integral int_0^1 log(1 + (n-1) t^d) dt, in
+    closed form (see the module docstring).
 
     The useful domain is 2 <= d <= n; d = 1 and d > n are allowed for
     exploratory calls (callers that assert inequalities stay on the narrow
@@ -112,7 +161,7 @@ def integral_I(n: float, d: int) -> float:
     """
     if n < 2 or d < 1:
         raise InvalidParams("need n >= 2 and d >= 1")
-    return _integral_I_err(n, d, DEFAULT_TOL)[0]
+    return _integral_I_rem(n, d)[0]
 
 
 def closed_form_estimate(n: float, d: int) -> float:
@@ -120,6 +169,23 @@ def closed_form_estimate(n: float, d: int) -> float:
     log(n-1) - d + d/(n-1)^(1/d) + 3/(d (n-1)^(1/d)).
 
     Written as log(n-1) - d (never e**d) so it stays finite for d ~ 1000.
+
+    Theorem: the estimate is at least I_d for every real n >= 2 and integer
+    d >= 2.  Proof: with a = n-1 >= 1 and s = a^(-1/d), subtract the closed
+    form of I_d (module docstring) to split the gap in two,
+
+        estimate - I_d = [d K - log(n/(n-1))] + s [d + 3/d - pi / sin(pi/d)].
+
+    The first part: log(n/(n-1)) = log(1 + 1/a) = sum_m (-1)^m a^(-(m+1)) / (m+1),
+    so it is sum_{m>=0} (-1)^m a^(-(m+1)) / ((m+1)(d(m+1)-1)), an
+    alternating series whose terms shrink (a >= 1) and whose first term is
+    positive; it is >= 0.  The second part: with x = pi/d in (0, pi/2],
+    pi / sin(pi/d) = d x / sin x, and x / sin x <= 1 + 3x^2/pi^2, so the
+    bracket is >= d + 3/d - d - 3/d = 0.  For the last inequality, sin x >=
+    x (1 - y) with y = x^2/6 <= pi^2/24 < 1, so x / sin x <= 1/(1 - y);
+    1/(1 - y) is convex, so on [0, pi^2/24] it lies below its chord
+    1 + y / (1 - pi^2/24), whose slope 1.70 is below 18/pi^2 = 1.82; and
+    1 + 18 y / pi^2 = 1 + 3x^2/pi^2.
     """
     if n < 2 or not 2 <= d <= n:
         raise InvalidParams(f"estimate is only valid for 2 <= d <= n, n >= 2; got n={n}, d={d}")
@@ -135,26 +201,16 @@ def estimate_grid(max_n: int) -> list[tuple[int, int]]:
 
 def estimate_sweep(max_n: int) -> tuple[int, float]:
     """(points, worst gap) of integral_I - closed_form_estimate over
-    ``estimate_grid(max_n)``, the gap at DEFAULT_TOL.
+    ``estimate_grid(max_n)``.
 
-    The sweep screens every point at ``_SCREEN_TOL`` and recomputes at
-    DEFAULT_TOL only the points whose screened gap is within
-    ``_SCREEN_MARGIN`` of the screened maximum.  Over the whole grid the
-    screened integral stays within a quarter of the margin of the default
-    one (a test checks every point), so the worst point is always
-    recomputed and the result equals a full DEFAULT_TOL sweep bit
-    for bit.
+    The estimate dominates on its whole domain (closed_form_estimate's
+    theorem); the sweep shows by how much, point by point.
     """
     grid = estimate_grid(max_n)
     if not grid:
         raise InvalidParams(f"estimate sweep to n = {max_n}: nothing to compare, "
                             f"since the grid starts at n = 2")
-    estimates = [closed_form_estimate(n, d) for n, d in grid]
-    screened = [_integral_I_err(n, d, _SCREEN_TOL)[0] - e for (n, d), e in zip(grid, estimates)]
-    cut = max(screened) - _SCREEN_MARGIN
-    worst = max(integral_I(n, d) - e
-                for (n, d), e, g in zip(grid, estimates, screened) if g >= cut)
-    return len(grid), worst
+    return len(grid), max(integral_I(n, d) - closed_form_estimate(n, d) for n, d in grid)
 
 
 def extension_bound_mols(n: int, k: int) -> float:
@@ -242,10 +298,11 @@ def c_beta(beta: float) -> float:
 
 
 def mols_count_bound(n: float, k: int) -> BoundReport:
-    """Everything known about log of the number of k-tuple systems, at DEFAULT_TOL.
+    """Everything known about log of the number of k-tuple systems.
 
     Entries:
-      summed_quadrature   n^2 sum_{d=2}^{k+1} I_d        (the assertable bound)
+      summed_quadrature   n^2 sum_{d=2}^{k+1} I_d, each I_d in closed form
+                          (the assertable bound)
       estimate_per_cell   k log(n-1) - (C(k+2,2)-1) + C(k+4,2) (n-1)^(-1/(k+2)),
                           an upper estimate for summed_quadrature / n^2
       regime_i            n^2 (k log n - C(k+2,2) + 1 + k^2 n^(-1/(k+2)))
@@ -255,7 +312,9 @@ def mols_count_bound(n: float, k: int) -> BoundReport:
       asymptotic_reference n^2 (k log n - C(k+2,2) + 1)
     The three regime entries and the reference drop vanishing terms, so they
     are labeled asymptotic-only and are never asserted against counts.
-    A k above ``MAX_QUADRATURES`` is refused with ``LimitExceeded``.
+    c_beta runs at DEFAULT_TOL; the quadrature_error is the series
+    remainder of the I_d.  A k above ``MAX_QUADRATURES`` is refused with
+    ``LimitExceeded``.
     """
     if n < 2 or not 1 <= k <= n - 1:
         raise InvalidParams(f"need n >= 2 and 1 <= k <= n-1; got n={n}, k={k}")
@@ -269,7 +328,7 @@ def mols_count_bound(n: float, k: int) -> BoundReport:
     total = 0.0
     qerr = 0.0
     for d in range(2, k + 2):
-        v, e = _integral_I_err(n, d, DEFAULT_TOL)
+        v, e = _integral_I_rem(n, d)
         total += v
         qerr += e
     summed = nn * total
@@ -334,11 +393,12 @@ def reference_asymptotics(n: float, k: int = 1) -> BoundReport:
 
 
 def sudoku_extension_bound(n: int, k: int) -> BoundReport:
-    """Extension bound for k-tuple box-balanced systems of order n = m^2, at DEFAULT_TOL.
+    """Extension bound for k-tuple box-balanced systems of order n = m^2.
 
     Entries:
-      general_quadrature  the exact bucketed bound at profile r = c = m-1
-      split_integral      n^2 I_{k+3}
+      general_quadrature  the exact bucketed bound at profile r = c = m-1,
+                          by quadrature at DEFAULT_TOL
+      split_integral      n^2 I_{k+3}, with I_{k+3} in closed form
       correction_limit    n^2 * 2 log n / ((k+3) sqrt(n-1))
       split_total         split_integral + correction_limit
     The decomposition dominates the exact bound; that inequality is checked
@@ -353,7 +413,7 @@ def sudoku_extension_bound(n: int, k: int) -> BoundReport:
     d = k + 3
     # every cell has profile r = c = m-1: one bucket of n^2 cells
     general, qerr = _ext_general_err(n, [((m - 1, m - 1), nn)], d, DEFAULT_TOL)
-    base, e2 = _integral_I_err(n, d, DEFAULT_TOL)
+    base, e2 = _integral_I_rem(n, d)
     base *= nn
     qerr += nn * e2
     correction = nn * 2.0 * math.log(n) / (d * math.sqrt(n - 1.0))

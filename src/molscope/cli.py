@@ -950,7 +950,8 @@ def cmd_kind(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """One sub-parser per command, and under each command but verify one
-    per kind, with the flags COMMANDS and KINDS give it."""
+    per kind, with the flags COMMANDS and KINDS give it.  Each of these sets
+    ``parser`` to itself, so ``_parse_args`` can refuse an unread flag there."""
     ap = argparse.ArgumentParser(
         prog="molscope",
         description="Workbench for mutually orthogonal Latin squares and "
@@ -967,6 +968,7 @@ def build_parser() -> argparse.ArgumentParser:
         if command == "verify":
             p = commands.add_parser(command, help=help_text, parents=[common])
             p.add_argument("paths", nargs="+")
+            p.set_defaults(parser=p)
             continue
         kinds = commands.add_parser(command, help=help_text).add_subparsers(
             dest="kind", required=True, help=", ".join(KINDS[command]),
@@ -976,11 +978,23 @@ def build_parser() -> argparse.ArgumentParser:
             for flag, default in flags.items():
                 k.add_argument(flag, default=None if default is NEEDED else default,
                                **FLAGS[flag])
+            k.set_defaults(parser=k)
     return ap
 
 
+def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
+    """The parsed argv.  argparse hands a flag the kind does not take back to
+    the top parser, so it is refused here by the kind's own parser, whose
+    usage lists the flags the kind takes.  The parsers are not kept."""
+    args, unread = build_parser().parse_known_args(argv)
+    parser = vars(args).pop("parser")
+    if unread:
+        parser.error(f"unrecognized arguments: {' '.join(unread)}")
+    return args
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         return (cmd_verify if args.command == "verify" else cmd_kind)(args)
     except FormatError as exc:

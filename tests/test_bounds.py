@@ -1,15 +1,14 @@
 import math
+from fractions import Fraction
 
 import pytest
 
 import oracles
 from molscope.arrays import CellProfile
 from molscope.bounds import (
-    _SCREEN_MARGIN,
-    _SCREEN_TOL,
     MAX_QUADRATURES,
     BoundReport,
-    _integral_I_err,
+    _alternating_sum,
     c_beta,
     closed_form_estimate,
     estimate_grid,
@@ -33,12 +32,28 @@ TOL = 1e-9
 
 @pytest.mark.parametrize(
     "n,d",
-    [(2, 2), (3, 2), (3, 3), (4, 2), (4, 4), (10, 3), (10, 10), (50, 7), (1000, 2)],
+    [(2, 2), (3, 2), (3, 3), (4, 2), (4, 4), (10, 3), (10, 10), (50, 7), (1000, 2),
+     (100, 30), (1000, 49), (10**4, 36), (1000, 1000), (2, 7), (2.5, 3)],
 )
 def test_integral_matches_mpmath(n, d):
     assert integral_I(n, d) == pytest.approx(
-        float(oracles.integral_I_mp(n, d)), abs=5e-9
+        float(oracles.integral_I_mp(n, d)), abs=1e-12
     )
+
+
+@pytest.mark.parametrize("a,d", [(2, 2), (2, 7), (3, 3), (9, 2), (999, 49), (999, 1000)])
+def test_the_accelerated_series_is_within_its_remainder_bound(a, d):
+    # exact terms: the CVZ sum, the 200-term partial sum, and the bound
+    # b_200 on that partial sum's own tail, all as Fractions
+    terms = [Fraction(1, a ** (m + 1) * (d * (m + 1) - 1)) for m in range(201)]
+    accelerated, remainder = _alternating_sum(terms)
+    plain = sum((-1) ** m * b for m, b in enumerate(terms[:200]))
+    assert abs(accelerated - plain) <= remainder + terms[200]
+    assert remainder < Fraction(1, 10**18) * terms[0]
+    # and the float sum that integral_I runs stays within rounding of it
+    got, float_remainder = _alternating_sum([float(b) for b in terms])
+    assert got == pytest.approx(float(plain), rel=1e-15)
+    assert float_remainder == pytest.approx(float(remainder), rel=1e-15)
 
 
 def test_integral_closed_forms():
@@ -46,6 +61,11 @@ def test_integral_closed_forms():
     assert integral_I(2, 2) == pytest.approx(math.log(2) - 2 + math.pi / 2, abs=TOL)
     # I(2,1) = 2 log 2 - 1
     assert integral_I(2, 1) == pytest.approx(2 * math.log(2) - 1, abs=TOL)
+
+
+def test_bound_extension_at_order_1000_does_not_read_low():
+    # n^2 I_49 at n = 1000; Simpson at 1e-9 read 493830.7327
+    assert extension_bound_mols(1000, 47) == pytest.approx(493830.78122243774, abs=1e-6)
 
 
 def test_integral_domain():
@@ -81,29 +101,35 @@ def test_estimate_huge_d_no_overflow():
 
 @pytest.fixture(scope="module")
 def estimate_reference():
-    """Per point of the full estimate grid: (integral at _SCREEN_TOL,
-    integral_I at DEFAULT_TOL, closed-form estimate)."""
-    return {(n, d): (_integral_I_err(n, d, _SCREEN_TOL)[0], integral_I(n, d),
-                     closed_form_estimate(n, d))
+    """Per point of the full estimate grid: (integral_I, closed-form estimate)."""
+    return {(n, d): (integral_I(n, d), closed_form_estimate(n, d))
             for n, d in estimate_grid(1000)}
 
 
-def test_the_estimate_screen_is_within_a_quarter_margin_everywhere(estimate_reference):
-    # the grid is fixed and --max-n only truncates it, so this covers every
-    # point any sweep can reach; Simpson's own error estimate is not trusted
-    assert len(estimate_reference) == 2822
-    deviation = max(abs(screened - full) for screened, full, _ in estimate_reference.values())
-    assert deviation <= _SCREEN_MARGIN / 4
-
-
-@pytest.mark.parametrize("max_n", [2, 3, 10, 50, 100, 500, 1000])
-def test_estimate_sweep_equals_the_full_tolerance_sweep(estimate_reference, max_n):
-    gaps = [full - est for (n, _), (_, full, est) in estimate_reference.items() if n <= max_n]
-    assert estimate_sweep(max_n) == (len(gaps), max(gaps))
-
-
 def test_estimate_dominates_integral_on_grid(estimate_reference):
-    assert max(full - est for _, full, est in estimate_reference.values()) <= 2e-9
+    assert len(estimate_reference) == 2822
+    assert max(full - est for full, est in estimate_reference.values()) <= 2e-9
+
+
+def _series_part(n, d):
+    """sum_{m>=0} (-1)^m a^(-(m+1)) / ((m+1)(d(m+1)-1)) with a = n - 1, summed
+    apart from the program: at a = 1 (only n = d = 2 on the grid) it is
+    2 (pi/4) - log 2; for a >= 2, 60 terms leave a tail below 2^-60."""
+    a = n - 1
+    if a == 1:
+        assert d == 2
+        return math.pi / 2 - math.log(2)
+    return math.fsum((-1) ** m / (a ** (m + 1) * (m + 1) * (d * (m + 1) - 1))
+                     for m in range(60))
+
+
+def test_the_estimate_gap_splits_into_two_nonnegative_parts(estimate_reference):
+    # closed_form_estimate's theorem, point by point
+    for (n, d), (full, est) in estimate_reference.items():
+        series = _series_part(n, d)
+        sine = (n - 1) ** (-1 / d) * (d + 3 / d - math.pi / math.sin(math.pi / d))
+        assert series >= 0 and sine >= 0, (n, d)
+        assert series + sine == pytest.approx(est - full, abs=1e-12), (n, d)
 
 
 def test_estimate_sweep_domain():

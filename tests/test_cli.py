@@ -463,10 +463,23 @@ def test_count_mols_says_when_it_skips_the_cross_check(cli, monkeypatch, n, k, v
     ["construct", "cayley", "--group", "3", "--k", "2"],
     ["construct", "kron", "--a", "cayley:2", "--b", "cayley:2", "--limit", "3"],
 ])
-def test_commands_refuse_flags_they_do_not_read(cli, argv):
+def test_commands_refuse_flags_they_do_not_read(cli, capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli(argv)
     assert exc.value.code == 2
+    # the refusal comes from the kind's own parser
+    kind = argv[:1] if argv[0] == "verify" else argv[:2]
+    assert f"usage: molscope {' '.join(kind)} [-h]" in capsys.readouterr().err
+
+
+def test_an_unread_flag_prints_the_usage_of_its_kind(cli, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli(["count", "mols", "--n", "3", "--square", "cayley:3"])
+    assert exc.value.code == 2
+    usage, error = capsys.readouterr().err.split("molscope count mols: error: ")
+    assert usage.startswith("usage: molscope count mols ")
+    assert "--n N" in usage and "--k K" in usage and "--square" not in usage
+    assert error == "unrecognized arguments: --square cayley:3\n"
 
 
 def test_every_flag_is_read_by_some_kind_or_command():
@@ -852,8 +865,10 @@ def test_certify_extension_order_5_needs_no_limit_override(cli, monkeypatch):
     f = fields_by_name(run_structured(cli, ["certify", "extension", "--n", "5", "--all-k"]))
     assert [f[f"systems_k{k}"]["value"] for k in range(4)] == ["1", "161280", "6220800", "1492992000"]
     assert [f[f"max_extensions_k{k}"]["value"] for k in range(4)] == ["161280", "360", "240", "120"]
-    assert [f[f"bound_k{k}"]["value"] for k in range(4)] == [
-        17.914665755703904, 13.805354329446336, 11.215020111155491, 9.438435715387005]
+    bounds = [f[f"bound_k{k}"]["value"] for k in range(4)]
+    assert bounds == [17.914665755704767, 13.805354329464784, 11.215020111171341, 9.438435715406577]
+    assert bounds == pytest.approx([25 * float(oracles.integral_I_mp(5, k + 2)) for k in range(4)],
+                                   abs=1e-12)
     assert all(f[f"dominates_k{k}"]["value"] is True for k in range(4))
 
 
@@ -929,7 +944,7 @@ def test_every_certificate_can_fail(cli, monkeypatch, target):
 
 
 def test_certify_estimate_catches_one_bad_interior_point(cli, monkeypatch):
-    # the screen must keep whichever point is worst, not only (1000, 1000)
+    # the sweep must report whichever point is worst, not only (1000, 1000)
     true_estimate = bounds_mod.closed_form_estimate
 
     def one_bad(n, d):
