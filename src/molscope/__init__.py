@@ -51,7 +51,6 @@ from .core import (
     Square,
     Transversal,
     check_orthogonal,
-    check_orthogonal_to_square,
     is_transversal,
     partition_boxes,
     partition_from_square,

@@ -37,7 +37,7 @@ from .errors import InvalidParams, LimitExceeded, NotPerfectSquare
 DEFAULT_TOL = 1e-9
 _MAX_DEPTH = 48
 # mols_count_bound evaluates one I_d per d = 2..k+1, about 10 us each
-MAX_QUADRATURES = 10_000
+MAX_INTEGRALS = 10_000
 # estimate_sweep's grid
 _ESTIMATE_NS = (*range(2, 51), 100, 500, 1000)
 
@@ -313,14 +313,14 @@ def mols_count_bound(n: float, k: int) -> BoundReport:
     The three regime entries and the reference drop vanishing terms, so they
     are labeled asymptotic-only and are never asserted against counts.
     c_beta runs at DEFAULT_TOL; the quadrature_error is the series
-    remainder of the I_d.  A k above ``MAX_QUADRATURES`` is refused with
+    remainder of the I_d.  A k above ``MAX_INTEGRALS`` is refused with
     ``LimitExceeded``.
     """
     if n < 2 or not 1 <= k <= n - 1:
         raise InvalidParams(f"need n >= 2 and 1 <= k <= n-1; got n={n}, k={k}")
-    if k > MAX_QUADRATURES:
+    if k > MAX_INTEGRALS:
         raise LimitExceeded(
-            f"k={k} needs {k} quadratures, more than the limit {MAX_QUADRATURES}"
+            f"k={k} needs {k} per-cell integrals, more than the limit {MAX_INTEGRALS}"
         )
     nn = float(n) * float(n)
     logn = math.log(n)

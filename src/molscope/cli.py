@@ -10,7 +10,8 @@ boxes:4, classes:(A).
 
 Every kind of a command is one row of ``KINDS``: the flags it reads with
 their defaults, and its run.  The parser has one sub-parser per kind, built
-from that table, so a flag the kind does not read is a usage error.
+from that table, so a flag the kind does not read, or a missing flag it
+needs, is a usage error.
 
 Exit codes: 0 ok, 1 validation failure, 2 I/O, parse or usage error, 3
 search limit exceeded, 4 invalid parameters, 5 certified inequality
@@ -414,10 +415,9 @@ def _write_witnesses(args, docs: list[str]) -> int:
 
 def _witness_cap(args) -> Optional[int]:
     """How many witnesses the search collects: none unless they are emitted."""
-    cap = args.cap if args.cap is not None else 1000  # default emission cap
-    if cap <= 0:
+    if args.cap <= 0:
         raise InvalidParams("cap must be positive")
-    return cap if args.emit_witnesses else None
+    return args.cap if args.emit_witnesses else None
 
 
 def _threads(args) -> int:
@@ -459,7 +459,7 @@ def cmd_verify(args) -> int:
 
 
 def _read_square(args) -> tuple[LatinSquare, dict]:
-    if not args.square or len(args.square) != 1:
+    if len(args.square) != 1:
         raise InvalidParams("this operation takes exactly one --square")
     return resolve_square_spec(args.square[0]), {"square": args.square[0]}
 
@@ -540,25 +540,21 @@ def _counter(read: Callable, engine: Callable, name: str, provenance: str,
              then: Optional[Callable] = None) -> Callable:
     """The run of one ``count`` kind.  ``read`` gives the engine's input and
     the report params; ``then`` adds the fields that follow the count;
-    ``witness_doc`` formats one witness.  Rows call engines through lambdas,
-    which look them up by name at each call, so a test or tracer can
-    substitute one."""
+    ``witness_doc`` formats one witness, and a kind with one reads the
+    ``WITNESS_FLAGS``.  Rows call engines through lambdas, which look them up
+    by name at each call, so a test or tracer can substitute one."""
 
     def run(args, doc: ReportDocument) -> None:
-        opts = SearchOptions(cap=_witness_cap(args), stop_threshold=args.threshold,
-                             threads=_threads(args))
+        opts = SearchOptions(cap=_witness_cap(args) if witness_doc else None,
+                             stop_threshold=args.threshold, threads=_threads(args))
         source, doc.params = read(args)
         res = engine(source, opts)
         _count_field(doc, name, res, provenance)
         if then:
             then(doc, source, res)
-        if args.emit_witnesses and not _violated(doc):
-            # refused here, not up front, so that a disagreement still exits 5
-            if witness_doc is None:
-                raise InvalidParams(f"{doc.command} has no witnesses to emit")
-            if res.witnesses:
-                written = _write_witnesses(args, [witness_doc(source, w) for w in res.witnesses])
-                doc.notes.append(f"wrote {written} witness files")
+        if res.witnesses and not _violated(doc):
+            written = _write_witnesses(args, [witness_doc(source, w) for w in res.witnesses])
+            doc.notes.append(f"wrote {written} witness files")
 
     return run
 
@@ -749,11 +745,9 @@ def _group(args) -> construct_mod.GroupSpec:
 def _square_kind(flags: dict, build: Callable) -> tuple[dict, Callable]:
     """The row of a ``construct`` kind that reads ``flags`` and prints the
     square ``build(args, doc)`` returns, with those flags as the report
-    params; none of these has witnesses."""
+    params."""
 
     def run(args, doc: ReportDocument) -> str:
-        if args.emit_witnesses:
-            raise InvalidParams(f"{doc.command} has no witnesses to emit")
         doc.params = {_dest(f): getattr(args, _dest(f)) for f in flags}
         return format_square(build(args, doc).grid)
 
@@ -801,26 +795,29 @@ def _translate_mates(args, doc: ReportDocument) -> str:
 
 
 NEEDED = object()  # the default of a flag its kind cannot run without
+# the flags of a kind that writes witness files, with their defaults
+WITNESS_FLAGS = {"--cap": 1000, "--emit-witnesses": None}
 
 
 # KINDS[command][kind] = (flags, run).  ``flags`` maps each flag the kind
 # reads, beside those COMMANDS gives its whole command, to its default, or
-# to NEEDED; ``run(args, doc)`` sets the report's params, adds its fields and
-# returns the document a ``construct`` kind prints (None for the other
-# commands).
+# to NEEDED, which makes the flag required; ``run(args, doc)`` sets the
+# report's params, adds its fields and returns the document a ``construct``
+# kind prints (None for the other commands).
 KINDS: dict[str, dict[str, tuple[dict, Callable]]] = {
     "count": {
-        "transversals": ({"--square": None}, _counter(
+        "transversals": ({"--square": NEEDED, **WITNESS_FLAGS}, _counter(
             _read_square, lambda sq, opts: enumerate_transversals(sq, opts),
             "transversals", "row-backtracking",
             lambda sq, cells: format_document([sq.grid], transversal=cells))),
-        "partitions": ({"--square": None}, _counter(
+        "partitions": ({"--square": NEEDED, **WITNESS_FLAGS}, _counter(
             _read_square, lambda sq, opts: count_transversal_partitions(sq, opts),
             "transversal_partitions", "exact-cover", _partition_doc, _mates_implied)),
-        "mates": ({"--square": None}, _counter(
+        "mates": ({"--square": NEEDED, **WITNESS_FLAGS}, _counter(
             _read_square, lambda sq, opts: count_mates(sq, opts), "mates", "extension-engine",
             lambda sq, col: format_document([sq.grid, _column_grid(col, sq.order)]))),
-        "extensions": ({"--system": None, "--square": None, "--partition": None}, _counter(
+        "extensions": ({"--system": None, "--square": None, "--partition": None,
+                        **WITNESS_FLAGS}, _counter(
             _read_system, lambda system, opts: count_extensions(system, opts),
             "extensions", "extension-engine", _extension_doc)),
         "mols": ({"--n": NEEDED, "--k": 1}, _counter(
@@ -828,7 +825,7 @@ KINDS: dict[str, dict[str, tuple[dict, Callable]]] = {
             lambda nk, opts: count_mols(*nk, opts), "count", "chained-extension-engine",
             then=_cross_check(lambda nk: count_mols_direct(*nk)))),
         # a Sudoku square is an extension of the empty system on the boxes
-        "sudoku": ({"--n": NEEDED}, _counter(
+        "sudoku": ({"--n": NEEDED, **WITNESS_FLAGS}, _counter(
             lambda args: (validate_mols([], partition_boxes(_searchable_order(args.n))),
                           {"n": args.n}),
             lambda system, opts: count_extensions(system, opts), "sudoku_squares",
@@ -861,8 +858,8 @@ KINDS: dict[str, dict[str, tuple[dict, Callable]]] = {
             construct_mod.kronecker(resolve_square_spec(args.a), resolve_square_spec(args.b)))),
         "power": _square_kind({"--base": NEEDED, "--k": 2}, lambda args, doc: (
             construct_mod.power(resolve_square_spec(args.base), args.k))),
-        "translate-mates": ({"--group": NEEDED, "--transversal": None, "--count": None},
-                            _translate_mates),
+        "translate-mates": ({"--group": NEEDED, "--transversal": None, "--count": None,
+                             "--emit-witnesses": None}, _translate_mates),
         "constant": _square_kind({"--constant": NEEDED, "--limit": 5, "--power": 2},
                                  _constant_base),
     },
@@ -873,10 +870,10 @@ KINDS: dict[str, dict[str, tuple[dict, Callable]]] = {
 # to every command it times.
 COMMANDS = {
     "verify": ("validate square/system documents", ("--threads",)),
-    "count": ("exact enumeration", ("--threads", "--cap", "--threshold", "--emit-witnesses")),
+    "count": ("exact enumeration", ("--threads", "--threshold")),
     "bound": ("numeric bound evaluation", ()),
     "certify": ("check a bound against exact counts", ("--threads",)),
-    "construct": ("emit constructed objects", ("--emit-witnesses",)),
+    "construct": ("emit constructed objects", ()),
 }
 
 # Each flag's argparse keywords.  A kind's own flag takes its default from
@@ -904,18 +901,11 @@ FLAGS = {
     "--threads": dict(type=int, help="worker processes of a count (default: all "
                                      "cores); verify and certify run in-process"),
     "--cap": dict(type=int, help="max witness files to emit with --emit-witnesses "
-                                 "(default 1000); ignored without it"),
+                                 "(default %(default)s); ignored without it"),
     "--threshold": dict(type=int, help="stop counting once at least this many are found"),
     "--emit-witnesses": dict(metavar="DIR", help="write witness files to this directory"),
     "--format": dict(choices=("table", "structured"), default="table", help="report format"),
 }
-
-
-def _flag_list(flags: Sequence[str]) -> str:
-    """``--a``, ``--a and --b``, or ``--a, --b, and --c``."""
-    if len(flags) < 3:
-        return " and ".join(flags)
-    return ", ".join(flags[:-1]) + ", and " + flags[-1]
 
 
 def _violated(doc: ReportDocument) -> bool:
@@ -925,14 +915,11 @@ def _violated(doc: ReportDocument) -> bool:
 
 
 def cmd_kind(args) -> int:
-    """Run one kind of ``count``, ``bound``, ``certify`` or ``construct``:
-    refuse it without a flag it needs, print its report, and exit 5 when one
+    """Run one kind of ``count``, ``bound``, ``certify`` or ``construct``
+    (its parser has checked its flags): print its report, and exit 5 when one
     of the report's comparisons or cross-checks failed."""
     started = time.monotonic()
-    flags, run = KINDS[args.command][args.kind]
-    needs = [flag for flag, default in flags.items() if default is NEEDED]
-    if any(getattr(args, _dest(flag)) in (None, "") for flag in needs):
-        raise InvalidParams(f"{args.command} {args.kind} needs {_flag_list(needs)}")
+    _, run = KINDS[args.command][args.kind]
     doc = ReportDocument(f"{args.command} {args.kind}", {})
     text = run(args, doc)
     if args.format == "structured":
@@ -977,7 +964,7 @@ def build_parser() -> argparse.ArgumentParser:
             k = kinds.add_parser(kind, parents=[common])
             for flag, default in flags.items():
                 k.add_argument(flag, default=None if default is NEEDED else default,
-                               **FLAGS[flag])
+                               required=default is NEEDED, **FLAGS[flag])
             k.set_defaults(parser=k)
     return ap
 

@@ -242,13 +242,6 @@ def check_orthogonal(a: LatinSquare, b: LatinSquare) -> bool:
     return _pairs_all_distinct(a.grid, b.grid, a.order)
 
 
-def check_orthogonal_to_square(a: LatinSquare, b: Square) -> bool:
-    """Same pair-distinctness test, but the second grid need not be Latin."""
-    if a.order != b.order:
-        raise OrderMismatch(f"orders {a.order} and {b.order} differ")
-    return _pairs_all_distinct(a.grid, b.grid, a.order)
-
-
 def validate_gerechte(l: LatinSquare, p: RegionPartition) -> bool:
     """True iff each symbol occurs exactly once in each region of ``p``."""
     if l.order != p.order:

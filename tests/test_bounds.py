@@ -6,7 +6,7 @@ import pytest
 import oracles
 from molscope.arrays import CellProfile
 from molscope.bounds import (
-    MAX_QUADRATURES,
+    MAX_INTEGRALS,
     BoundReport,
     _alternating_sum,
     c_beta,
@@ -255,11 +255,11 @@ def test_mols_count_bound_structure():
         rep.value("nope")
 
 
-def test_mols_count_bound_refuses_too_many_quadratures():
-    with pytest.raises(LimitExceeded):
-        mols_count_bound(1e12, MAX_QUADRATURES + 1)
+def test_mols_count_bound_refuses_too_many_integrals():
+    with pytest.raises(LimitExceeded, match=f"needs {MAX_INTEGRALS + 1} per-cell integrals"):
+        mols_count_bound(1e12, MAX_INTEGRALS + 1)
     with pytest.raises(InvalidParams):  # an invalid k is reported as such first
-        mols_count_bound(10, MAX_QUADRATURES + 1)
+        mols_count_bound(10, MAX_INTEGRALS + 1)
 
 
 def test_mols_count_bound_sums_integrals():

@@ -190,18 +190,14 @@ def test_verify_orthogonal_pair(cli, tmp_path):
     assert cli(["verify", str(twice)])[0] == 1  # not orthogonal to itself
 
 
-def test_exit_limit_and_params(cli, capsys, tmp_path):
+def test_exit_limit_and_params(cli, capsys):
     code, _, _ = cli(["construct", "cayley", "--group", "9x9"])
     assert code == 3
     code, _, _ = cli(["construct", "translate-mates", "--group", "2"])
     assert code == 3  # the order-2 table has no transversal
-    code, _, _ = cli(["count", "mols"])
-    assert code == 4
     code, _, _ = cli(
         ["count", "transversals", "--square", "cayley:3", "--square", "cayley:3"]
     )
-    assert code == 4
-    code, _, _ = cli(["certify", "power", "--m", "3", "--k", "2"])
     assert code == 4
     # a certificate that compares nothing is no pass
     capsys.readouterr()
@@ -226,15 +222,6 @@ def test_exit_limit_and_params(cli, capsys, tmp_path):
         assert cli(argv)[:2] == (4, b"")
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and says in err
-    # count mols has no witness formatter: asking for witnesses is an error
-    outdir = tmp_path / "w"
-    code, out, _ = cli(["count", "mols", "--n", "3", "--k", "1", "--emit-witnesses", str(outdir)])
-    assert (code, out) == (4, b"")
-    assert not outdir.exists()
-    # of the construct kinds only translate-mates emits witnesses
-    code, out, _ = cli(["construct", "cayley", "--group", "3", "--emit-witnesses", str(outdir)])
-    assert (code, out) == (4, b"")
-    assert not outdir.exists()
 
 
 @pytest.mark.parametrize(
@@ -462,14 +449,23 @@ def test_count_mols_says_when_it_skips_the_cross_check(cli, monkeypatch, n, k, v
     ["certify", "estimate", "--n", "4"],
     ["construct", "cayley", "--group", "3", "--k", "2"],
     ["construct", "kron", "--a", "cayley:2", "--b", "cayley:2", "--limit", "3"],
+    # only the kinds that write witnesses take the witness flags
+    ["count", "mols", "--n", "3", "--cap", "3"],
+    ["count", "mols", "--n", "3", "--emit-witnesses", "w"],
+    ["construct", "cayley", "--group", "3", "--emit-witnesses", "w"],
+    ["construct", "kron", "--a", "cayley:2", "--b", "cayley:2", "--emit-witnesses", "w"],
+    ["construct", "power", "--base", "cayley:2", "--emit-witnesses", "w"],
+    ["construct", "constant", "--constant", "1.1", "--emit-witnesses", "w"],
 ])
-def test_commands_refuse_flags_they_do_not_read(cli, capsys, argv):
+def test_commands_refuse_flags_they_do_not_read(cli, capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
         cli(argv)
     assert exc.value.code == 2
-    # the refusal comes from the kind's own parser
+    # the refusal comes from the kind's own parser, before anything is written
     kind = argv[:1] if argv[0] == "verify" else argv[:2]
     assert f"usage: molscope {' '.join(kind)} [-h]" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_an_unread_flag_prints_the_usage_of_its_kind(cli, capsys):
@@ -480,6 +476,24 @@ def test_an_unread_flag_prints_the_usage_of_its_kind(cli, capsys):
     assert usage.startswith("usage: molscope count mols ")
     assert "--n N" in usage and "--k K" in usage and "--square" not in usage
     assert error == "unrecognized arguments: --square cayley:3\n"
+
+
+WITNESS_KINDS = {("count", kind) for kind in
+                 ("transversals", "partitions", "mates", "extensions", "sudoku")}
+
+
+def test_only_the_witness_kinds_take_the_witness_flags(capsys):
+    takes = {"--emit-witnesses": set(), "--cap": set()}
+    for command, kinds in cli_mod.KINDS.items():
+        for kind in kinds:
+            with pytest.raises(SystemExit):
+                cli_mod.build_parser().parse_args([command, kind, "--help"])
+            usage = capsys.readouterr().out
+            for flag, kinds_taking in takes.items():
+                if f"{flag} " in usage:
+                    kinds_taking.add((command, kind))
+    assert takes == {"--emit-witnesses": WITNESS_KINDS | {("construct", "translate-mates")},
+                     "--cap": WITNESS_KINDS}
 
 
 def test_every_flag_is_read_by_some_kind_or_command():
@@ -507,22 +521,30 @@ NEEDS = [
     (["certify", "extension"], "--n"),
     (["certify", "gerechte"], "--n"),
     (["certify", "product"], "--base"),
-    (["certify", "power", "--m", "3", "--k", "2"], "--m, --q, and --k"),
+    (["certify", "power", "--m", "3", "--k", "2"], "--q"),
     (["certify", "constant"], "--constant"),
     (["construct", "cayley"], "--group"),
-    (["construct", "kron", "--a", "cayley:2"], "--a and --b"),
+    (["construct", "kron", "--a", "cayley:2"], "--b"),
     (["construct", "power"], "--base"),
     (["construct", "translate-mates"], "--group"),
     (["construct", "constant"], "--constant"),
     (["count", "mols"], "--n"),
     (["count", "sudoku"], "--n"),
+    (["count", "transversals"], "--square"),
+    (["count", "partitions", "--cap", "3"], "--square"),
+    (["count", "mates"], "--square"),
 ]
 
 
 @pytest.mark.parametrize("argv, flags", NEEDS, ids=["-".join(argv[:2]) for argv, _ in NEEDS])
 def test_kinds_refuse_runs_without_the_flags_they_need(cli, capsys, argv, flags):
-    assert cli(argv)[:2] == (4, b"")
-    assert capsys.readouterr().err == f"error: {' '.join(argv[:2])} needs {flags}\n"
+    with pytest.raises(SystemExit) as exc:
+        cli(argv)
+    assert exc.value.code == 2
+    kind = " ".join(argv[:2])
+    usage, error = capsys.readouterr().err.split(f"molscope {kind}: error: ")
+    assert usage.startswith(f"usage: molscope {kind} ")
+    assert error == f"the following arguments are required: {flags}\n"
 
 
 @pytest.mark.parametrize("n", ["6", "100000"])
@@ -610,22 +632,21 @@ def test_count_sudoku(cli):
     "engine, argv",
     [
         ("count_mols_direct", ["count", "mols", "--n", "3", "--k", "1"]),
-        ("count_sudoku_direct", ["count", "sudoku", "--n", "4", "--cap", "3"]),
+        ("count_sudoku_direct", ["count", "sudoku", "--n", "4", "--cap", "3",
+                                 "--emit-witnesses", "w"]),
     ],
 )
 def test_count_cross_check_disagreement_exits_5(cli, monkeypatch, tmp_path, engine, argv):
     import molscope.cli as cli_mod
 
     monkeypatch.setattr(cli_mod, engine, lambda *args: 7)
-    outdir = tmp_path / "w"
-    code, out, _ = cli(
-        argv + ["--emit-witnesses", str(outdir), "--format", "structured", "--threads", "1"]
-    )
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = cli(argv + ["--format", "structured", "--threads", "1"])
     assert code == 5
     f = fields_by_name(json.loads(out))
     assert f["direct_count"]["value"] == "7"
     assert f["engines_agree"]["value"] is False
-    assert not outdir.exists()
+    assert not any(tmp_path.iterdir())  # a failed cross-check writes no witness
 
 
 def test_cap_applies_only_to_emitted_witnesses(cli, monkeypatch, tmp_path):
@@ -765,10 +786,11 @@ def test_bound_mols_count_structured(cli):
     assert f["quadrature_error"]["value"] < 1e-6
 
 
-def test_bound_mols_count_refuses_too_many_quadratures(cli, capsys):
+def test_bound_mols_count_refuses_too_many_integrals(cli, capsys):
     code, out, seconds = cli(["bound", "mols-count", "--n", "1e12", "--k", "100000000"])
     assert code == 3 and out == b"" and seconds < 1
-    assert "quadratures" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("error: k=100000000 needs 100000000 per-cell integrals, "
+                                       "more than the limit 10000\n")
     doc = run_structured(cli, ["bound", "mols-count", "--n", "1000", "--k", "999"])
     assert math.isfinite(fields_by_name(doc)["summed_quadrature"]["value"])
 

@@ -7,7 +7,6 @@ from molscope.core import (
     Square,
     Transversal,
     check_orthogonal,
-    check_orthogonal_to_square,
     is_transversal,
     partition_boxes,
     partition_from_square,
@@ -148,7 +147,6 @@ def test_orthogonality():
     b = validate_latin(Square(Z3_MATE))
     assert check_orthogonal(a, b)
     assert not check_orthogonal(a, a)
-    assert check_orthogonal_to_square(a, Square(Z3_MATE))
     with pytest.raises(OrderMismatch):
         check_orthogonal(a, validate_latin(Square(Z4)))
 
