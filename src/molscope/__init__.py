@@ -76,7 +76,6 @@ from .errors import (
     NotPerfectSquare,
     OrderMismatch,
     TooManySquares,
-    TranslatesNotDisjoint,
     UnbalancedSymbols,
     ViolationAt,
 )

@@ -16,7 +16,8 @@ needs, is a usage error.
 Exit codes: 0 ok, 1 validation failure, 2 I/O, parse or usage error, 3
 search limit exceeded, 4 invalid parameters, 5 certified inequality
 violated, 6 internal error (a broken invariant or any other unexpected
-exception).
+exception).  A package error's class fixes its code (``exit_code``, see
+``molscope.errors``).
 
 Structured reports are deterministic: exact counts are decimal strings,
 every value carries a unit and the operation that produced it, and nothing
@@ -56,7 +57,6 @@ from .errors import (
     LimitExceeded,
     MolscopeError,
     NotFoundWithinLimit,
-    NotPerfectSquare,
 )
 from .search import (
     DEFAULT_ENUM_LIMIT,
@@ -75,10 +75,6 @@ from .search import (
 )
 
 EXIT_OK = 0
-EXIT_INVALID = 1
-EXIT_IO = 2
-EXIT_LIMIT = 3
-EXIT_PARAMS = 4
 EXIT_VIOLATION = 5
 EXIT_INTERNAL = 6
 
@@ -214,7 +210,7 @@ def _read_file(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
 
 
@@ -405,11 +401,14 @@ def _column_grid(col: Sequence[int], n: int) -> list[list[int]]:
 
 def _write_witnesses(args, docs: list[str]) -> int:
     outdir = args.emit_witnesses
-    os.makedirs(outdir, exist_ok=True)
-    for idx, text in enumerate(docs, 1):
-        path = os.path.join(outdir, f"witness-{idx:06d}.txt")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+        for idx, text in enumerate(docs, 1):
+            path = os.path.join(outdir, f"witness-{idx:06d}.txt")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except OSError as exc:
+        raise FormatError(f"cannot write witnesses to {outdir}: {exc}") from exc
     return len(docs)
 
 
@@ -445,12 +444,10 @@ def cmd_verify(args) -> int:
                     raise FormatError("TRANSVERSAL block without a square")
                 Transversal.of(latins[0], doc.transversal)
             print(f"{path}: ok")
-        except FormatError as exc:
-            print(f"{path}: parse error: {exc}", file=sys.stderr)
-            code = max(code, EXIT_IO)
         except MolscopeError as exc:
-            print(f"{path}: invalid: {exc}", file=sys.stderr)
-            code = max(code, EXIT_INVALID)
+            label = "parse error" if isinstance(exc, FormatError) else "invalid"
+            print(f"{path}: {label}: {exc}", file=sys.stderr)
+            code = max(code, exc.exit_code)
     return code
 
 
@@ -460,7 +457,7 @@ def cmd_verify(args) -> int:
 
 def _read_square(args) -> tuple[LatinSquare, dict]:
     if len(args.square) != 1:
-        raise InvalidParams("this operation takes exactly one --square")
+        raise FormatError("this operation takes exactly one --square")
     return resolve_square_spec(args.square[0]), {"square": args.square[0]}
 
 
@@ -469,7 +466,7 @@ def _read_system(args) -> tuple[MolsSystem, dict]:
                                 ("partition", args.partition)) if v}
     if args.system:
         if args.square or args.partition:
-            raise InvalidParams("--system takes neither --square nor --partition")
+            raise FormatError("--system takes neither --square nor --partition")
         doc = parse_document(_read_file(args.system))
         if not doc.squares and doc.partition is None:
             raise FormatError(f"{args.system}: a system document needs a square "
@@ -481,7 +478,7 @@ def _read_system(args) -> tuple[MolsSystem, dict]:
         return validate_mols(latins, partition), params
     squares = [resolve_square_spec(s) for s in args.square or []]
     if not squares and not args.partition:
-        raise InvalidParams("need --system, --square, or --partition")
+        raise FormatError("need --system, --square, or --partition")
     # every input's flag and order, so that a mismatch names its flags
     named = [(f"--square {spec}", sq.order) for spec, sq in zip(args.square or [], squares)]
     partition = None
@@ -623,7 +620,7 @@ def _dominance(doc: ReportDocument, prefix: str, k: int, hist: dict[int, int],
 def _certify_extension(args, doc: ReportDocument) -> None:
     n = args.n
     if args.all_k and args.k is not None:
-        raise InvalidParams("certify extension takes --k or --all-k, not both")
+        raise FormatError("certify extension takes --k or --all-k, not both")
     ks = list(range(n - 1)) if args.all_k else [args.k or 0]
     if not args.all_k and ks[0] < 0:
         raise InvalidParams(f"certify extension needs a nonnegative --k, got {args.k}")
@@ -981,21 +978,15 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command and return its exit code.  A package error prints
+    ``error: <message>`` and exits with its class's ``exit_code``; any other
+    exception is a bug and exits 6.  Either is one stderr line."""
     args = _parse_args(argv)
     try:
         return (cmd_verify if args.command == "verify" else cmd_kind)(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (LimitExceeded, NotFoundWithinLimit) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
-    except (InvalidParams, NotPerfectSquare) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARAMS
     except MolscopeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return exc.exit_code
     except RuntimeError as exc:  # a broken internal invariant
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

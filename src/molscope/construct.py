@@ -24,12 +24,7 @@ from .core import (
     is_transversal,
     partition_rows,
 )
-from .errors import (
-    InvalidParams,
-    NotATransversal,
-    NotFoundWithinLimit,
-    TranslatesNotDisjoint,
-)
+from .errors import InvalidParams, NotATransversal, NotFoundWithinLimit
 from .bounds import log_factorial
 from .search import _chain_tree, _check_limit, check_census_order
 
@@ -120,6 +115,10 @@ def translate_mates(
 
     Returns the tiling as a partition plus a generator of mates in
     lexicographic symbol-assignment order (up to ``count_to_emit``).
+
+    Once ``t`` is a transversal of the abelian table, each shift
+    (i, j) -> (i, j + h) is one too, and two shifts share no cell: a shared
+    cell has one row, so one cell of ``t``, so one h.  A collision is a bug.
     """
     if count_to_emit is not None and count_to_emit < 0:
         raise InvalidParams(f"cannot emit a negative number of mates ({count_to_emit})")
@@ -136,18 +135,12 @@ def translate_mates(
         for i, j in cells:
             jj = g.index_of(g.add(elems[j], shift))
             if labels[i][jj] != -1:
-                raise TranslatesNotDisjoint(
-                    "two shifted copies collide; the input is not a "
-                    "transversal of an abelian table"
-                )
+                raise RuntimeError("two shifted copies collide — tiling bug")
             labels[i][jj] = h
     partition = RegionPartition(n, [x for row in labels for x in row])
     for h in range(n):
-        part = partition.cells_of(h)
-        if not is_transversal(table, part):
-            raise TranslatesNotDisjoint(
-                "a shifted copy is not itself a transversal"
-            )
+        if not is_transversal(table, partition.cells_of(h)):
+            raise RuntimeError("a shifted copy is not a transversal — tiling bug")
 
     def emit() -> Iterator[LatinSquare]:
         limit = count_to_emit if count_to_emit is not None else math.factorial(n)

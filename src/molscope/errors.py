@@ -2,9 +2,13 @@
 
 Every error raised by this package derives from :class:`MolscopeError`, so
 callers (including the CLI) can distinguish domain failures from genuine
-bugs.  Validation errors carry enough structure to be asserted on in tests:
-the first violation found under a deterministic scan order, never a
-collection of everything that is wrong.
+bugs.  Each class carries the CLI's exit code for it as ``exit_code``: 1
+for a validation failure (the base class's code, which every class below
+inherits unless it sets its own), 2 for unreadable or malformed text input,
+3 for a search limit, 4 for invalid parameters.  Validation errors carry
+enough structure to be asserted on in tests: the first violation found
+under a deterministic scan order, never a collection of everything that is
+wrong.
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ from __future__ import annotations
 
 class MolscopeError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 1
 
 
 class MalformedSquare(MolscopeError):
@@ -51,6 +57,8 @@ class MalformedPartition(MolscopeError):
 
 class NotPerfectSquare(MolscopeError):
     """A box partition was requested for an order that is not m*m."""
+
+    exit_code = 4
 
 
 class UnbalancedSymbols(MolscopeError):
@@ -102,22 +110,27 @@ class InvalidNOA(MolscopeError):
 class LimitExceeded(MolscopeError):
     """An enumeration was requested beyond the configured order limit."""
 
+    exit_code = 3
+
 
 class InvalidParams(MolscopeError):
     """Parameters outside the domain of a bound or search operation."""
+
+    exit_code = 4
 
 
 class NotATransversal(MolscopeError):
     """A claimed transversal has a repeated row, column, or symbol."""
 
 
-class TranslatesNotDisjoint(MolscopeError):
-    """Shifting a transversal around the group failed to tile the square."""
-
-
 class NotFoundWithinLimit(MolscopeError):
     """An exhaustive search ended without a qualifying object."""
 
+    exit_code = 3
+
 
 class FormatError(MolscopeError):
-    """A text input could not be parsed."""
+    """A text input (a file, a spec or the command line) could not be read,
+    parsed or used as given, or an output file could not be written."""
+
+    exit_code = 2

@@ -924,7 +924,6 @@ def count_mols_direct(n: int, k: int) -> int:
     if k == 0:
         return 1
     if k == 1 and n <= 5:
-        _check_limit(n, DEFAULT_MOLS_LIMIT, "direct tuple counting")
         return count_latin_direct(n)
     if k == 2 and n <= 4:
         perms = list(permutations(range(n)))

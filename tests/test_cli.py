@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 import oracles
-from molscope import bounds as bounds_mod, cli as cli_mod, construct as construct_mod
+from molscope import bounds as bounds_mod, cli as cli_mod, construct as construct_mod, errors
 from molscope.cli import (
     _split_top_level,
     format_document,
@@ -195,12 +195,15 @@ def test_exit_limit_and_params(cli, capsys):
     assert code == 3
     code, _, _ = cli(["construct", "translate-mates", "--group", "2"])
     assert code == 3  # the order-2 table has no transversal
+    # a command-line shape the parser cannot state is a usage error
     code, _, _ = cli(
         ["count", "transversals", "--square", "cayley:3", "--square", "cayley:3"]
     )
-    assert code == 4
-    # a certificate that compares nothing is no pass
+    assert code == 2
     capsys.readouterr()
+    assert cli(["count", "extensions"])[:2] == (2, b"")
+    assert capsys.readouterr().err == "error: need --system, --square, or --partition\n"
+    # a certificate that compares nothing is no pass
     for argv in (["extension", "--n", "4", "--k", "5"], ["extension", "--n", "1", "--all-k"],
                  ["estimate", "--max-n", "1"], ["power", "--m", "3", "--q", "6", "--k", "0"]):
         code, out, _ = cli(["certify", *argv])
@@ -214,14 +217,17 @@ def test_exit_limit_and_params(cli, capsys):
                        (["bound", "reference", "--n", "3", "--k", "-2"], "k >= 0"),
                        (["certify", "extension", "--n", "4", "--k", "-1"],
                         "needs a nonnegative --k, got -1"),
-                       (["certify", "extension", "--n", "4", "--k", "-2", "--all-k"],
-                        "takes --k or --all-k, not both"),
                        (["certify", "gerechte", "--n", "3", "--partition", "boxes:4"],
                         "--n 3 does not match the order 4")):
         capsys.readouterr()
         assert cli(argv)[:2] == (4, b"")
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and says in err
+    # ... but --k with --all-k is a usage error, like any flag rule
+    capsys.readouterr()
+    assert cli(["certify", "extension", "--n", "4", "--k", "-2", "--all-k"])[:2] == (2, b"")
+    assert capsys.readouterr().err == (
+        "error: certify extension takes --k or --all-k, not both\n")
 
 
 @pytest.mark.parametrize(
@@ -278,6 +284,53 @@ def test_any_unexpected_exception_exits_6(cli, monkeypatch, capsys):
     assert code == 6
     assert out == b""
     assert capsys.readouterr().err == "internal error: KeyError: 'k9'\n"
+
+
+# The exit code of each package error class; every class not named here
+# keeps the base class's 1 (validation failure).
+EXIT_CODES = {errors.MolscopeError: 1, errors.FormatError: 2, errors.LimitExceeded: 3,
+              errors.NotFoundWithinLimit: 3, errors.InvalidParams: 4,
+              errors.NotPerfectSquare: 4}
+ERROR_ARGS = {errors.ViolationAt: ("row", 0, 1), errors.NotOrthogonal: (0, 1),
+              errors.NotGerechte: (0,), errors.TooManySquares: (4, 3)}
+
+
+@pytest.mark.parametrize("cls", [
+    c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.MolscopeError)
+], ids=lambda c: c.__name__)
+def test_an_error_class_fixes_its_exit_code(cli, monkeypatch, capsys, cls):
+    assert cls.exit_code == EXIT_CODES.get(cls, 1)
+    exc = cls(*ERROR_ARGS.get(cls, ("broken on purpose",)))
+
+    def broken(*args):
+        raise exc
+
+    monkeypatch.setattr(cli_mod, "extension_census", broken)
+    assert cli(["certify", "extension", "--n", "3", "--all-k"])[:2] == (cls.exit_code, b"")
+    assert capsys.readouterr().err == f"error: {exc}\n"
+
+
+def test_a_file_that_is_not_utf8_is_an_input_error(cli, capsys, tmp_path):
+    bad, ok = tmp_path / "bad.txt", tmp_path / "ok.txt"
+    bad.write_bytes(b"\xff")
+    ok.write_text(Z3_TEXT)
+    # verify reports it and goes on to the next file
+    assert cli(["verify", str(bad), str(ok)])[:2] == (2, f"{ok}: ok\n".encode())
+    err = capsys.readouterr().err
+    assert err.startswith(f"{bad}: parse error: cannot read {bad}: ") and err.count("\n") == 1
+    assert cli(["count", "transversals", "--square", str(bad)])[:2] == (2, b"")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {bad}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["count", "mates", "--square", "cayley:3"],
+                                  ["construct", "translate-mates", "--group", "3"]])
+def test_an_unwritable_witness_directory_is_an_output_error(cli, capsys, tmp_path, argv):
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    assert cli([*argv, "--emit-witnesses", str(taken)])[:2] == (2, b"")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write witnesses to {taken}: ") and err.count("\n") == 1
 
 
 # --------------------------------------------------------------------------
@@ -367,7 +420,7 @@ def test_count_extensions_refuses_a_system_with_square_or_partition(cli, capsys,
     # the document holds the whole system: an extra flag is refused, not ignored
     sysfile = tmp_path / "sys.txt"
     sysfile.write_text(Z3_TEXT)
-    assert cli(["count", "extensions", "--system", str(sysfile), *extra])[:2] == (4, b"")
+    assert cli(["count", "extensions", "--system", str(sysfile), *extra])[:2] == (2, b"")
     err = capsys.readouterr().err
     assert err.startswith("error: --system takes neither") and err.count("\n") == 1
 
