@@ -95,6 +95,8 @@ from .search import (
     gerechte_mates_direct,
     iter_extensions,
     iter_latin_direct,
+    iter_transversal_partitions,
+    iter_transversals,
     max_extensions,
 )
 

@@ -34,6 +34,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Optional, Sequence
 
 from . import bounds as bounds_mod
@@ -72,6 +73,9 @@ from .search import (
     count_transversal_partitions,
     enumerate_transversals,
     extension_census,
+    iter_extensions,
+    iter_transversal_partitions,
+    iter_transversals,
 )
 
 EXIT_OK = 0
@@ -413,7 +417,7 @@ def _write_witnesses(args, docs: list[str]) -> int:
 
 
 def _witness_cap(args) -> Optional[int]:
-    """How many witnesses the search collects: none unless they are emitted."""
+    """How many witnesses a count writes: none unless they are emitted."""
     if args.cap <= 0:
         raise InvalidParams("cap must be positive")
     return args.cap if args.emit_witnesses else None
@@ -519,6 +523,7 @@ def _cross_check(direct: Callable) -> Callable:
 
     def check(doc: ReportDocument, source, res: ExtensionCount) -> None:
         if not res.exact_flag:
+            doc.notes.append("direct cross-check skipped: the count stopped at its threshold")
             return
         try:
             value = direct(source)
@@ -533,24 +538,28 @@ def _cross_check(direct: Callable) -> Callable:
 
 
 def _counter(read: Callable, engine: Callable, name: str, provenance: str,
-             witness_doc: Optional[Callable] = None,
+             witnesses: Optional[tuple[Callable, Callable]] = None,
              then: Optional[Callable] = None) -> Callable:
     """The run of one ``count`` kind.  ``read`` gives the engine's input and
-    the report params; ``then`` adds the fields that follow the count;
-    ``witness_doc`` formats one witness, and a kind with one reads the
-    ``WITNESS_FLAGS``.  Rows call engines through lambdas, which look them up
-    by name at each call, so a test or tracer can substitute one."""
+    the report params; ``then`` adds the fields that follow the count.  A
+    kind with ``witnesses = (walk, doc)`` reads the ``WITNESS_FLAGS``; unless
+    a comparison or cross-check failed, ``--emit-witnesses`` writes
+    ``doc(source, w)`` for the first min(cap, count) ``w`` of ``walk(source)``.
+    Rows call engines and walks through lambdas, which look them up by name
+    at each call, so a test or tracer can substitute one."""
 
     def run(args, doc: ReportDocument) -> None:
-        opts = SearchOptions(cap=_witness_cap(args) if witness_doc else None,
-                             stop_threshold=args.threshold, threads=_threads(args))
+        cap = _witness_cap(args) if witnesses else None
+        opts = SearchOptions(stop_threshold=args.threshold, threads=_threads(args))
         source, doc.params = read(args)
         res = engine(source, opts)
         _count_field(doc, name, res, provenance)
         if then:
             then(doc, source, res)
-        if res.witnesses and not _violated(doc):
-            written = _write_witnesses(args, [witness_doc(source, w) for w in res.witnesses])
+        if cap and res.value.count and not _violated(doc):
+            walk, witness_doc = witnesses
+            found = islice(walk(source), min(cap, res.value.count))
+            written = _write_witnesses(args, [witness_doc(source, w) for w in found])
             doc.notes.append(f"wrote {written} witness files")
 
     return run
@@ -770,10 +779,10 @@ def _translate_mates(args, doc: ReportDocument) -> str:
             raise FormatError(f"{args.transversal}: no TRANSVERSAL block")
         cells = tdoc.transversal
     else:
-        res = enumerate_transversals(table, SearchOptions(cap=1, stop_threshold=1))
-        if not res.witnesses:
+        # count on orbits first: a bare walk exhausts a table with none
+        if not enumerate_transversals(table, SearchOptions(stop_threshold=1)).value.count:
             raise NotFoundWithinLimit(f"the order-{g.order} table has no transversal")
-        cells = list(res.witnesses[0])
+        cells = next(iter_transversals(table))
     t = Transversal.of(table, cells)
     partition, mates = construct_mod.translate_mates(g, t, args.count)
     if args.emit_witnesses:  # only the mates written are built and checked
@@ -794,6 +803,7 @@ def _translate_mates(args, doc: ReportDocument) -> str:
 NEEDED = object()  # the default of a flag its kind cannot run without
 # the flags of a kind that writes witness files, with their defaults
 WITNESS_FLAGS = {"--cap": 1000, "--emit-witnesses": None}
+EXTENSION_WITNESSES = (lambda system: iter_extensions(system), _extension_doc)
 
 
 # KINDS[command][kind] = (flags, run).  ``flags`` maps each flag the kind
@@ -806,17 +816,20 @@ KINDS: dict[str, dict[str, tuple[dict, Callable]]] = {
         "transversals": ({"--square": NEEDED, **WITNESS_FLAGS}, _counter(
             _read_square, lambda sq, opts: enumerate_transversals(sq, opts),
             "transversals", "row-backtracking",
-            lambda sq, cells: format_document([sq.grid], transversal=cells))),
+            (lambda sq: iter_transversals(sq),
+             lambda sq, cells: format_document([sq.grid], transversal=cells)))),
         "partitions": ({"--square": NEEDED, **WITNESS_FLAGS}, _counter(
             _read_square, lambda sq, opts: count_transversal_partitions(sq, opts),
-            "transversal_partitions", "exact-cover", _partition_doc, _mates_implied)),
+            "transversal_partitions", "exact-cover",
+            (lambda sq: iter_transversal_partitions(sq), _partition_doc), _mates_implied)),
         "mates": ({"--square": NEEDED, **WITNESS_FLAGS}, _counter(
             _read_square, lambda sq, opts: count_mates(sq, opts), "mates", "extension-engine",
-            lambda sq, col: format_document([sq.grid, _column_grid(col, sq.order)]))),
+            (lambda sq: iter_extensions(validate_mols([sq], partition_rows(sq.order))),
+             lambda sq, col: format_document([sq.grid, _column_grid(col, sq.order)])))),
         "extensions": ({"--system": None, "--square": None, "--partition": None,
                         **WITNESS_FLAGS}, _counter(
             _read_system, lambda system, opts: count_extensions(system, opts),
-            "extensions", "extension-engine", _extension_doc)),
+            "extensions", "extension-engine", EXTENSION_WITNESSES)),
         "mols": ({"--n": NEEDED, "--k": 1}, _counter(
             lambda args: ((args.n, args.k), {"n": args.n, "k": args.k}),
             lambda nk, opts: count_mols(*nk, opts), "count", "chained-extension-engine",
@@ -826,7 +839,7 @@ KINDS: dict[str, dict[str, tuple[dict, Callable]]] = {
             lambda args: (validate_mols([], partition_boxes(_searchable_order(args.n))),
                           {"n": args.n}),
             lambda system, opts: count_extensions(system, opts), "sudoku_squares",
-            "extension-engine", _extension_doc,
+            "extension-engine", EXTENSION_WITNESSES,
             _cross_check(lambda system: count_sudoku_direct(system.order)))),
     },
     "bound": {

@@ -56,15 +56,14 @@ cell 0 onto those containing its image.  So the branches of one orbit count
 alike, and a count runs the branch of each orbit's smallest member, weighed
 by the orbit's size.  The maps come from a bounded search
 (:func:`_autotopisms`), and each is checked cell by cell before use; a
-missed map only splits an orbit.  Walks that must produce objects in
-lexicographic order (witnesses, :func:`iter_extensions`) keep an unreduced
-walk.  The direct engine is never reduced (every square is one leaf of its
-walk), so it stays an independent check.
+missed map only splits an orbit.  The engines only count; the listing
+walks (:func:`iter_transversals`, :func:`iter_transversal_partitions`,
+:func:`iter_extensions`) keep lexicographic order, so they are sequential
+and unreduced.  The direct engine is never reduced (every square is one
+leaf of its walk), so it stays an independent check.
 
 Determinism contract: results never depend on thread count.  Branches
-return counts; witnesses are the first min(cap, count) leaves of one
-sequential lexicographic walk of the whole tree, taken after the count and
-only that far.  The exact cover always branches on the part through cell
+return counts.  The exact cover always branches on the part through cell
 0, which costs no extra set-up.  Every pooled search branches on its first
 choice, whatever the options: the option through cell 0 of a cover, the
 column of row 0 of a transversal, one branch per orbit where the square's
@@ -78,8 +77,7 @@ branch alone, never on the schedule or the other branches.  A branch at its
 limit reaches the threshold by itself, so the total reaches the threshold
 exactly when the uncapped total would, and a threshold-stopped count always
 reports exactly the threshold (flagged inexact).  So schedules cannot leak
-into output: the count is min(threshold, total) and the witnesses are the
-first min(cap, threshold, total) leaves, however the tree was cut.
+into output: the count is min(threshold, total), however the tree was cut.
 """
 
 from __future__ import annotations
@@ -89,7 +87,7 @@ import multiprocessing
 import multiprocessing.connection
 import os
 from contextlib import closing
-from dataclasses import InitVar, dataclass, replace
+from dataclasses import InitVar, dataclass
 from itertools import islice, permutations
 from typing import Iterator, Optional, Sequence
 
@@ -125,7 +123,6 @@ class Exact:
 class SearchOptions:
     """Knobs shared by all searches.
 
-    ``cap`` limits how many witnesses are collected (None: collect none).
     ``stop_threshold`` lets a count stop early once it is known to be at
     least that large; the result is then reported as exactly the threshold
     with ``exact_flag`` False ("at least").  ``threads`` above 1
@@ -134,14 +131,11 @@ class SearchOptions:
     the benchmark's tracing scripts among them, still pass it.
     """
 
-    cap: Optional[int] = None
     stop_threshold: Optional[int] = None
     threads: Optional[int] = None
     parallel: InitVar[bool] = False
 
     def __post_init__(self, parallel):
-        if self.cap is not None and self.cap <= 0:
-            raise InvalidParams("cap must be positive")
         if self.stop_threshold is not None and self.stop_threshold <= 0:
             raise InvalidParams("stop_threshold must be positive")
         if self.threads is not None and self.threads <= 0:
@@ -150,12 +144,10 @@ class SearchOptions:
 
 @dataclass(frozen=True)
 class ExtensionCount:
-    """A search result: the count, whether it is the full count, and any
-    collected witnesses (in lexicographic discovery order)."""
+    """A search result: the count, and whether it is the full count."""
 
     value: Exact
     exact_flag: bool
-    witnesses: Optional[tuple] = None
 
 
 DEFAULT_ENUM_LIMIT = 16  # transversals / single-column extensions
@@ -181,42 +173,6 @@ def _check_limit(n: int, default: int, what: str) -> None:
             f"{what} at order {n} exceeds the configured limit {lim} "
             f"(set MOLSCOPE_LIMIT_N to override)"
         )
-
-
-# --------------------------------------------------------------------------
-# the column walk: the symbol classes of a new column grown as array
-# transversals (the witnesses of extension and mate counts)
-
-
-def iter_extensions(system: MolsSystem) -> Iterator[tuple[int, ...]]:
-    """All squares that extend ``system`` (which needs a partition), as
-    flat row-major symbol columns in lexicographic order (sequential,
-    unreduced): the walk grows the n symbol classes as partial array
-    transversals.  Cell (i, j) has code ``1 << i | 1 << n + j | c << 2n``,
-    ``c`` its :func:`_array_codes` bits, and ``used[s]`` ORs the codes of
-    the cells holding s.  Cells go in row-major order, each taking in turn
-    every s whose ``used[s]`` its code misses, as in :func:`_transversals`."""
-    n = system.order
-    codes = [1 << i | 1 << n + j | c << 2 * n
-             for i, row in enumerate(_array_codes(system)) for j, c in enumerate(row)]
-    used = [0] * n
-    col = [0] * len(codes)
-    last = len(codes) - 1
-
-    def rec(cell):
-        code = codes[cell]
-        for s, u in enumerate(used):
-            if u & code:
-                continue
-            col[cell] = s
-            if cell == last:
-                yield tuple(col)
-            else:
-                used[s] = u | code
-                yield from rec(cell + 1)
-                used[s] = u
-
-    yield from rec(0)
 
 
 # --------------------------------------------------------------------------
@@ -280,8 +236,7 @@ def _aggregate(state, opts: SearchOptions, weight: int = 1) -> ExtensionCount:
     (argument, size) pair: ``branch(*shared, limit, argument)`` counts up to
     ``limit`` for an orbit of ``size`` branches with equal counts, so it
     adds sub × weight × size.  The accumulation loop is the same code for
-    one process and many.  The result carries no witnesses; see
-    :func:`_with_witnesses`.
+    one process and many.
     """
     branch, shared, items = state
     threshold = opts.stop_threshold
@@ -305,15 +260,6 @@ def _branch_limit(opts: SearchOptions, weight: int = 1) -> Optional[int]:
     if opts.stop_threshold is None:
         return None
     return -(-opts.stop_threshold // weight)
-
-
-def _with_witnesses(res: ExtensionCount, cap: Optional[int], leaves: Iterator) -> ExtensionCount:
-    """``res`` with the first min(cap, count) items of ``leaves`` as its
-    witnesses (none without a cap).  ``leaves`` is the lexicographic walk of
-    the whole tree; it is consumed only that far."""
-    if cap is None:
-        return res
-    return replace(res, witnesses=tuple(islice(leaves, min(cap, res.value.count))))
 
 
 # --------------------------------------------------------------------------
@@ -389,7 +335,7 @@ def _autotopisms(grid: Sequence[Sequence[int]], fix_cell: bool) -> list[tuple[li
         return None
 
     # Every column gets a turn as β(0) before any gets a second, so a search
-    # cut short by the work cap still tends to join all of row 0.
+    # cut short by the work limit still tends to join all of row 0.
     seeds = [(b0, (b0 + d) % n) for d in range(1, n) for b0 in ([0] if fix_cell else range(n))]
     maps = []
     for b0, b1 in seeds:
@@ -535,25 +481,25 @@ def _cover_branch(masks, through, disjoint, squares, allowed, limit, first):
     full = (1 << len(through)) - 1
     n = masks[first].bit_count()
 
-    def rec(uncov, allowed, nxt, left, squares, cap):
+    def rec(uncov, allowed, nxt, left, squares, limit):
         m = through[(uncov & -uncov).bit_length() - 1] & allowed  # unused once uncov is 0
         if left <= 2:
             if squares == 1:
                 if left < 2:
                     return 1
                 k = m.bit_count()
-                return k if k < cap else cap
+                return k if k < limit else limit
             if not left:
-                return rec(full, nxt, nxt, n, squares - 1, cap)
+                return rec(full, nxt, nxt, n, squares - 1, limit)
         total = 0
         while m:
             b = m & -m
             m ^= b
             t = b.bit_length() - 1
             total += rec(uncov ^ masks[t], allowed & disjoint[t], nxt & ~disjoint[t] if squares > 1 else nxt,
-                         left - 1, squares, cap - total)  # masks[t] lies in uncov
-            if total >= cap:
-                return cap
+                         left - 1, squares, limit - total)  # masks[t] lies in uncov
+            if total >= limit:
+                return limit
         return total
 
     return rec(full ^ masks[first], allowed & disjoint[first], allowed & ~disjoint[first], n - 1,
@@ -627,24 +573,31 @@ def _cover_orbits(grid, options: Sequence[tuple[int, ...]]) -> list[tuple[int, i
 
 
 def enumerate_transversals(l: LatinSquare, opts: SearchOptions | None = None) -> ExtensionCount:
-    """Count (and optionally collect) all transversals of ``l``.
+    """Count all transversals of ``l``.
 
     Row-by-row backtracking over column choices (:func:`_transversals`) on
     the per-cell codes of the system {l} on the rows, with one branch per
     orbit of the columns of row 0 under the autotopisms of ``l`` with
     α(0) = 0 (:func:`_autotopisms`): such a map sends each transversal
     through (0, j) to one through (0, β(j)), so the branch on an orbit's
-    smallest column counts for the whole orbit.  Witnesses, cell tuples
-    sorted by row, are the first min(cap, count) transversals of one
-    sequential walk in lexicographic order of their columns.
+    smallest column counts for the whole orbit.  :func:`iter_transversals`
+    lists them.
     """
     opts = opts or SearchOptions()
     n = l.order
     _check_limit(n, DEFAULT_ENUM_LIMIT, "transversal enumeration")
     codes = _array_codes(validate_mols([l], partition_rows(n)))
     orbits = _orbits(range(n), [b for _, b, _ in _autotopisms(l.grid, False)])
-    res = _aggregate((_transversal_branch, (codes, n), [((j,), size) for j, size in orbits]), opts)
-    return _with_witnesses(res, opts.cap, (tuple(enumerate(c)) for c in _transversals(codes, n, ())))
+    return _aggregate((_transversal_branch, (codes, n), [((j,), size) for j, size in orbits]), opts)
+
+
+def iter_transversals(l: LatinSquare) -> Iterator[tuple[tuple[int, int], ...]]:
+    """All transversals of ``l``, as cell tuples sorted by row, in
+    lexicographic order of their columns: one sequential, unreduced walk
+    (:func:`_transversals`), which exhausts a square with no transversal."""
+    n = l.order
+    for cols in _transversals(_array_codes(validate_mols([l], partition_rows(n))), n, ()):
+        yield tuple(enumerate(cols))
 
 
 def count_transversal_partitions(
@@ -652,36 +605,32 @@ def count_transversal_partitions(
 ) -> ExtensionCount:
     """Unordered partitions of the cells into n disjoint transversals.
 
-    Exact-cover search: cells are the items, transversals the options.  The
-    part containing the lowest uncovered cell is always chosen next, so each
-    partition is generated exactly once, with its parts in order of their
-    minimal cells.  A node walks ``through[c] & allowed`` for its lowest
-    uncovered cell ``c`` in increasing transversal index and passes
-    ``allowed & disjoint[t]`` down, where ``allowed`` holds the options
-    disjoint from every part chosen so far; the tables are described in the
-    module docstring.  The last two parts are not searched.  The 2n cells
-    they cover meet every row, column and symbol exactly twice, since each
-    part chosen meets each once; so for an allowed transversal t through
-    the lowest of them, the other n cells meet each row, column and symbol
-    once: a transversal disjoint from every part, so also allowed.  That
-    level's count is the number of allowed transversals through the cell.
-    Branches count, each only as far as the threshold needs (see the module
-    docstring): one per orbit of the parts through cell 0 under the
-    autotopisms of ``l`` fixing cell 0, weighed by the orbit's size, on the
-    :func:`_cover_plan` of the system {l} on the rows.  Witnesses are the
-    first min(cap, count) partitions of one sequential walk in that same
-    order, i.e. in lexicographic order of their parts' transversal indices.
-    Orthogonal mates are in bijection with (partition, symbol assignment)
-    pairs, so mates(l) = partitions(l) * n!.
+    Exact-cover search (:func:`_cover_branch`: cells are the items,
+    transversals the options, the part through the lowest uncovered cell
+    chosen next, so each partition is counted once).  Branches count, each
+    only as far as the threshold needs (see the module docstring): one per
+    orbit of the parts through cell 0 under the autotopisms of ``l`` fixing
+    cell 0, weighed by the orbit's size, on the :func:`_cover_plan` of the
+    system {l} on the rows.  :func:`iter_transversal_partitions` lists
+    them.  Orthogonal mates are in bijection with (partition, symbol
+    assignment) pairs, so mates(l) = partitions(l) * n!.
     """
     opts = opts or SearchOptions()
     n = l.order
     _check_limit(n, DEFAULT_ENUM_LIMIT, "partition enumeration")
-    plan = _cover_plan(validate_mols([l], partition_rows(n)))
-    options, tables, _ = plan
-    covers = _covers(*tables, (1 << n * n) - 1, (1 << len(options)) - 1)
-    parts = (tuple(tuple(enumerate(options[t])) for t in c) for c in covers)
-    return _with_witnesses(_count_covers(plan, opts), opts.cap, parts)
+    return _count_covers(_cover_plan(validate_mols([l], partition_rows(n))), opts)
+
+
+def iter_transversal_partitions(l: LatinSquare) -> Iterator[tuple[tuple[tuple[int, int], ...], ...]]:
+    """All partitions of the cells of ``l`` into n transversals, as tuples
+    of :func:`iter_transversals` parts in order of their lowest cells: one
+    sequential, unreduced walk (:func:`_covers`), in lexicographic order of
+    the parts' indices in that walk."""
+    n = l.order
+    parts = list(iter_transversals(l))
+    tables = _cover_tables([[j for _, j in part] for part in parts], n)
+    for cover in _covers(*tables, (1 << n * n) - 1, (1 << len(parts)) - 1):
+        yield tuple(parts[t] for t in cover)
 
 
 def count_extensions(system: MolsSystem, opts: SearchOptions | None = None) -> ExtensionCount:
@@ -692,16 +641,44 @@ def count_extensions(system: MolsSystem, opts: SearchOptions | None = None) -> E
     transversals of the system (part s of a cover gets symbol s; see the
     module docstring), on the branches of its :func:`_cover_plan`: one per
     transversal through cell 0, or one per orbit of them when the system is
-    one square on the rows (its mates; see :func:`count_mates`).  With a
-    cap, witnesses are the first min(cap, count) columns of
-    :func:`iter_extensions`' walk of the full tree, so they come in full
-    lexicographic order however the count ran.
+    one square on the rows (its mates; see :func:`count_mates`).
+    :func:`iter_extensions` lists them.
     """
     opts = opts or SearchOptions()
     n = system.order
     _check_limit(n, DEFAULT_ENUM_LIMIT, "extension counting")
-    res = _count_covers(_cover_plan(system), opts, weight=math.factorial(n))
-    return _with_witnesses(res, opts.cap, iter_extensions(system))
+    return _count_covers(_cover_plan(system), opts, weight=math.factorial(n))
+
+
+def iter_extensions(system: MolsSystem) -> Iterator[tuple[int, ...]]:
+    """All squares that extend ``system`` (which needs a partition), as
+    flat row-major symbol columns in lexicographic order (sequential,
+    unreduced): the walk grows the n symbol classes as partial array
+    transversals.  Cell (i, j) has code ``1 << i | 1 << n + j | c << 2n``,
+    ``c`` its :func:`_array_codes` bits, and ``used[s]`` ORs the codes of
+    the cells holding s.  Cells go in row-major order, each taking in turn
+    every s whose ``used[s]`` its code misses, as in :func:`_transversals`."""
+    n = system.order
+    codes = [1 << i | 1 << n + j | c << 2 * n
+             for i, row in enumerate(_array_codes(system)) for j, c in enumerate(row)]
+    used = [0] * n
+    col = [0] * len(codes)
+    last = len(codes) - 1
+
+    def rec(cell):
+        code = codes[cell]
+        for s, u in enumerate(used):
+            if u & code:
+                continue
+            col[cell] = s
+            if cell == last:
+                yield tuple(col)
+            else:
+                used[s] = u | code
+                yield from rec(cell + 1)
+                used[s] = u
+
+    yield from rec(0)
 
 
 def count_mates(l: LatinSquare, opts: SearchOptions | None = None) -> ExtensionCount:
@@ -891,7 +868,7 @@ def iter_latin_direct(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
 
 
 def count_latin_direct(n: int) -> int:
-    """Count Latin squares by the direct engine (fast, no witnesses)."""
+    """Count Latin squares by the direct engine."""
     if n < 1:
         raise InvalidParams("order must be positive")
     return _count_direct(n)

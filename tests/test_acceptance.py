@@ -34,6 +34,7 @@ from molscope.search import (
     count_mates,
     enumerate_transversals,
     iter_latin_direct,
+    iter_transversals,
 )
 
 CLI_RUNS = {
@@ -223,8 +224,8 @@ def test_criterion_9_translate_mates():
             g = GroupSpec(factors)
             table = cayley_table(g)
             n = g.order
-            res = enumerate_transversals(table, SearchOptions(cap=1))
-            t = Transversal.of(table, res.witnesses[0])
+            check(enumerate_transversals(table, SearchOptions(stop_threshold=1)).value.count == 1)
+            t = Transversal.of(table, next(iter_transversals(table)))
             partition, mates = translate_mates(g, t)
             for h in range(n):
                 check(is_transversal(table, partition.cells_of(h)))

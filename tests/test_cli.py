@@ -672,6 +672,7 @@ def test_count_mols_threshold_is_not_exact(cli):
     assert f["value"] == "5"
     assert f["exact"] is False
     assert "direct_count" not in fields_by_name(doc)
+    assert doc["notes"] == ["direct cross-check skipped: the count stopped at its threshold"]
 
 
 def test_count_sudoku(cli):
@@ -703,20 +704,28 @@ def test_count_cross_check_disagreement_exits_5(cli, monkeypatch, tmp_path, engi
 
 
 def test_cap_applies_only_to_emitted_witnesses(cli, monkeypatch, tmp_path):
+    # the count runs alone; with --emit-witnesses the listing walk runs
+    # after it, and only as far as the cap, or the count when that is less
     import molscope.cli as cli_mod
 
-    caps = []
-    engine = cli_mod.enumerate_transversals
+    pulled = []
+    walk = cli_mod.iter_transversals
 
-    def spy(square, opts):
-        caps.append(opts.cap)
-        return engine(square, opts)
+    def spy(square):
+        pulled.append(0)
+        for t in walk(square):
+            pulled[-1] += 1
+            yield t
 
-    monkeypatch.setattr(cli_mod, "enumerate_transversals", spy)
-    argv = ["count", "transversals", "--square", "cayley:5", "--cap", "7", "--threads", "1"]
-    assert cli(argv)[0] == 0
-    assert cli(argv + ["--emit-witnesses", str(tmp_path / "w")])[0] == 0
-    assert caps == [None, 7]
+    monkeypatch.setattr(cli_mod, "iter_transversals", spy)
+    argv = ["count", "transversals", "--square", "cayley:5", "--threads", "1"]
+    assert cli(argv + ["--cap", "7"])[0] == 0
+    assert pulled == []
+    for cap, threshold, written in ((7, None, 7), (7, 3, 3), (100, None, 15)):
+        out = tmp_path / f"{cap}-{threshold}"
+        extra = ["--threshold", str(threshold)] if threshold else []
+        assert cli(argv + ["--cap", str(cap), "--emit-witnesses", str(out), *extra])[0] == 0
+        assert pulled[-1] == written == len(list(out.iterdir()))
 
 
 def test_table_format_shows_elapsed(cli):
@@ -1086,21 +1095,29 @@ def test_construct_translate_mates(cli, tmp_path):
 
 
 def test_construct_translate_mates_stops_at_the_first_transversal(cli, monkeypatch):
-    # the built-in transversal is the first of the lexicographic walk, and
-    # the search for it stops there instead of counting every transversal
+    # the built-in transversal is the first of the lexicographic walk: the
+    # count that shows there is one stops at the first, and the walk is
+    # read no further than its first transversal
     import molscope.cli as cli_mod
     from molscope.search import _array_codes, _transversals
 
-    seen = []
-    engine = cli_mod.enumerate_transversals
+    seen, pulled = [], []
+    engine, walk = cli_mod.enumerate_transversals, cli_mod.iter_transversals
 
     def spy(square, opts):
         seen.append(opts)
         return engine(square, opts)
 
+    def walk_spy(square):
+        for t in walk(square):
+            pulled.append(t)
+            yield t
+
     monkeypatch.setattr(cli_mod, "enumerate_transversals", spy)
+    monkeypatch.setattr(cli_mod, "iter_transversals", walk_spy)
     doc = run_structured(cli, ["construct", "translate-mates", "--group", "13", "--count", "2"])
-    assert [(o.cap, o.stop_threshold) for o in seen] == [(1, 1)]
+    assert [o.stop_threshold for o in seen] == [1]
+    assert len(pulled) == 1
     table = cayley_table(GroupSpec([13]))
     first = next(_transversals(_array_codes(validate_mols([table], partition_rows(13))), 13, ()))
     parsed = parse_document(fields_by_name(doc)["document"]["value"])
@@ -1108,6 +1125,20 @@ def test_construct_translate_mates_stops_at_the_first_transversal(cli, monkeypat
     assert fields_by_name(doc)["mates_emitted"]["value"] == "2"
     code, out, _ = cli(["construct", "translate-mates", "--group", "2"])
     assert (code, out) == (3, b"")  # the order-2 table has no transversal
+
+
+@pytest.mark.parametrize("group", ["2", "4"])
+def test_construct_translate_mates_without_a_transversal_never_walks(cli, monkeypatch, capsys, group):
+    # the orbit-reduced count settles that an even cyclic table has no
+    # transversal; a bare walk would have to exhaust the table to learn it
+    import molscope.cli as cli_mod
+
+    def walk(square):
+        raise AssertionError("walked the transversals of a table that has none")
+
+    monkeypatch.setattr(cli_mod, "iter_transversals", walk)
+    assert cli(["construct", "translate-mates", "--group", group])[:2] == (3, b"")
+    assert capsys.readouterr().err == f"error: the order-{group} table has no transversal\n"
 
 
 def test_construct_translate_mates_builds_only_the_mates_it_writes(cli, monkeypatch, tmp_path):

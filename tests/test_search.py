@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import math
 import os
 import random
@@ -42,6 +43,8 @@ from molscope.search import (
     gerechte_mates_direct,
     iter_extensions,
     iter_latin_direct,
+    iter_transversal_partitions,
+    iter_transversals,
     max_extensions,
     _array_codes,
     _autotopisms,
@@ -100,8 +103,8 @@ def test_count_value_types():
 
 
 def test_search_options_validation():
-    with pytest.raises(InvalidParams):
-        SearchOptions(cap=0)
+    with pytest.raises(TypeError):
+        SearchOptions(cap=1)  # a search only counts; the walks list
     with pytest.raises(InvalidParams):
         SearchOptions(stop_threshold=0)
     with pytest.raises(InvalidParams):
@@ -114,11 +117,11 @@ def test_search_options_validation():
 
 @pytest.mark.parametrize("grid", [Z3, Z4, K4])
 def test_transversals_match_oracle(grid):
-    res = enumerate_transversals(L(grid), SearchOptions(cap=1000))
-    expected = oracles.transversals(grid)
+    res = enumerate_transversals(L(grid))
+    expected = oracles.transversals(grid)  # lexicographic in the column tuple
     assert res.value.count == len(expected)
     assert res.exact_flag
-    assert sorted(res.witnesses) == sorted(expected)
+    assert list(iter_transversals(L(grid))) == expected
 
 
 def test_transversal_known_counts():
@@ -128,8 +131,9 @@ def test_transversal_known_counts():
 
 
 def test_transversals_without_cap_collect_nothing():
-    res = enumerate_transversals(L(K4))
-    assert res.witnesses is None
+    # a count carries its value and flag only
+    assert enumerate_transversals(L(K4)) == ExtensionCount(Exact(8), True)
+    assert not hasattr(ExtensionCount(Exact(8), True), "witnesses")
 
 
 # --------------------------------------------------------------------------
@@ -144,15 +148,14 @@ def test_partition_counts(grid, expected):
 
 
 def test_partitions_match_oracle_exactly():
-    res = count_transversal_partitions(L(K4), SearchOptions(cap=10))
     expected = oracles.transversal_partitions(K4)
-    got = {frozenset(frozenset(part) for part in w) for w in res.witnesses}
-    assert got == {frozenset(p) for p in expected}
+    got = [frozenset(frozenset(part) for part in w) for w in iter_transversal_partitions(L(K4))]
+    assert len(got) == count_transversal_partitions(L(K4)).value.count == len(expected)
+    assert set(got) == {frozenset(p) for p in expected}
 
 
 def test_partition_witnesses_are_partitions():
-    res = count_transversal_partitions(L(K4), SearchOptions(cap=10))
-    for w in res.witnesses:
+    for w in iter_transversal_partitions(L(K4)):
         cells = [c for part in w for c in part]
         assert len(cells) == 16 and len(set(cells)) == 16
         for part in w:
@@ -180,8 +183,7 @@ ORDER_CASES = {
 def test_partition_witnesses_in_reference_order(name, cap):
     grid = ORDER_CASES[name]
     want = tuple(itertools.islice(oracles.lexicographic_partitions(grid), cap))
-    res = count_transversal_partitions(L(grid), SearchOptions(cap=cap))
-    assert res.witnesses == want
+    assert tuple(itertools.islice(iter_transversal_partitions(L(grid)), cap)) == want
 
 
 def test_reference_order_counts_match_oracle():
@@ -195,27 +197,26 @@ def test_reference_order_counts_match_oracle():
 
 @pytest.mark.parametrize("grid", [K4, Z5, Z2_CUBED], ids=["K4", "Z5", "Z2^3"])
 def test_cover_pooled_equals_sequential(grid):
-    seq = count_transversal_partitions(L(grid), SearchOptions(cap=1000))
-    par = count_transversal_partitions(L(grid), SearchOptions(cap=1000, threads=2))
+    seq = count_transversal_partitions(L(grid))
+    par = count_transversal_partitions(L(grid), SearchOptions(threads=2))
     assert seq == par
     assert seq.exact_flag
 
 
 def test_cover_threshold_reports_exactly_threshold():
     # thresholds met inside the first branch, at and around the total
-    full = count_transversal_partitions(L(Z2_CUBED), SearchOptions(cap=50))
+    full = count_transversal_partitions(L(Z2_CUBED))
     assert full.value.count == 70272
     for threshold in (1, 1000, 46656, 70271, 70272, 70273):
         runs = [
             count_transversal_partitions(
-                L(Z2_CUBED), SearchOptions(cap=50, stop_threshold=threshold, threads=threads)
+                L(Z2_CUBED), SearchOptions(stop_threshold=threshold, threads=threads)
             )
             for threads in (None, 2)
         ]
         assert runs[0] == runs[1]
         assert runs[0].value.count == min(threshold, 70272)
         assert runs[0].exact_flag is (threshold > 70272)
-        assert runs[0].witnesses == full.witnesses[: min(50, threshold)]
 
 
 def test_cover_threshold_on_product_square():
@@ -223,13 +224,12 @@ def test_cover_threshold_on_product_square():
     runs = [
         count_transversal_partitions(
             L(Z3_BY_Z3),
-            SearchOptions(cap=20, stop_threshold=46656, threads=threads),
+            SearchOptions(stop_threshold=46656, threads=threads),
         )
         for threads in (None, 2)
     ]
     assert runs[0] == runs[1]
     assert runs[0].value.count == 46656 and not runs[0].exact_flag
-    assert len(runs[0].witnesses) == 20
 
 
 PERMUTED = [(K4, 2), (Z5, 3), (Z2_CUBED, 70272)]
@@ -275,14 +275,13 @@ def test_mates_three_ways(grid):
 
 
 def test_mate_witnesses_verify():
-    res = count_mates(L(Z3), SearchOptions(cap=6))
-    assert res.value.count == 6
-    assert len(res.witnesses) == 6
-    for col in res.witnesses:
+    cols = list(iter_extensions(validate_mols([L(Z3)], partition_rows(3))))
+    assert len(cols) == count_mates(L(Z3)).value.count == 6
+    for col in cols:
         mate = L([list(col[i * 3 : (i + 1) * 3]) for i in range(3)])
         assert check_orthogonal(L(Z3), mate)
     # lexicographic order of flattened mates
-    assert list(res.witnesses) == sorted(res.witnesses)
+    assert cols == sorted(cols)
 
 
 # --------------------------------------------------------------------------
@@ -477,12 +476,9 @@ def test_parallel_equals_sequential():
     assert par.value == seq.value
     assert par.exact_flag and seq.exact_flag
 
-    seqw = enumerate_transversals(L(K4), SearchOptions(cap=5))
-    parw = enumerate_transversals(
-        L(K4), SearchOptions(cap=5, threads=3)
-    )
-    assert seqw.witnesses == parw.witnesses
-    assert seqw.value == parw.value
+    seqt = enumerate_transversals(L(K4))
+    part = enumerate_transversals(L(K4), SearchOptions(threads=3))
+    assert seqt == part
 
 
 def test_threshold_reports_exactly_threshold():
@@ -499,20 +495,30 @@ def test_threshold_above_total_is_exact():
     assert res.exact_flag
 
 
-def test_threshold_with_witnesses_truncates():
-    res = count_mates(L(K4), SearchOptions(stop_threshold=10, cap=48))
-    assert res.value.count == 10
-    assert not res.exact_flag
-    assert len(res.witnesses) <= 10
+def _emitted(cli, tmp_path, argv):
+    """The count field and the witness files of a count run with
+    ``--emit-witnesses``."""
+    out = tmp_path / "w"
+    code, raw, _ = cli([*argv, "--emit-witnesses", str(out), "--format", "structured"])
+    assert code == 0
+    field = next(f for f in json.loads(raw)["results"] if f.get("unit") == "exact count")
+    files = [f.read_text() for f in sorted(out.iterdir())] if out.exists() else []
+    return field, files
 
 
-def test_cap_truncates_witnesses_but_not_count():
-    res = count_mates(L(K4), SearchOptions(cap=7))
-    assert res.value.count == 48
-    assert res.exact_flag
-    assert len(res.witnesses) == 7
-    full = count_mates(L(K4), SearchOptions(cap=48))
-    assert res.witnesses == full.witnesses[:7]
+def test_threshold_with_witnesses_truncates(cli, tmp_path):
+    field, files = _emitted(cli, tmp_path, ["count", "mates", "--square", "cayley:2x2",
+                                            "--threshold", "10", "--cap", "48"])
+    assert (field["value"], field["exact"]) == ("10", False)
+    assert len(files) == 10
+
+
+def test_cap_truncates_witnesses_but_not_count(cli, tmp_path):
+    argv = ["count", "mates", "--square", "cayley:2x2"]
+    field, files = _emitted(cli, tmp_path / "7", [*argv, "--cap", "7"])
+    assert (field["value"], field["exact"]) == ("48", True)
+    _, full = _emitted(cli, tmp_path / "48", [*argv, "--cap", "48"])
+    assert len(full) == 48 and files == full[:7]
 
 
 # --------------------------------------------------------------------------
@@ -538,18 +544,14 @@ TRANSVERSAL_CASES = {
 def test_transversal_witnesses_are_the_first_leaves(name):
     grid = TRANSVERSAL_CASES[name]
     want = oracles.transversals(grid)  # lexicographic in the column tuple
-    cap = 20
+    assert list(iter_transversals(L(grid))) == want
     for threads in (None, 2):
         for threshold in (None, 7, 30):
-            opts = SearchOptions(
-                cap=cap, stop_threshold=threshold, threads=threads
-            )
+            opts = SearchOptions(stop_threshold=threshold, threads=threads)
             res = enumerate_transversals(L(grid), opts)
             stopped = threshold is not None and threshold <= len(want)
-            count = threshold if stopped else len(want)
-            assert res.value.count == count
+            assert res.value.count == (threshold if stopped else len(want))
             assert res.exact_flag is not stopped
-            assert res.witnesses == tuple(want[: min(cap, count)])
 
 
 def _random_latin(n, seed):
@@ -633,13 +635,16 @@ def test_transversal_branches_are_the_row_0_columns(monkeypatch, threads, thresh
 
 
 def test_capped_mate_count_is_reduced():
-    # a cap leaves the count reduced (first row fixed, times 7!), and the
-    # witnesses are the first columns of the unreduced walk; an unreduced
-    # count of this tree takes minutes
+    # the count is reduced (first row fixed, times 7!), while the walk that
+    # lists the mates is not, and yields its first columns at once; an
+    # unreduced count of this tree takes minutes
     rows = validate_mols([L(cayley(7))], partition_rows(7))
-    res = count_mates(L(cayley(7)), SearchOptions(cap=5))
+    res = count_mates(L(cayley(7)))
     assert res.value.count == 3200400 and res.exact_flag
-    assert res.witnesses == tuple(itertools.islice(iter_extensions(rows), 5))
+    first = list(itertools.islice(iter_extensions(rows), 5))
+    assert first == sorted(first) and len(set(first)) == 5
+    for col in first:
+        validate_mols([L(cayley(7)), L(_grid(col, 7))], partition_rows(7))
 
 
 def test_transversals_through_origin_match_oracle():
@@ -688,44 +693,29 @@ def test_one_branch_equals_pooled(name, a):
     assert seq == count_extensions(a, pooled)
     assert seq.value.count == len(exts) and seq.exact_flag
 
-    cap = 5
-    seqw = count_extensions(a, SearchOptions(cap=cap))
-    parw = count_extensions(a, SearchOptions(cap=cap, threads=2))
-    assert seqw == parw
-    assert seqw.witnesses == tuple(exts[:cap])
-
     for threshold in (1, max(len(exts) // 2, 1), len(exts) + 1):
-        one = count_extensions(a, SearchOptions(stop_threshold=threshold, cap=cap))
-        two = count_extensions(
-            a, SearchOptions(stop_threshold=threshold, cap=cap, threads=2)
-        )
+        one = count_extensions(a, SearchOptions(stop_threshold=threshold))
+        two = count_extensions(a, SearchOptions(stop_threshold=threshold, threads=2))
         assert one == two
         stopped = threshold <= len(exts)
         assert one.value.count == (threshold if stopped else len(exts))
         assert one.exact_flag is not stopped
-        assert one.witnesses == tuple(exts[: min(cap, threshold)])
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     index=st.integers(0, len(SYSTEMS_4) - 1),
-    cap=st.none() | st.integers(1, 400),
     threshold=st.none() | st.integers(1, 400),
 )
-def test_one_branch_matches_enumeration(index, cap, threshold):
+def test_one_branch_matches_enumeration(index, threshold):
     # With a threshold the tree is cut into branches; without one it is one
     # branch.  Both must agree with plain enumeration.
     _, a = SYSTEMS_4[index]
     exts = list(iter_extensions(a))
-    res = count_extensions(a, SearchOptions(cap=cap, stop_threshold=threshold))
+    res = count_extensions(a, SearchOptions(stop_threshold=threshold))
     stopped = threshold is not None and threshold <= len(exts)
     assert res.value.count == (threshold if stopped else len(exts))
     assert res.exact_flag is not stopped
-    if cap is None:
-        assert res.witnesses is None
-    else:
-        keep = min(cap, threshold) if stopped else cap
-        assert res.witnesses == tuple(exts[:keep])
 
 
 @pytest.mark.parametrize("threads", [None, 2])
@@ -962,30 +952,30 @@ def test_orbit_weighted_partitions_equal_plain_sums(name):
 
 
 SWEEP_CASES = {
-    "transversals-Z7": (enumerate_transversals, _isotope(cayley(7), 2), 133, oracles.transversals),
-    "transversals-random7": (enumerate_transversals, RANDOM_7, 22, oracles.transversals),
-    "partitions-Z7": (count_transversal_partitions, _isotope(cayley(7), 2), 635,
-                      oracles.lexicographic_partitions),
-    "partitions-Z2^3": (count_transversal_partitions, _isotope(Z2_CUBED, 2), 70272,
-                        oracles.lexicographic_partitions),
+    "transversals-Z7": (enumerate_transversals, iter_transversals, _isotope(cayley(7), 2), 133,
+                        oracles.transversals),
+    "transversals-random7": (enumerate_transversals, iter_transversals, RANDOM_7, 22,
+                             oracles.transversals),
+    "partitions-Z7": (count_transversal_partitions, iter_transversal_partitions,
+                      _isotope(cayley(7), 2), 635, oracles.lexicographic_partitions),
+    "partitions-Z2^3": (count_transversal_partitions, iter_transversal_partitions,
+                        _isotope(Z2_CUBED, 2), 70272, oracles.lexicographic_partitions),
 }
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("name", SWEEP_CASES)
 def test_orbit_weighted_stops_and_witnesses_match_the_plain_walk(name, threads):
-    # count, flag and witnesses are those of the unreduced search: the count
-    # is min(threshold, total), and the witnesses the first leaves of the
-    # lexicographic walk, for thresholds within, at and past orbit limits
-    count, grid, total, walk = SWEEP_CASES[name]
-    cap = 20
-    want = list(itertools.islice(walk(grid), cap))
+    # the count and flag are those of the unreduced search, min(threshold,
+    # total), for thresholds within, at and past orbit limits; the listing
+    # walk gives the first leaves of the oracle's lexicographic walk
+    count, walk, grid, total, oracle = SWEEP_CASES[name]
+    assert list(itertools.islice(walk(L(grid)), 20)) == list(itertools.islice(oracle(grid), 20))
     for threshold in sorted({1, 2, 7, 8, 25, total // 3, total // 2, total - 1, total, total + 1}):
-        res = count(L(grid), SearchOptions(cap=cap, stop_threshold=threshold, threads=threads))
+        res = count(L(grid), SearchOptions(stop_threshold=threshold, threads=threads))
         stopped = threshold <= total
         assert res.value.count == (threshold if stopped else total)
         assert res.exact_flag is not stopped
-        assert list(res.witnesses) == want[: min(cap, res.value.count)]
 
 
 RANDOM_5 = _random_latin(5, 1)  # its only autotopism fixing cell 0 is the identity
@@ -995,9 +985,8 @@ MATE_CASES = {"K4": K4, "Z5": Z5, "Z2^3-iso": _isotope(Z2_CUBED, 4), "random5": 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("name", MATE_CASES)
 def test_mates_are_the_extensions_of_the_square_on_the_rows(name, threads):
-    # the same count, flag and witnesses as count_extensions of {l} on the
-    # rows: min(threshold, total) against the unreduced branch sum, and the
-    # first leaves of the column walk
+    # the same count and flag as count_extensions of {l} on the rows:
+    # min(threshold, total) against the unreduced branch sum
     grid = MATE_CASES[name]
     n = len(grid)
     rows = validate_mols([L(grid)], partition_rows(n))
@@ -1005,16 +994,13 @@ def test_mates_are_the_extensions_of_the_square_on_the_rows(name, threads):
     every = (1 << len(options)) - 1
     covers = sum(_cover_branch(*tables, 1, every, None, t) for t, cols in enumerate(options) if cols[0] == 0)
     total = math.factorial(n) * covers
-    cap = 5
-    want = list(itertools.islice(iter_extensions(rows), cap))
     for threshold in [None] + sorted({1, 2, 7, total // 3, total // 2, total - 1, total, total + 1} - {0, -1}):
-        opts = SearchOptions(cap=cap, stop_threshold=threshold, threads=threads)
+        opts = SearchOptions(stop_threshold=threshold, threads=threads)
         res = count_mates(L(grid), opts)
         assert res == count_extensions(rows, opts)
         stopped = threshold is not None and threshold <= total
         assert res.value.count == (threshold if stopped else total)
         assert res.exact_flag is not stopped
-        assert list(res.witnesses) == want[: min(cap, res.value.count)]
     if name == "random5":
         assert len(_autotopisms(grid, True)) == 1 and total == 0
 
@@ -1309,9 +1295,10 @@ def test_no_engine_builds_an_array(monkeypatch, cli, tmp_path):
     monkeypatch.setattr(NearlyOrthArray, "__init__", forbidden)
     monkeypatch.setattr(NearlyOrthArray, "with_column", forbidden)
     z3 = validate_mols([L(Z3)], partition_rows(3))
-    assert count_extensions(z3, SearchOptions(cap=2)).witnesses == tuple(
-        itertools.islice(iter_extensions(z3), 2))
-    assert count_mates(L(K4), SearchOptions(cap=3)).value.count == 48
+    assert len(list(iter_extensions(z3))) == count_extensions(z3).value.count == 6
+    assert len(list(iter_transversals(L(K4)))) == 8
+    assert len(list(iter_transversal_partitions(L(K4)))) == 2
+    assert count_mates(L(K4)).value.count == 48
     assert count_mols(4, 2).value.count == 6912
     assert extension_census(partition_boxes(4), 1)[1] == {0: 192, 24: 96}
     assert max_extensions(4, 1)[0].value.count == 48
