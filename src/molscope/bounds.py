@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .arrays import CellProfile
 from .errors import InvalidParams, LimitExceeded, NotPerfectSquare
@@ -128,12 +128,10 @@ class BoundEntry:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """A set of related bound values for one (n, k) instance.  Its
-    ``quadrature_error`` is no enclosure: it omits the closed form's
-    rounding (see the module docstring)."""
+    """The related bound values of one (n, k) instance, which the caller
+    passed in.  Its ``quadrature_error`` is no enclosure: it omits the
+    closed form's rounding (see the module docstring)."""
 
-    n: float
-    k: Optional[int]
     entries: tuple[BoundEntry, ...]
     quadrature_error: float
 
@@ -360,7 +358,7 @@ def mols_count_bound(n: float, k: int) -> BoundReport:
         BoundEntry("trivial", trivial, "trivial-bound"),
         BoundEntry("asymptotic_reference", reference, "asymptotic-reference", asymptotic_only=True),
     )
-    return BoundReport(n, k, entries, qerr)
+    return BoundReport(entries, qerr)
 
 
 def reference_asymptotics(n: float, k: int = 1) -> BoundReport:
@@ -396,7 +394,7 @@ def reference_asymptotics(n: float, k: int = 1) -> BoundReport:
             asymptotic_only=True,
         ),
     )
-    return BoundReport(n, k, entries, 0.0)
+    return BoundReport(entries, 0.0)
 
 
 def sudoku_extension_bound(n: int, k: int) -> BoundReport:
@@ -435,4 +433,4 @@ def sudoku_extension_bound(n: int, k: int) -> BoundReport:
         BoundEntry("correction_limit", correction, "split-form"),
         BoundEntry("split_total", split_total, "split-form"),
     )
-    return BoundReport(n, k, entries, qerr)
+    return BoundReport(entries, qerr)

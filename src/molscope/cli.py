@@ -723,9 +723,9 @@ def _certify_constant(args, doc: ReportDocument) -> None:
     doc.add("base_order", cert.base.order, provenance="exhaustive-search")
     doc.add("base_mates", cert.base_mates, unit="exact count", provenance="exact-cover",
             exact=True)
-    doc.add("construction", cert.description, provenance=cert.derivation)
+    doc.add("construction", cert.description, provenance="power-bound")
     doc.add("certified_log_mates", cert.log_lower_bound, unit="nats",
-            provenance=cert.derivation)
+            provenance="power-bound")
     doc.add("required_log_mates", need, unit="nats", provenance="target-constant")
     doc.add("certified", cert.log_lower_bound >= need - 1e-9, provenance="comparison")
 
@@ -762,17 +762,19 @@ def _square_kind(flags: dict, build: Callable) -> tuple[dict, Callable]:
 
 def _constant_base(args, doc: ReportDocument) -> LatinSquare:
     cert = construct_mod.construct_for_constant(args.constant, args.limit, args.power)
-    doc.add("construction", cert.description, provenance=cert.derivation)
+    doc.add("construction", cert.description, provenance="power-bound")
     doc.add("base_mates", cert.base_mates, unit="exact count", provenance="exact-cover",
             exact=True)
     doc.add("certified_log_mates", cert.log_lower_bound, unit="nats",
-            provenance=cert.derivation)
+            provenance="power-bound")
     return cert.base
 
 
 def _translate_mates(args, doc: ReportDocument) -> str:
     g = _group(args)
     table = construct_mod.cayley_table(g)
+    if args.count is not None and args.count < 0:
+        raise InvalidParams(f"cannot emit a negative number of mates ({args.count})")
     if args.transversal:
         tdoc = parse_document(_read_file(args.transversal))
         if tdoc.transversal is None:
@@ -784,9 +786,10 @@ def _translate_mates(args, doc: ReportDocument) -> str:
             raise NotFoundWithinLimit(f"the order-{g.order} table has no transversal")
         cells = next(iter_transversals(table))
     t = Transversal.of(table, cells)
-    partition, mates = construct_mod.translate_mates(g, t, args.count)
+    partition, mates = construct_mod.translate_mates(g, t)
     if args.emit_witnesses:  # only the mates written are built and checked
-        _write_witnesses(args, [format_document([table.grid, mate.grid]) for mate in mates])
+        _write_witnesses(args, [format_document([table.grid, mate.grid])
+                                for mate in islice(mates, args.count)])
     everything = math.factorial(g.order)
     emitted = everything if args.count is None else min(args.count, everything)
     doc.params = {"group": args.group, "count": args.count}

@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .core import (
     LatinSquare,
@@ -107,33 +107,29 @@ def power(l: LatinSquare, k: int) -> LatinSquare:
 
 
 def translate_mates(
-    g: GroupSpec, t: Transversal, count_to_emit: Optional[int] = None
+    g: GroupSpec, t: Transversal
 ) -> tuple[RegionPartition, Iterator[LatinSquare]]:
     """Shift one transversal around the group; the n shifted copies tile the
     table, and assigning the n symbols to the n tiles in any of the n! ways
     yields an orthogonal mate of the Cayley table.
 
-    Returns the tiling as a partition plus a generator of mates in
-    lexicographic symbol-assignment order (up to ``count_to_emit``).
+    Returns the tiling as a partition plus a lazy walk over all n! mates in
+    lexicographic symbol-assignment order; a caller that wants fewer slices
+    it.  Shift h moves cell (i, j) to (i, table(j, h)).
 
     Once ``t`` is a transversal of the abelian table, each shift
     (i, j) -> (i, j + h) is one too, and two shifts share no cell: a shared
     cell has one row, so one cell of ``t``, so one h.  A collision is a bug.
     """
-    if count_to_emit is not None and count_to_emit < 0:
-        raise InvalidParams(f"cannot emit a negative number of mates ({count_to_emit})")
-    n = g.order
     table = cayley_table(g)
+    n = table.order
     if t.order != n or not is_transversal(table, t.cells):
         raise NotATransversal(
             "the given cells are not a transversal of the group's table"
         )
-    elems = g.elements()
     labels = [[-1] * n for _ in range(n)]
-    cells = sorted(t.cells)
-    for h, shift in enumerate(elems):
-        for i, j in cells:
-            jj = g.index_of(g.add(elems[j], shift))
+    for i, j in sorted(t.cells):
+        for h, jj in enumerate(table.grid[j]):
             if labels[i][jj] != -1:
                 raise RuntimeError("two shifted copies collide — tiling bug")
             labels[i][jj] = h
@@ -142,20 +138,14 @@ def translate_mates(
         if not is_transversal(table, partition.cells_of(h)):
             raise RuntimeError("a shifted copy is not a transversal — tiling bug")
 
-    def emit() -> Iterator[LatinSquare]:
-        limit = count_to_emit if count_to_emit is not None else math.factorial(n)
-        done = 0
+    def mates() -> Iterator[LatinSquare]:
         for perm in itertools.permutations(range(n)):
-            if done >= limit:
-                return
-            grid = [[perm[labels[i][j]] for j in range(n)] for i in range(n)]
-            mate = LatinSquare(Square(grid))
+            mate = LatinSquare(Square([[perm[h] for h in row] for row in labels]))
             if not check_orthogonal(table, mate):
                 raise RuntimeError("emitted square is not a mate — tiling bug")
             yield mate
-            done += 1
 
-    return partition, emit()
+    return partition, mates()
 
 
 # --------------------------------------------------------------------------
@@ -210,20 +200,18 @@ def power_mate_bound(m: int, log_q: float, k: int) -> float:
 
 @dataclass(frozen=True)
 class MateCertificate:
-    """A lower bound on the mate count of a constructed square.
+    """A lower bound on the mate count of a power of ``base``, of order
+    ``order``.
 
-    ``derivation`` names the route; it is always "power-bound": the exact
-    mate count of the base square pushed through the power formula.
-    ``base_mates`` is that count, read off the census walk as n! times the
-    transversal partitions of ``base``.
+    The bound is always a power bound: ``base_mates``, the exact mate count
+    of the order-m ``base`` read off the census walk as m! times its
+    transversal partitions, pushed through the power formula.
     """
 
     description: str
     log_lower_bound: float
-    derivation: str
     base: LatinSquare
     base_mates: int
-    power: int
     order: int
 
 
@@ -273,10 +261,8 @@ def construct_for_constant(
                 f"block product (order {n})"
             ),
             log_lower_bound=log_bound,
-            derivation="power-bound",
             base=LatinSquare(Square([col[i * m : (i + 1) * m] for i in range(m)])),
             base_mates=mates,
-            power=k,
             order=n,
         )
     raise NotFoundWithinLimit(

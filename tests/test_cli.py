@@ -209,8 +209,12 @@ def test_exit_limit_and_params(cli, capsys):
         code, out, _ = cli(["certify", *argv])
         assert (code, out) == (4, b"")
         assert "nothing to compare" in capsys.readouterr().err
-    code, out, _ = cli(["construct", "translate-mates", "--group", "3", "--count", "-1"])
-    assert (code, out) == (4, b"")
+    # a negative --count is refused before any search: the order-2 table,
+    # which has no transversal, exits 4 too
+    for group in ("3", "2"):
+        code, out, _ = cli(["construct", "translate-mates", "--group", group, "--count", "-1"])
+        assert (code, out) == (4, b"")
+        assert capsys.readouterr().err == "error: cannot emit a negative number of mates (-1)\n"
     # bad parameters are one error line, not a traceback or a report
     for argv, says in ((["certify", "power", "--m", "3", "--q", "-1", "--k", "1"], "--q -1"),
                        (["bound", "sudoku", "--n", "-4"], "n = m^2 >= 4"),
@@ -664,6 +668,36 @@ def test_nonpositive_order_is_one_error_line(cli, capsys, argv, code):
     assert capsys.readouterr().err == "error: order must be positive\n"
 
 
+# files the input-error rows read, written to the working directory
+INPUT_FILES = {"unbalanced.txt": "PARTITION\n1 1\n1 2\n",
+               "pair.txt": Z3_TEXT + "\n3\n1 2 3\n3 1 2\n2 3 1\n",
+               "z3.txt": Z3_TEXT}
+UNBALANCED = "line 1: region 1 has 3 cells, expected 2\n"
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["verify", "unbalanced.txt"], 2, f"unbalanced.txt: parse error: {UNBALANCED}"),
+    (["count", "extensions", "--partition", "unbalanced.txt"], 2, f"error: {UNBALANCED}"),
+    (["count", "mates", "--square", "cayley:3", "--cap", "0"], 4, "error: cap must be positive\n"),
+    (["count", "mates", "--square", "cayley:3", "--cap", "0", "--emit-witnesses", "w"], 4,
+     "error: cap must be positive\n"),
+    (["count", "mates", "--square", "power:(cayley:2)"], 2,
+     "error: power:(A,k) takes exactly two arguments\n"),
+    (["count", "extensions", "--partition", "pair.txt"], 2,
+     "error: pair.txt: expected a partition document\n"),
+    (["construct", "translate-mates", "--group", "3", "--transversal", "z3.txt"], 2,
+     "error: z3.txt: no TRANSVERSAL block\n"),
+], ids=["verify-unbalanced", "partition-unbalanced", "cap-0", "cap-0-witnesses",
+        "power-one-argument", "partition-of-squares", "transversal-missing"])
+def test_input_errors_are_one_error_line(cli, capsys, monkeypatch, tmp_path, argv, code, err):
+    monkeypatch.chdir(tmp_path)
+    for name, text in INPUT_FILES.items():
+        (tmp_path / name).write_text(text)
+    assert cli(argv)[:2] == (code, b"")
+    assert capsys.readouterr().err == err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(INPUT_FILES)
+
+
 def test_count_mols_threshold_is_not_exact(cli):
     doc = run_structured(
         cli, ["count", "mols", "--n", "3", "--k", "1", "--threshold", "5"]
@@ -825,6 +859,23 @@ def test_sudoku_witnesses_verify(cli, tmp_path):
     assert code == 0
     files = verify_all(cli, out)
     assert len(files) == 3
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("kind, field", [("transversals", "transversals"),
+                                         ("partitions", "transversal_partitions"),
+                                         ("mates", "mates"), ("extensions", "extensions")])
+def test_order_1_square_has_one_of_each_witness(cli, tmp_path, kind, field, threads):
+    # the one cell is a whole transversal before any search step
+    one = tmp_path / "one.txt"
+    one.write_text("1\n1\n")
+    out = tmp_path / "w"
+    code, raw, _ = cli(["count", kind, "--square", str(one), "--emit-witnesses", str(out),
+                        "--format", "structured", "--threads", threads])
+    assert code == 0, raw.decode()
+    f = fields_by_name(json.loads(raw))[field]
+    assert (f["value"], f["exact"]) == ("1", True)
+    assert len(verify_all(cli, out)) == 1
 
 
 # --------------------------------------------------------------------------

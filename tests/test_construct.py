@@ -1,6 +1,7 @@
 import math
 import time
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -32,7 +33,7 @@ from molscope.errors import (
     NotATransversal,
     NotFoundWithinLimit,
 )
-from molscope.search import count_mates, iter_latin_direct
+from molscope.search import count_mates, iter_latin_direct, iter_transversals
 
 
 def test_group_spec_arithmetic():
@@ -127,11 +128,25 @@ def test_translate_mates_klein_four():
     cells = [(0, 0), (1, 2), (2, 3), (3, 1)]
     assert is_transversal(table, cells)
     t = Transversal.of(table, cells)
-    partition, mates = translate_mates(g, t, count_to_emit=5)
-    emitted = list(mates)
+    partition, mates = translate_mates(g, t)
+    emitted = list(islice(mates, 5))
     assert len(emitted) == 5
     for m in emitted:
         assert check_orthogonal(table, m)
+
+
+@pytest.mark.parametrize("factors", [[3], [2, 2], [2, 4], [3, 3], [2, 2, 2], [5]])
+def test_translate_mates_shifts_by_group_addition(factors):
+    # shift h moves cell (i, j) of the transversal to (i, j + h), read off
+    # the group's own arithmetic rather than its table
+    g = GroupSpec(factors)
+    table = cayley_table(g)
+    cells = next(iter_transversals(table))
+    partition, _ = translate_mates(g, Transversal.of(table, cells))
+    elems = g.elements()
+    for i, j in cells:
+        for h, shift in enumerate(elems):
+            assert partition.region_of(i, g.index_of(g.add(elems[j], shift))) == h
 
 
 def test_translate_mates_rejects_non_transversal():
@@ -212,7 +227,6 @@ def test_construct_for_constant_small():
     assert cert.base.order == 3
     assert cert.base_mates == 6
     assert cert.order == 9
-    assert cert.derivation == "power-bound"
     assert cert.log_lower_bound == pytest.approx(10 * math.log(6))
     assert cert.log_lower_bound >= 81 * math.log(1.2) - 1e-9
 
@@ -270,7 +284,7 @@ def test_construct_for_constant_matches_direct_walk(C, limit):
     assert cert.base.grid == LatinSquare(Square(grid)).grid
     assert cert.base_mates == mates
     assert cert.log_lower_bound == power_mate_bound(m, math.log(mates), 2)
-    assert (cert.power, cert.order) == (2, m * m)
+    assert cert.order == m * m
 
 
 def test_construct_for_constant_checks_each_order_against_the_census_limit(monkeypatch):

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import random
 import subprocess
@@ -46,6 +47,7 @@ from molscope.search import (
     iter_transversal_partitions,
     iter_transversals,
     max_extensions,
+    _aggregate,
     _array_codes,
     _autotopisms,
     _branch_limit,
@@ -607,6 +609,31 @@ def test_threshold_stopped_pools_never_hang():
         for p in procs:
             p.kill()
             p.wait()
+
+
+def _fails_on_branch_1(limit, idx):
+    if idx == 1:
+        raise LimitExceeded("branch 1 is past its limit")
+    return 1
+
+
+def _exits_on_branch_1(limit, idx):
+    if idx == 1:
+        os._exit(3)
+    return 1
+
+
+def test_pool_failures_reach_the_caller_and_leave_no_worker():
+    # a branch's exception crosses its pipe and is raised again in the
+    # parent; a worker that dies without answering closes its pipe, which
+    # the parent reads as an error rather than waiting for it forever
+    items = [(idx, 1) for idx in range(4)]
+    with pytest.raises(LimitExceeded, match="^branch 1 is past its limit$"):
+        _aggregate((_fails_on_branch_1, (), items), SearchOptions(threads=2))
+    assert multiprocessing.active_children() == []
+    with pytest.raises(EOFError):
+        _aggregate((_exits_on_branch_1, (), items), SearchOptions(threads=2))
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("threads", [None, 1, 2])
