@@ -25,10 +25,10 @@ from .bounds import (
     closed_form_estimate,
     extension_bound_general,
     extension_bound_mols,
+    extension_entries,
     integral_I,
     log_factorial,
     mols_count_bound,
-    reference_asymptotics,
     sudoku_extension_bound,
 )
 from .construct import (

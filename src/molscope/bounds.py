@@ -361,40 +361,20 @@ def mols_count_bound(n: float, k: int) -> BoundReport:
     return BoundReport(entries, qerr)
 
 
-def reference_asymptotics(n: float, k: int = 1) -> BoundReport:
-    """Display-only log-asymptotics with vanishing terms dropped.
-
-    None of these is a valid finite-n bound; they are emitted for context
-    next to the assertable quadrature bounds.
-    """
-    if n < 2 or k < 0:
-        raise InvalidParams("need n >= 2 and k >= 0")
+def extension_entries(n: int, k: int) -> tuple[BoundEntry, ...]:
+    """The bound n^2 I_{k+2} of ``extension_bound_mols``, then display-only
+    asymptotics with vanishing terms dropped, never valid finite-n bounds:
+    the average number of extensions, n^2 (log n - (k+2)), and at k = 1 the
+    most mates of a square, n^2 (log n - 2 - 1/e)."""
+    entries = [BoundEntry("extension_bound", extension_bound_mols(n, k), "per-cell-integral")]
     nn = float(n) * float(n)
     logn = math.log(n)
-    entries = (
-        BoundEntry(
-            "latin_count", nn * (logn - 2.0), "asymptotic-reference", asymptotic_only=True
-        ),
-        BoundEntry(
-            "tuple_count",
-            nn * (k * logn - math.comb(k + 2, 2) + 1),
-            "asymptotic-reference",
-            asymptotic_only=True,
-        ),
-        BoundEntry(
-            "average_extensions",
-            nn * (logn - (k + 2.0)),
-            "asymptotic-reference",
-            asymptotic_only=True,
-        ),
-        BoundEntry(
-            "max_mates",
-            nn * (logn - (2.0 + 1.0 / math.e)),
-            "asymptotic-reference",
-            asymptotic_only=True,
-        ),
-    )
-    return BoundReport(entries, 0.0)
+    entries.append(BoundEntry("average_extensions", nn * (logn - (k + 2.0)),
+                              "asymptotic-reference", asymptotic_only=True))
+    if k == 1:
+        entries.append(BoundEntry("max_mates", nn * (logn - (2.0 + 1.0 / math.e)),
+                                  "asymptotic-reference", asymptotic_only=True))
+    return tuple(entries)
 
 
 def sudoku_extension_bound(n: int, k: int) -> BoundReport:

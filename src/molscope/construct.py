@@ -232,6 +232,7 @@ def construct_for_constant(
     limit (:func:`check_census_order`) raises :class:`LimitExceeded` before
     its walk; when no base square qualifies, the exhaustive outcome is
     reported honestly as :class:`NotFoundWithinLimit` rather than extrapolated.
+    A k whose power bound overflows a float raises :class:`InvalidParams`.
     """
     if C <= 0:
         raise InvalidParams("C must be positive")
@@ -252,9 +253,13 @@ def construct_for_constant(
         if col is None:
             continue
         n = m**k
-        log_bound = power_mate_bound(m, math.log(mates), k)
-        if log_bound < n * n * math.log(C) - 1e-9:
-            raise RuntimeError("power bound fell below C^(n^2) — bug")
+        try:
+            log_bound = power_mate_bound(m, math.log(mates), k)
+            if log_bound < n * n * math.log(C) - 1e-9:
+                raise RuntimeError("power bound fell below C^(n^2) — bug")
+        except OverflowError as exc:
+            raise InvalidParams(f"the {k}-fold power of the order-{m} base overflows "
+                                f"a float") from exc
         return MateCertificate(
             description=(
                 f"order-{m} base square raised to the {k}-fold "

@@ -15,10 +15,10 @@ from molscope.bounds import (
     estimate_sweep,
     extension_bound_general,
     extension_bound_mols,
+    extension_entries,
     integral_I,
     log_factorial,
     mols_count_bound,
-    reference_asymptotics,
     sudoku_extension_bound,
 )
 from molscope.errors import InvalidParams, LimitExceeded, NotPerfectSquare
@@ -285,19 +285,22 @@ def test_mols_count_bound_domain():
 
 
 def test_reference_asymptotics_formulas():
-    rep = reference_asymptotics(100, 2)
     nn, logn = 10000.0, math.log(100)
-    assert rep.value("latin_count") == pytest.approx(nn * (logn - 2), abs=1e-9)
-    assert rep.value("tuple_count") == pytest.approx(
+    assert mols_count_bound(100, 1).value("asymptotic_reference") == pytest.approx(
+        nn * (logn - 2), abs=1e-9
+    )
+    assert mols_count_bound(100, 2).value("asymptotic_reference") == pytest.approx(
         nn * (2 * logn - 5), abs=1e-9
     )
-    assert rep.value("average_extensions") == pytest.approx(
-        nn * (logn - 4), abs=1e-9
-    )
-    assert rep.value("max_mates") == pytest.approx(
+    entries = extension_entries(100, 2)
+    assert [e.name for e in entries] == ["extension_bound", "average_extensions"]
+    assert entries[0].value == extension_bound_mols(100, 2)
+    assert entries[1].value == pytest.approx(nn * (logn - 4), abs=1e-9)
+    mates = {e.name: e for e in extension_entries(100, 1)}
+    assert mates["max_mates"].value == pytest.approx(
         nn * (logn - 2 - 1 / math.e), abs=1e-9
     )
-    assert all(e.asymptotic_only for e in rep.entries)
+    assert [e.asymptotic_only for e in mates.values()] == [False, True, True]
 
 
 def test_sudoku_bound_report():

@@ -218,7 +218,7 @@ def test_exit_limit_and_params(cli, capsys):
     # bad parameters are one error line, not a traceback or a report
     for argv, says in ((["certify", "power", "--m", "3", "--q", "-1", "--k", "1"], "--q -1"),
                        (["bound", "sudoku", "--n", "-4"], "n = m^2 >= 4"),
-                       (["bound", "reference", "--n", "3", "--k", "-2"], "k >= 0"),
+                       (["bound", "extension", "--n", "3", "--k", "-2"], "0 <= k <= n-2"),
                        (["certify", "extension", "--n", "4", "--k", "-1"],
                         "needs a nonnegative --k, got -1"),
                        (["certify", "gerechte", "--n", "3", "--partition", "boxes:4"],
@@ -927,10 +927,10 @@ def test_bound_integer_kinds_reject_fractional_n(cli, capsys, kind, n):
     "argv, message",
     [
         (["mols-count", "--n", "inf", "--k", "1"], "finite --n"),
-        (["reference", "--n", "inf"], "finite --n"),
-        (["reference", "--n", "nan"], "finite --n"),
+        (["mols-count", "--n=-inf", "--k", "1"], "finite --n"),
+        (["mols-count", "--n", "nan", "--k", "1"], "finite --n"),
         (["mols-count", "--n", "1e200"], "summed_quadrature is not finite"),
-        (["reference", "--n", "1e200"], "latin_count is not finite"),
+        (["extension", "--n", "1e154", "--k", "0"], "extension_bound is not finite"),
         (["extension", "--n", "1e200", "--k", "1"], "overflows"),
         (["sudoku", "--n", str(float(2**600)), "--k", "0"], "overflows"),
     ],
@@ -958,7 +958,7 @@ def test_bound_integer_kinds_accept_integral_float_n(cli):
 
 
 def test_bound_real_kinds_accept_fractional_n(cli):
-    doc = run_structured(cli, ["bound", "reference", "--n", "100.5", "--k", "2"])
+    doc = run_structured(cli, ["bound", "mols-count", "--n", "100.5", "--k", "2"])
     assert doc["params"]["n"] == 100.5
 
 
@@ -966,10 +966,10 @@ def test_bound_sudoku_and_reference(cli):
     doc = run_structured(cli, ["bound", "sudoku", "--n", "9", "--k", "0"])
     f = fields_by_name(doc)
     assert f["general_quadrature"]["value"] <= f["split_total"]["value"] + 1e-9
-    doc = run_structured(cli, ["bound", "reference", "--n", "100", "--k", "2"])
-    for item in doc["results"]:
-        if item["name"] != "quadrature_error":
-            assert item.get("asymptotic_only") is True
+    # extension_bound, then its asymptotics, which are never valid bounds
+    doc = run_structured(cli, ["bound", "extension", "--n", "100", "--k", "1"])
+    assert [(item["name"], item.get("asymptotic_only")) for item in doc["results"]] == [
+        ("extension_bound", None), ("average_extensions", True), ("max_mates", True)]
 
 
 # --------------------------------------------------------------------------
@@ -1047,6 +1047,39 @@ def test_certify_constant_structured(cli):
     assert f["certified"]["value"] is True
 
 
+@pytest.mark.parametrize("command", ["certify", "construct"])
+def test_constant_power_past_the_float_range_is_refused(cli, capsys, command):
+    # --power 323 is the last whose log mate bound fits a float
+    code, out, _ = cli([command, "constant", "--constant", "1.2", "--power", "400"])
+    assert (code, out) == (4, b"")
+    assert capsys.readouterr().err == (
+        "error: the 400-fold power of the order-3 base overflows a float\n")
+
+
+def test_certify_power_without_mates(cli):
+    # q = 0 puts -inf on both sides of every step, and -inf <= -inf holds
+    f = fields_by_name(run_structured(cli, ["certify", "power", "--m", "3", "--q", "0",
+                                            "--k", "2"]))
+    assert f["step_bound_k1"]["value"] == f["power_bound_k2"]["value"] == "-inf"
+    assert f["recursion_holds_k1"]["value"] is f["recursion_holds_k2"]["value"] is True
+
+
+@pytest.mark.parametrize("low, high, slack, holds", [
+    (10**400, 10**400, 0, True),  # integers stay integers: no OverflowError
+    (10**400 + 1, 10**400, 0, False),
+    (float("-inf"), 0.0, 0, True),
+    (float("-inf"), float("-inf"), 1e-9, True),
+    (1.0 + 1e-7, 1.0, 1e-6, True),
+    (float("nan"), 0.0, 1e-6, False),
+    (0.0, float("nan"), 1e-6, False),
+])
+def test_decide(low, high, slack, holds):
+    doc = cli_mod.ReportDocument("certify test", {})
+    cli_mod._decide(doc, "holds", low, high, slack)
+    assert [(f.name, f.value, f.provenance) for f in doc.fields] == [
+        ("holds", holds, "comparison")]
+
+
 _construct_for_constant = construct_mod.construct_for_constant
 
 # per certificate: the function replaced (module, name, fake), a run that
@@ -1076,6 +1109,20 @@ def test_every_certificate_can_fail(cli, monkeypatch, target):
     code, out, _ = cli(["certify", target, *argv, "--format", "structured"])
     assert code == 5
     assert fields_by_name(json.loads(out))[field]["value"] is False
+
+
+@pytest.mark.parametrize("target", list(FAILING_CERTIFICATES))
+def test_every_comparison_is_decided_once(cli, monkeypatch, target):
+    decide, names = cli_mod._decide, []
+
+    def recording(doc, name, *args):
+        names.append(name)
+        decide(doc, name, *args)
+
+    monkeypatch.setattr(cli_mod, "_decide", recording)
+    out = run_structured(cli, ["certify", target, *FAILING_CERTIFICATES[target][3]])
+    assert names and names == [
+        f["name"] for f in out["results"] if f.get("provenance") == "comparison"]
 
 
 def test_certify_estimate_catches_one_bad_interior_point(cli, monkeypatch):

@@ -37,7 +37,6 @@ KIND_RUNS = {
     "bound-extension": ["bound", "extension", "--n", "4", "--k", "0"],
     "bound-mols-count": ["bound", "mols-count", "--n", "5", "--k", "2"],
     "bound-sudoku": ["bound", "sudoku", "--n", "9", "--k", "1"],
-    "bound-reference": ["bound", "reference", "--n", "100", "--k", "2"],
     "certify-power": ["certify", "power", "--m", "3", "--q", "6", "--k", "3"],
     "certify-constant": ["certify", "constant", "--constant", "1.2", "--limit", "3"],
     "construct-cayley": ["construct", "cayley", "--group", "2x3"],
