@@ -6,8 +6,9 @@ The snapshots cover the structured reports of the acceptance runs
 ``--emit-witnesses`` (report, then each witness file under a
 ``--- witness-NNNNNN.txt`` line), and one run of every ``bound``,
 ``certify`` and ``construct`` kind the others leave out (``KIND_RUNS``):
-its structured report, and for ``construct`` its table too (without the
-``elapsed:`` line).  To rewrite every snapshot from the current code, run
+its structured report, and for ``bound`` and ``construct`` its table too
+(without the ``elapsed:`` line).  To rewrite every snapshot from the
+current code, run
 
     PYTHONPATH=src python tests/test_snapshots.py
 
@@ -70,7 +71,7 @@ def witness_report(run, name, workdir: Path) -> bytes:
 def kind_reports(run, name) -> dict:
     argv = KIND_RUNS[name]
     files = {f"{name}.json": _ok(*run(argv + ["--format", "structured"])[:2])}
-    if argv[0] == "construct":
+    if argv[0] in ("bound", "construct"):
         lines = _ok(*run(argv)[:2]).splitlines(keepends=True)
         files[f"{name}.table.txt"] = b"".join(
             line for line in lines if not line.startswith(b"  elapsed: "))
