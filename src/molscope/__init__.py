@@ -20,7 +20,6 @@ from .arrays import (
 )
 from .bounds import (
     BoundEntry,
-    BoundReport,
     c_beta,
     closed_form_estimate,
     extension_bound_general,

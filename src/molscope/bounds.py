@@ -19,7 +19,7 @@ its first 24 terms with a proven remainder of at most b_0 / T_24(3) <
 Only the general (r, c) profile buckets and c_beta are integrated by
 adaptive Simpson quadrature, at one fixed absolute-error target,
 DEFAULT_TOL = 1e-9, with a hard subdivision cap, so a bound is fixed by
-its parameters.  A report's quadrature_error is Simpson's own error
+its parameters.  A bound's quadrature_error entry is Simpson's own error
 estimate on its general buckets plus the series remainder of its I_d
 terms; it omits the closed form's rounding, which is larger (I_814(1000)
 is off by 2.5e-13 from a 30-digit quadrature; its remainder is 8.5e-22).
@@ -39,6 +39,7 @@ DEFAULT_TOL = 1e-9
 _MAX_DEPTH = 48
 # mols_count_bound evaluates one I_d per d = 2..k+1, about 10 us each
 MAX_INTEGRALS = 10_000
+MAX_FACTORIAL = 10**6  # log_factorial's largest argument
 # estimate_sweep's grid
 _ESTIMATE_NS = (*range(2, 51), 100, 500, 1000)
 
@@ -113,33 +114,18 @@ def _alternating_sum(b: Sequence) -> tuple:
 
 
 # --------------------------------------------------------------------------
-# report plumbing
+# bound entries
 
 
 @dataclass(frozen=True)
 class BoundEntry:
-    """One named bound value with its provenance tag."""
+    """One named value of a bound, with its provenance tag; every bound
+    evaluator returns a tuple of them."""
 
     name: str
     value: float  # nats
     source: str  # operation id that produced it
     asymptotic_only: bool = False  # display-only: not a valid finite-n bound
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """The related bound values of one (n, k) instance, which the caller
-    passed in.  Its ``quadrature_error`` is no enclosure: it omits the
-    closed form's rounding (see the module docstring)."""
-
-    entries: tuple[BoundEntry, ...]
-    quadrature_error: float
-
-    def value(self, name: str) -> float:
-        for e in self.entries:
-            if e.name == name:
-                return e.value
-        raise KeyError(name)
 
 
 # --------------------------------------------------------------------------
@@ -232,9 +218,8 @@ def _profile_buckets(profile: CellProfile) -> list[tuple[tuple[int, int], int]]:
     return sorted(counts.items())
 
 
-def _ext_general_err(
-    n: float, buckets: list[tuple[tuple[int, int], int]], d: int, tol: float
-) -> tuple[float, float]:
+def _ext_general_err(n: float, buckets: list[tuple[tuple[int, int], int]],
+                     d: int) -> tuple[float, float]:
     total = 0.0
     err = 0.0
     for (rl, cl), mult in buckets:
@@ -245,7 +230,7 @@ def _ext_general_err(
             # a = 0 adds an exact 0.0, so skipping its power changes no bit and saves time
             return math.log1p((a * t ** (d - 1) if a else 0.0) + b * t**d)
 
-        v, e = _adaptive_simpson(f, 0.0, 1.0, tol)
+        v, e = _adaptive_simpson(f, 0.0, 1.0, DEFAULT_TOL)
         total += mult * v
         err += mult * e
     return total, err
@@ -262,14 +247,14 @@ def extension_bound_general(profile: CellProfile, d: int) -> float:
         raise InvalidParams("general bound applies to arrays of width >= 3")
     if profile.order < 2:
         raise InvalidParams("order must be at least 2")
-    return _ext_general_err(profile.order, _profile_buckets(profile), d, DEFAULT_TOL)[0]
+    return _ext_general_err(profile.order, _profile_buckets(profile), d)[0]
 
 
 def log_factorial(m: int) -> float:
     """Exact-order log-factorial: sum of log i, i = 2..m (m <= 10^6)."""
     if m < 0:
         raise InvalidParams("factorial of a negative number")
-    if m > 10**6:
+    if m > MAX_FACTORIAL:
         raise InvalidParams("log_factorial supports arguments up to 10^6")
     total = 0.0
     for i in range(2, m + 1):
@@ -278,7 +263,7 @@ def log_factorial(m: int) -> float:
 
 
 # --------------------------------------------------------------------------
-# aggregate bound reports
+# bound evaluators
 
 
 def c_beta(beta: float) -> float:
@@ -302,7 +287,7 @@ def c_beta(beta: float) -> float:
     return min(1.0, max(0.0, c))
 
 
-def mols_count_bound(n: float, k: int) -> BoundReport:
+def mols_count_bound(n: float, k: int) -> tuple[BoundEntry, ...]:
     """Everything known about log of the number of k-tuple systems.
 
     Entries:
@@ -315,10 +300,10 @@ def mols_count_bound(n: float, k: int) -> BoundReport:
       regime_iii          (1/2)(log k - log log n) n^2 log^2 n
       trivial             k n^2 log n
       asymptotic_reference n^2 (k log n - C(k+2,2) + 1)
+      quadrature_error    the series remainder of the I_d
     The three regime entries and the reference drop vanishing terms, so they
     are labeled asymptotic-only and are never asserted against counts.
-    c_beta runs at DEFAULT_TOL; the quadrature_error is the series
-    remainder of the I_d.  A k above ``MAX_INTEGRALS`` is refused with
+    c_beta runs at DEFAULT_TOL.  A k above ``MAX_INTEGRALS`` is refused with
     ``LimitExceeded``.
     """
     if n < 2 or not 1 <= k <= n - 1:
@@ -336,8 +321,6 @@ def mols_count_bound(n: float, k: int) -> BoundReport:
         v, e = _integral_I_rem(n, d)
         total += v
         qerr += e
-    summed = nn * total
-    qerr *= nn
 
     s = (n - 1.0) ** (-1.0 / (k + 2))
     per_cell = k * math.log(n - 1.0) - (math.comb(k + 2, 2) - 1) + math.comb(k + 4, 2) * s
@@ -349,16 +332,16 @@ def mols_count_bound(n: float, k: int) -> BoundReport:
     trivial = k * nn * logn
     reference = nn * (k * logn - math.comb(k + 2, 2) + 1)
 
-    entries = (
-        BoundEntry("summed_quadrature", summed, "summed-quadrature"),
+    return (
+        BoundEntry("summed_quadrature", nn * total, "summed-quadrature"),
         BoundEntry("estimate_per_cell", per_cell, "closed-form-estimate"),
         BoundEntry("regime_i", regime_i, "regime-formula", asymptotic_only=True),
         BoundEntry("regime_ii", regime_ii, "regime-formula", asymptotic_only=True),
         BoundEntry("regime_iii", regime_iii, "regime-formula", asymptotic_only=True),
         BoundEntry("trivial", trivial, "trivial-bound"),
         BoundEntry("asymptotic_reference", reference, "asymptotic-reference", asymptotic_only=True),
+        BoundEntry("quadrature_error", nn * qerr, "quadrature"),
     )
-    return BoundReport(entries, qerr)
 
 
 def extension_entries(n: int, k: int) -> tuple[BoundEntry, ...]:
@@ -377,7 +360,7 @@ def extension_entries(n: int, k: int) -> tuple[BoundEntry, ...]:
     return tuple(entries)
 
 
-def sudoku_extension_bound(n: int, k: int) -> BoundReport:
+def sudoku_extension_bound(n: int, k: int) -> tuple[BoundEntry, ...]:
     """Extension bound for k-tuple box-balanced systems of order n = m^2.
 
     Entries:
@@ -386,6 +369,7 @@ def sudoku_extension_bound(n: int, k: int) -> BoundReport:
       split_integral      n^2 I_{k+3}, with I_{k+3} in closed form
       correction_limit    n^2 * 2 log n / ((k+3) sqrt(n-1))
       split_total         split_integral + correction_limit
+      quadrature_error    Simpson's error estimate plus I_{k+3}'s remainder
     The decomposition dominates the exact bound; that inequality is checked
     here to DEFAULT_TOL; a violation raises (it would mean an implementation bug).
     """
@@ -397,7 +381,7 @@ def sudoku_extension_bound(n: int, k: int) -> BoundReport:
     nn = n * n
     d = k + 3
     # every cell has profile r = c = m-1: one bucket of n^2 cells
-    general, qerr = _ext_general_err(n, [((m - 1, m - 1), nn)], d, DEFAULT_TOL)
+    general, qerr = _ext_general_err(n, [((m - 1, m - 1), nn)], d)
     base, e2 = _integral_I_rem(n, d)
     base *= nn
     qerr += nn * e2
@@ -407,10 +391,10 @@ def sudoku_extension_bound(n: int, k: int) -> BoundReport:
         raise RuntimeError(
             f"split form {split_total} fails to dominate exact bound {general}"
         )
-    entries = (
+    return (
         BoundEntry("general_quadrature", general, "general-profile-bound"),
         BoundEntry("split_integral", base, "split-form"),
         BoundEntry("correction_limit", correction, "split-form"),
         BoundEntry("split_total", split_total, "split-form"),
+        BoundEntry("quadrature_error", qerr, "quadrature"),
     )
-    return BoundReport(entries, qerr)

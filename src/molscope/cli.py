@@ -570,25 +570,9 @@ def _counter(read: Callable, engine: Callable, name: str, provenance: str,
 # subcommand: bound
 
 
-def _add_entries(doc: ReportDocument, entries) -> None:
-    for e in entries:
-        doc.add(e.name, e.value, unit="nats", provenance=e.source,
-                asymptotic_only=e.asymptotic_only or None)
-
-
-def _add_report_entries(doc: ReportDocument, report) -> None:
-    _add_entries(doc, report.entries)
-    doc.add(
-        "quadrature_error",
-        report.quadrature_error,
-        unit="nats",
-        provenance="quadrature",
-    )
-
-
 def _bound(evaluate: Callable, integer: bool = False) -> Callable:
-    """The run of one ``bound`` kind: ``evaluate(doc, n, k)`` adds its
-    fields.  An ``integer`` kind refuses a fractional --n."""
+    """The run of one ``bound`` kind: one field per entry of
+    ``evaluate(n, k)``.  An ``integer`` kind refuses a fractional --n."""
 
     def run(args, doc: ReportDocument) -> None:
         n = int(args.n) if float(args.n).is_integer() else args.n
@@ -598,12 +582,14 @@ def _bound(evaluate: Callable, integer: bool = False) -> Callable:
             raise InvalidParams(f"{doc.command} needs a finite --n, got {args.n}")
         doc.params = {"n": n, "k": args.k}
         try:
-            evaluate(doc, n, args.k)
+            entries = evaluate(n, args.k)
         except OverflowError as exc:
             raise InvalidParams(f"{doc.command} overflows at --n {args.n}") from exc
-        for f in doc.fields:
-            if not math.isfinite(f.value):
-                raise InvalidParams(f"{doc.command} at --n {args.n}: {f.name} is not finite")
+        for e in entries:
+            if not math.isfinite(e.value):
+                raise InvalidParams(f"{doc.command} at --n {args.n}: {e.name} is not finite")
+            doc.add(e.name, e.value, unit="nats", provenance=e.source,
+                    asymptotic_only=e.asymptotic_only or None)
 
     return run
 
@@ -713,6 +699,14 @@ def _certify_power(args, doc: ReportDocument) -> None:
     if args.k < 1:
         raise InvalidParams(f"certify power --k {args.k}: nothing to compare, "
                             f"since k must be at least 1")
+    # step k needs log (m^(k+1))!; power_exponent refuses an m below 2
+    top = 0  # the last step in reach
+    while args.m >= 2 and args.m ** (top + 2) <= bounds_mod.MAX_FACTORIAL:
+        top += 1
+    if args.m >= 2 and args.k > top:
+        reach = f"--m {args.m} runs up to --k {top}" if top else "--m must be at most 1000"
+        raise InvalidParams(f"certify power --m {args.m} --k {args.k}: step k needs "
+                            f"log (m^(k+1))!, defined here up to 10^6, so {reach}")
     doc.params = {"m": args.m, "q": args.q, "k": args.k}
     logq = Exact(args.q).ln()
     for kk in range(1, args.k + 1):
@@ -856,12 +850,9 @@ KINDS: dict[str, dict[str, tuple[dict, Callable]]] = {
             _cross_check(lambda system: count_sudoku_direct(system.order)))),
     },
     "bound": {
-        "extension": ({"--k": 1}, _bound(lambda doc, n, k: _add_entries(
-            doc, bounds_mod.extension_entries(n, k)), integer=True)),
-        "mols-count": ({"--k": 1}, _bound(lambda doc, n, k: _add_report_entries(
-            doc, bounds_mod.mols_count_bound(n, k)))),
-        "sudoku": ({"--k": 1}, _bound(lambda doc, n, k: _add_report_entries(
-            doc, bounds_mod.sudoku_extension_bound(n, k)), integer=True)),
+        "extension": ({"--k": 1}, _bound(bounds_mod.extension_entries, integer=True)),
+        "mols-count": ({"--k": 1}, _bound(bounds_mod.mols_count_bound)),
+        "sudoku": ({"--k": 1}, _bound(bounds_mod.sudoku_extension_bound, integer=True)),
     },
     "certify": {
         "extension": ({"--n": NEEDED, "--k": None, "--all-k": False}, _certify_extension),

@@ -155,9 +155,9 @@ def test_criterion_4_gerechte_bound_dominates(report_cache):
         check(f["sudoku_squares"]["value"] == "288")
         check(f["engines_agree"]["value"] is True)
 
-        rep = sudoku_extension_bound(4, 0)
-        check(math.log(288) <= rep.value("general_quadrature") + 1e-6)
-        check(math.log(288) <= rep.value("split_total") + 1e-6)
+        rep = {e.name: e.value for e in sudoku_extension_bound(4, 0)}
+        check(math.log(288) <= rep["general_quadrature"] + 1e-6)
+        check(math.log(288) <= rep["split_total"] + 1e-6)
         check(total < 300.0)
 
 
@@ -211,9 +211,9 @@ def test_criterion_8_correction_factor_properties():
             check(0.0 <= v <= 1.0)
         n = math.exp(20.0)
         for k in (120, 160, 240, 320, 400):
-            rep = mols_count_bound(n, k)
-            summed = rep.value("summed_quadrature")
-            regime = rep.value("regime_ii")
+            rep = {e.name: e.value for e in mols_count_bound(n, k)}
+            summed = rep["summed_quadrature"]
+            regime = rep["regime_ii"]
             check(abs(regime - summed) / summed < 0.05)
 
 

@@ -7,7 +7,7 @@ import oracles
 from molscope.arrays import CellProfile
 from molscope.bounds import (
     MAX_INTEGRALS,
-    BoundReport,
+    BoundEntry,
     _alternating_sum,
     c_beta,
     closed_form_estimate,
@@ -24,6 +24,11 @@ from molscope.bounds import (
 from molscope.errors import InvalidParams, LimitExceeded, NotPerfectSquare
 
 TOL = 1e-9
+
+
+def values(entries) -> dict:
+    """A bound evaluator's entries by name."""
+    return {e.name: e.value for e in entries}
 
 
 # --------------------------------------------------------------------------
@@ -227,13 +232,13 @@ def test_c_beta_range_and_large_beta_window():
 
 
 # --------------------------------------------------------------------------
-# aggregate reports
+# bound evaluators
 
 
 def test_mols_count_bound_structure():
-    rep = mols_count_bound(10, 1)
-    assert isinstance(rep, BoundReport)
-    names = [e.name for e in rep.entries]
+    entries = mols_count_bound(10, 1)
+    assert all(isinstance(e, BoundEntry) for e in entries)
+    names = [e.name for e in entries]
     assert names == [
         "summed_quadrature",
         "estimate_per_cell",
@@ -242,17 +247,18 @@ def test_mols_count_bound_structure():
         "regime_iii",
         "trivial",
         "asymptotic_reference",
+        "quadrature_error",
     ]
-    assert rep.value("summed_quadrature") == pytest.approx(
+    rep = values(entries)
+    assert rep["summed_quadrature"] == pytest.approx(
         100 * integral_I(10, 2), abs=1e-7
     )
-    assert rep.value("trivial") == pytest.approx(100 * math.log(10), abs=1e-9)
-    asym = {e.name: e.asymptotic_only for e in rep.entries}
+    assert rep["trivial"] == pytest.approx(100 * math.log(10), abs=1e-9)
+    asym = {e.name: e.asymptotic_only for e in entries}
     assert asym["regime_ii"] and asym["asymptotic_reference"]
     assert not asym["summed_quadrature"] and not asym["trivial"]
-    assert rep.quadrature_error < 1e-6
-    with pytest.raises(KeyError):
-        rep.value("nope")
+    assert entries[-1] == BoundEntry("quadrature_error", rep["quadrature_error"], "quadrature")
+    assert rep["quadrature_error"] < 1e-6
 
 
 def test_mols_count_bound_refuses_too_many_integrals():
@@ -263,17 +269,17 @@ def test_mols_count_bound_refuses_too_many_integrals():
 
 
 def test_mols_count_bound_sums_integrals():
-    rep = mols_count_bound(8, 3)
+    rep = values(mols_count_bound(8, 3))
     want = 64 * sum(integral_I(8, d) for d in range(2, 5))
-    assert rep.value("summed_quadrature") == pytest.approx(want, abs=1e-7)
+    assert rep["summed_quadrature"] == pytest.approx(want, abs=1e-7)
 
 
 def test_mols_count_bound_is_valid_for_known_counts():
     # log L(n) and log of pair counts stay below the quadrature bound
     known = {(3, 1): 12, (4, 1): 576, (5, 1): 161280, (3, 2): 72, (4, 2): 6912}
     for (n, k), count in known.items():
-        rep = mols_count_bound(n, k)
-        assert math.log(count) <= rep.value("summed_quadrature") + 1e-9
+        rep = values(mols_count_bound(n, k))
+        assert math.log(count) <= rep["summed_quadrature"] + 1e-9
 
 
 def test_mols_count_bound_domain():
@@ -286,10 +292,10 @@ def test_mols_count_bound_domain():
 
 def test_reference_asymptotics_formulas():
     nn, logn = 10000.0, math.log(100)
-    assert mols_count_bound(100, 1).value("asymptotic_reference") == pytest.approx(
+    assert values(mols_count_bound(100, 1))["asymptotic_reference"] == pytest.approx(
         nn * (logn - 2), abs=1e-9
     )
-    assert mols_count_bound(100, 2).value("asymptotic_reference") == pytest.approx(
+    assert values(mols_count_bound(100, 2))["asymptotic_reference"] == pytest.approx(
         nn * (2 * logn - 5), abs=1e-9
     )
     entries = extension_entries(100, 2)
@@ -304,30 +310,35 @@ def test_reference_asymptotics_formulas():
 
 
 def test_sudoku_bound_report():
-    rep = sudoku_extension_bound(9, 0)
-    general = rep.value("general_quadrature")
+    entries = sudoku_extension_bound(9, 0)
+    assert [e.name for e in entries] == [
+        "general_quadrature", "split_integral", "correction_limit", "split_total",
+        "quadrature_error",
+    ]
+    assert entries[-1].source == "quadrature" and not entries[-1].asymptotic_only
+    rep = values(entries)
+    general = rep["general_quadrature"]
     assert general == pytest.approx(77.695197343441, abs=1e-6)
-    assert rep.value("split_total") == pytest.approx(109.35955574435972, abs=1e-6)
-    assert general <= rep.value("split_total") + 1e-9
-    assert rep.value("split_integral") == pytest.approx(
+    assert rep["split_total"] == pytest.approx(109.35955574435972, abs=1e-6)
+    assert general <= rep["split_total"] + 1e-9
+    assert rep["split_integral"] == pytest.approx(
         81 * integral_I(9, 3), abs=1e-7
     )
-    assert rep.value("correction_limit") == pytest.approx(
+    assert rep["correction_limit"] == pytest.approx(
         81 * 2 * math.log(9) / (3 * math.sqrt(8)), abs=1e-9
     )
+    assert 0 < rep["quadrature_error"] < 1e-6
 
 
 def test_sudoku_bound_split_dominates_across_orders():
     for n, k in [(4, 0), (4, 1), (9, 0), (9, 2), (16, 0), (25, 1)]:
-        rep = sudoku_extension_bound(n, k)  # raises internally if violated
-        assert rep.value("general_quadrature") <= rep.value("split_total") + 1e-9
+        rep = values(sudoku_extension_bound(n, k))  # raises internally if violated
+        assert rep["general_quadrature"] <= rep["split_total"] + 1e-9
 
 
 def test_sudoku_bound_admits_known_counts():
-    rep = sudoku_extension_bound(4, 0)
-    assert math.log(288) <= rep.value("general_quadrature")
-    rep1 = sudoku_extension_bound(4, 1)
-    assert math.log(24) <= rep1.value("general_quadrature")
+    assert math.log(288) <= values(sudoku_extension_bound(4, 0))["general_quadrature"]
+    assert math.log(24) <= values(sudoku_extension_bound(4, 1))["general_quadrature"]
 
 
 def test_sudoku_bound_domain():

@@ -1037,6 +1037,21 @@ def test_certify_power_structured(cli):
     assert abs(f["power_bound_k2"]["value"] - 10 * math.log(6)) < 1e-9
 
 
+def test_certify_power_past_log_factorial_is_refused(cli, capsys):
+    # step k needs log (m^(k+1))!, and 3^13 and 1001^2 pass 10^6
+    for m, k, reach in (("3", "12", "--m 3 runs up to --k 11"),
+                        ("1001", "1", "--m must be at most 1000")):
+        code, out, _ = cli(["certify", "power", "--m", m, "--q", "6", "--k", k])
+        assert (code, out) == (4, b"")
+        assert capsys.readouterr().err == (
+            f"error: certify power --m {m} --k {k}: step k needs log (m^(k+1))!, "
+            f"defined here up to 10^6, so {reach}\n")
+    # 3^12 is within reach
+    f = fields_by_name(run_structured(cli, ["certify", "power", "--m", "3", "--q", "6",
+                                            "--k", "11"]))
+    assert f["recursion_holds_k11"]["value"] is True
+
+
 def test_certify_constant_structured(cli):
     doc = run_structured(
         cli, ["certify", "constant", "--constant", "1.2", "--limit", "3"]
