@@ -373,8 +373,8 @@ def sudoku_extension_bound(n: int, k: int) -> tuple[BoundEntry, ...]:
     The decomposition dominates the exact bound; that inequality is checked
     here to DEFAULT_TOL; a violation raises (it would mean an implementation bug).
     """
-    if n < 4 or k < 0:
-        raise InvalidParams("need n = m^2 >= 4 and k >= 0")
+    if n < 4 or not 0 <= k <= n - 2:
+        raise InvalidParams(f"need n = m^2 >= 4 and 0 <= k <= n-2; got n={n}, k={k}")
     m = math.isqrt(n)
     if m * m != n:
         raise NotPerfectSquare(f"order {n} is not a perfect square")

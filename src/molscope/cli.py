@@ -35,7 +35,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import bounds as bounds_mod
 from . import construct as construct_mod
@@ -88,26 +88,11 @@ EXIT_INTERNAL = 6
 # text formats (1-based externally)
 
 
-def format_square(grid: Sequence[Sequence[int]]) -> str:
-    n = len(grid)
-    lines = [str(n)]
-    for row in grid:
+def _block(head: object, rows: Iterable[Sequence[int]]) -> str:
+    """The line ``head``, then each row of 0-based integers as 1-based values."""
+    lines = [str(head)]
+    for row in rows:
         lines.append(" ".join(str(x + 1) for x in row))
-    return "\n".join(lines) + "\n"
-
-
-def format_partition_block(p: RegionPartition) -> str:
-    n = p.order
-    lines = ["PARTITION"]
-    for i in range(n):
-        lines.append(" ".join(str(p.labels[i * n + j] + 1) for j in range(n)))
-    return "\n".join(lines) + "\n"
-
-
-def format_transversal_block(cells: Sequence[tuple[int, int]]) -> str:
-    lines = ["TRANSVERSAL"]
-    for i, j in sorted(cells):
-        lines.append(f"{i + 1} {j + 1}")
     return "\n".join(lines) + "\n"
 
 
@@ -116,11 +101,14 @@ def format_document(
     partition: Optional[RegionPartition] = None,
     transversal: Optional[Sequence[tuple[int, int]]] = None,
 ) -> str:
-    parts = [format_square(g) for g in squares]
+    """Each square under its order, then the optional ``PARTITION`` and
+    ``TRANSVERSAL`` blocks, one blank line between blocks."""
+    parts = [_block(len(g), g) for g in squares]
     if partition is not None:
-        parts.append(format_partition_block(partition))
+        n, labels = partition.order, partition.labels
+        parts.append(_block("PARTITION", (labels[i * n : (i + 1) * n] for i in range(n))))
     if transversal is not None:
-        parts.append(format_transversal_block(transversal))
+        parts.append(_block("TRANSVERSAL", sorted(transversal)))
     return "\n".join(parts)
 
 
@@ -694,16 +682,18 @@ def _certify_product(args, doc: ReportDocument) -> None:
 
 
 def _certify_power(args, doc: ReportDocument) -> None:
+    if args.m < 2:
+        raise InvalidParams(f"certify power --m {args.m}: the base order must be at least 2")
     if args.q < 0:
         raise InvalidParams(f"certify power --q {args.q}: a mate count cannot be negative")
     if args.k < 1:
         raise InvalidParams(f"certify power --k {args.k}: nothing to compare, "
                             f"since k must be at least 1")
-    # step k needs log (m^(k+1))!; power_exponent refuses an m below 2
+    # step k needs log (m^(k+1))!
     top = 0  # the last step in reach
-    while args.m >= 2 and args.m ** (top + 2) <= bounds_mod.MAX_FACTORIAL:
+    while args.m ** (top + 2) <= bounds_mod.MAX_FACTORIAL:
         top += 1
-    if args.m >= 2 and args.k > top:
+    if args.k > top:
         reach = f"--m {args.m} runs up to --k {top}" if top else "--m must be at most 1000"
         raise InvalidParams(f"certify power --m {args.m} --k {args.k}: step k needs "
                             f"log (m^(k+1))!, defined here up to 10^6, so {reach}")
@@ -715,7 +705,8 @@ def _certify_power(args, doc: ReportDocument) -> None:
         rhs = construct_mod.power_mate_bound(args.m, logq, kk + 1)
         doc.add(f"step_bound_k{kk}", lhs, unit="nats", provenance="product-bound")
         doc.add(f"power_bound_k{kk + 1}", rhs, unit="nats", provenance="power-bound")
-        # float rounding of the log-factorial and exponent * ln q sums
+        # lhs - rhs is ln of the ways to split m^(k+1) items into m^k blocks of
+        # m, at least ln 3: that margin, not the 1e-9 slack, decides the step
         _decide(doc, f"recursion_holds_k{kk}", rhs, lhs, 1e-9)
 
 
@@ -759,7 +750,7 @@ def _square_kind(flags: dict, build: Callable) -> tuple[dict, Callable]:
 
     def run(args, doc: ReportDocument) -> str:
         doc.params = {_dest(f): getattr(args, _dest(f)) for f in flags}
-        return format_square(build(args, doc).grid)
+        return format_document([build(args, doc).grid])
 
     return flags, run
 

@@ -749,7 +749,7 @@ def _chain_tree(partition: RegionPartition, kmax: int) -> Iterator[tuple[list, i
 
 def max_extensions(n: int, k: int) -> tuple[ExtensionCount, Optional[MolsSystem]]:
     """Maximum extension count over every k-tuple system of order n, with the
-    lexicographically first maximizer as witness.
+    lexicographically first maximizer, on the rows partition, as witness.
 
     The maximum is over the depth-k nodes of :func:`_chain_tree` on the rows
     partition.  That loses nothing: relabelling a square's symbols keeps its
@@ -760,12 +760,12 @@ def max_extensions(n: int, k: int) -> tuple[ExtensionCount, Optional[MolsSystem]
     if n < 1 or k < 0:
         raise InvalidParams("need n >= 1 and k >= 0")
     check_census_order(n)
-    best, best_cols = -1, None
-    for cols, cnt in _chain_tree(partition_rows(n), k):
+    best, best_cols, rows = -1, None, partition_rows(n)
+    for cols, cnt in _chain_tree(rows, k):
         if len(cols) == k and (cnt > best or cnt == best and cols < best_cols):
             best, best_cols = cnt, list(cols)
     witness = None if best_cols is None else validate_mols(
-        [LatinSquare(Square([col[i * n : (i + 1) * n] for i in range(n)])) for col in best_cols], order=n)
+        [LatinSquare(Square([col[i * n : (i + 1) * n] for i in range(n)])) for col in best_cols], rows)
     return ExtensionCount(Exact(max(best, 0)), True), witness
 
 

@@ -346,3 +346,6 @@ def test_sudoku_bound_domain():
         sudoku_extension_bound(8, 0)
     with pytest.raises(InvalidParams):
         sudoku_extension_bound(4, -1)
+    # a k-system and its extension hold k + 1 <= n - 1 squares
+    with pytest.raises(InvalidParams, match=r"n = m\^2 >= 4 and 0 <= k <= n-2; got n=4, k=3"):
+        sudoku_extension_bound(4, 3)

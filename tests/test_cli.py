@@ -9,7 +9,6 @@ from molscope import bounds as bounds_mod, cli as cli_mod, construct as construc
 from molscope.cli import (
     _split_top_level,
     format_document,
-    format_square,
     parse_document,
     resolve_partition_spec,
     resolve_square_spec,
@@ -28,7 +27,7 @@ Z3_TEXT = "3\n1 2 3\n2 3 1\n3 1 2\n"
 
 def test_format_square_is_one_based():
     z3 = cayley_table(GroupSpec([3]))
-    assert format_square(z3.grid) == Z3_TEXT
+    assert format_document([z3.grid]) == Z3_TEXT
 
 
 def test_document_round_trip():
@@ -444,7 +443,7 @@ def test_count_extensions_refuses_flags_of_different_orders(cli, capsys, flags, 
 def test_count_extensions_refuses_a_system_document_of_mixed_orders(cli, capsys, tmp_path):
     # a document that fails validation stays a validation failure
     sysfile = tmp_path / "sys.txt"
-    sysfile.write_text(Z3_TEXT + "\n" + format_square(cayley_table(GroupSpec([4])).grid))
+    sysfile.write_text(Z3_TEXT + "\n" + format_document([cayley_table(GroupSpec([4])).grid]))
     assert cli(["count", "extensions", "--system", str(sysfile)])[:2] == (1, b"")
     assert capsys.readouterr().err == "error: square 2 has order 4, but the system has order 3\n"
 
@@ -687,8 +686,16 @@ UNBALANCED = "line 1: region 1 has 3 cells, expected 2\n"
      "error: pair.txt: expected a partition document\n"),
     (["construct", "translate-mates", "--group", "3", "--transversal", "z3.txt"], 2,
      "error: z3.txt: no TRANSVERSAL block\n"),
+    (["certify", "power", "--m", "1", "--q", "6", "--k", "3"], 4,
+     "error: certify power --m 1: the base order must be at least 2\n"),
+    (["certify", "power", "--m", "0", "--q", "6", "--k", "1"], 4,
+     "error: certify power --m 0: the base order must be at least 2\n"),
+    # a k-system and its extension hold k + 1 <= n - 1 squares
+    (["bound", "sudoku", "--n", "4", "--k", "50"], 4,
+     "error: need n = m^2 >= 4 and 0 <= k <= n-2; got n=4, k=50\n"),
 ], ids=["verify-unbalanced", "partition-unbalanced", "cap-0", "cap-0-witnesses",
-        "power-one-argument", "partition-of-squares", "transversal-missing"])
+        "power-one-argument", "partition-of-squares", "transversal-missing",
+        "power-m-1", "power-m-0", "sudoku-k-past-n-2"])
 def test_input_errors_are_one_error_line(cli, capsys, monkeypatch, tmp_path, argv, code, err):
     monkeypatch.chdir(tmp_path)
     for name, text in INPUT_FILES.items():

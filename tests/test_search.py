@@ -1271,7 +1271,14 @@ def test_max_extensions_matches_system_iteration(n, k):
     res, witness = max_extensions(n, k)
     assert res.value.count == best
     assert [s.grid for s in witness.squares] == list(best_sys)
-    assert witness.partition is None
+    assert witness.partition == partition_rows(n)
+
+
+@pytest.mark.parametrize("n, k, count", [(3, 1, 6), (4, 0, 576), (4, 1, 48), (4, 2, 24)])
+def test_max_extensions_witness_recounts_to_the_maximum(n, k, count):
+    # the witness carries the partition the census walked, so it recounts
+    res, witness = max_extensions(n, k)
+    assert res.value.count == count_extensions(witness).value.count == count
 
 
 MAX_EXT_5 = [(161280, []),
