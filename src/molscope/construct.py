@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator
 
 from .core import (
@@ -242,10 +241,9 @@ def construct_for_constant(
         raise InvalidParams("search_limit must be at least 2")
     if k < 1:
         raise InvalidParams("k must be at least 1")
-    frac_c = Fraction(C)
+    num, den = C.as_integer_ratio()
     for m in range(2, search_limit + 1):
-        need = frac_c ** (m * m)
-        threshold = math.ceil(need) if need > 1 else 1
+        threshold = max(1, -(-num ** (m * m) // den ** (m * m)))  # ⌈C^(m²)⌉, exactly
         check_census_order(m)
         nodes = ((cols[0], count) for cols, count in _chain_tree(partition_rows(m), 1)
                  if cols and count >= threshold)

@@ -15,10 +15,13 @@ of some array's transversals.  A second, structurally different engine over
 plain grids is kept alongside it so headline counts can be confirmed by two
 engines that share no code path; it serves those cross-checks and the
 tests, and no count or construction reads its answers.  It builds each
-square row by row, every row one of the n! permutations, and keeps a row
-when its column code (and, for gerechte or Sudoku squares, its region code)
-misses those of the rows above; a pair of squares is orthogonal when every
-symbol class of the second is in the first's set of transversal cell masks.
+square row by row, every row one of the n! permutations, over bitsets of
+rows: a table holds, per row, the rows that differ from it in every column,
+so each row passes down its candidates AND that set (a gerechte or Sudoku
+row is also checked against the region codes of the rows above).  The table
+takes (n!)²/8 bytes, so the engine stops at order 7.  A pair of squares is
+orthogonal when every symbol class of the second is in the first's set of
+transversal cell masks.
 
 The cover is Knuth's Algorithm X (arXiv cs/0011047) over bitsets: cells
 are the items, the T transversals the options, and every set of options is
@@ -83,8 +86,6 @@ into output: the count is min(threshold, total), however the tree was cut.
 from __future__ import annotations
 
 import math
-import multiprocessing
-import multiprocessing.connection
 import os
 from contextlib import closing
 from dataclasses import InitVar, dataclass
@@ -194,7 +195,12 @@ def _pooled(branch, shared, calls, procs: int) -> Iterator[int]:
     """The subcounts of ``calls``, in order, from ``procs`` forked workers,
     each fed the next branch index over a pipe of its own.  They share no
     lock, so closing the generator can kill them anywhere (killing a worker
-    that holds its result queue's lock hangs ``multiprocessing.Pool``)."""
+    that holds its result queue's lock hangs ``multiprocessing.Pool``).
+    ``multiprocessing`` is imported here, so a command that starts no pool
+    never loads it."""
+    import multiprocessing
+    import multiprocessing.connection
+
     ctx = multiprocessing.get_context("fork")
     todo = iter(range(len(calls)))
     busy, done, workers = {}, {}, []
@@ -803,55 +809,101 @@ def extension_census(
 # the independent direct engine (no array machinery)
 
 
+# The row table takes (n!)²/8 bytes: 3 MB at order 7, 203 MB at 8 and 16 GB
+# at 9, so the walk refuses order 8 and up before building it.
+DIRECT_MAX_ORDER = 7
+
+
+def _perms_direct(n: int) -> list[tuple[int, ...]]:
+    """The n! permutations of range(n) in lexicographic order: the rows of
+    the direct walk, refused past :data:`DIRECT_MAX_ORDER`."""
+    if n > DIRECT_MAX_ORDER:
+        raise LimitExceeded(
+            f"direct engine supports orders up to {DIRECT_MAX_ORDER}: its row table "
+            f"at order {n} would take (n!)^2/8 bytes"
+        )
+    return list(permutations(range(n)))
+
+
+def _bits_direct(m: int) -> Iterator[int]:
+    """The indices of the set bits of ``m``, lowest first."""
+    while m:
+        b = m & -m
+        m ^= b
+        yield b.bit_length() - 1
+
+
 def _direct_walk(perms: Sequence[tuple[int, ...]], n: int, labels=None):
     """The row-wise walk over the Latin squares of order n.  ``perms`` are
     the n! permutations of range(n) in lexicographic order; a row is an
-    index into them.
+    index into them, and a set of rows is an integer with bit r for row r.
 
-    Row p has the column code with bit j*n + p[j] per column j; a node walks
-    its candidates in order and passes down those whose code misses the
-    chosen row's.  ``labels``, an optional n x n grid of region labels, gives
-    row i of p the region code with bit labels[i][j]*n + p[j], which must
-    miss those of the rows above; without it the rows are the regions and
-    cost nothing more.  Yields ``(rows, last)`` per node at row n-1, in
-    lexicographic order: rows 0..n-2 (a reused buffer) and every row
-    completing them.  Nothing is reduced: each square is one leaf.
+    Row p puts symbol p[j] in column j, and ``fits[r]`` holds the rows that
+    put a different symbol than row r in every column.  Each row tries its
+    candidates lowest first and passes ``cands & fits[r]`` down to the next.
+    ``labels``, an optional n x n grid of region labels, gives row i of p the
+    region code with bit labels[i][j]*n + p[j], which must miss those of the
+    rows above; without it the rows are the regions and cost nothing more.
+    Yields ``(rows, last)`` per node at row n-1, in lexicographic order: rows
+    0..n-2 (a reused buffer) and the set of rows completing them.  Nothing is
+    reduced: each square is one leaf.
     """
-    code = [sum(1 << (j * n + p[j]) for j in range(n)) for p in perms]
+    every = (1 << len(perms)) - 1
+    holds = [0] * (n * n)  # holds[j*n + s]: the rows with symbol s in column j
+    for r, p in enumerate(perms):
+        for j, s in enumerate(p):
+            holds[j * n + s] |= 1 << r
+    fits = []
+    for p in perms:
+        meets = 0
+        for j, s in enumerate(p):
+            meets |= holds[j * n + s]
+        fits.append(every & ~meets)
     region = None
     if labels is not None:
         region = [[sum(1 << (lab[j] * n + p[j]) for j in range(n)) for p in perms]
                   for lab in labels]
-    rows = [0] * (n - 1)
     last = n - 1
+    rows = [0] * last
     if n == 1:
-        return iter([(rows, [0])])
+        return iter([(rows, 1)])
 
-    def rec(i, cands, used):
-        reg = None if region is None else region[i]
-        for r in cands:
-            u = used
-            if reg is not None:
-                if reg[r] & used:
+    def walk():
+        # per row i above the last: its candidates, those still to try, and
+        # the region codes of the rows above it
+        cands, todo, used = [0] * last, [0] * last, [0] * n
+        cands[0] = todo[0] = every
+        i = 0
+        while i >= 0:
+            m = todo[i]
+            if not m:
+                i -= 1
+                continue
+            b = m & -m
+            todo[i] = m ^ b
+            r = b.bit_length() - 1
+            if region is not None:
+                if region[i][r] & used[i]:
                     continue
-                u |= reg[r]
+                used[i + 1] = used[i] | region[i][r]
             rows[i] = r
-            cr = code[r]
-            nxt = [c for c in cands if not code[c] & cr]
+            nxt = cands[i] & fits[r]
             if i + 1 < last:
-                yield from rec(i + 1, nxt, u)
-            else:
-                if region is not None:
-                    below = region[last]
-                    nxt = [c for c in nxt if not below[c] & u]
-                yield rows, nxt
+                i += 1
+                cands[i] = todo[i] = nxt
+                continue
+            if region is not None:
+                below, u = region[last], used[last]
+                for c in _bits_direct(nxt):
+                    if below[c] & u:
+                        nxt ^= 1 << c
+            yield rows, nxt
 
-    return rec(0, list(range(len(perms))), 0)
+    return walk()
 
 
 def _count_direct(n: int, labels=None) -> int:
-    perms = list(permutations(range(n)))
-    return sum(len(last) for _, last in _direct_walk(perms, n, labels))
+    return sum(last.bit_count() for _, last in _direct_walk(_perms_direct(n), n, labels))
 
 
 def iter_latin_direct(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -860,10 +912,10 @@ def iter_latin_direct(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     with the extension engine."""
     if n < 1:
         raise InvalidParams("order must be positive")
-    perms = list(permutations(range(n)))
+    perms = _perms_direct(n)
     for rows, last in _direct_walk(perms, n):
         head = tuple(perms[r] for r in rows)
-        for c in last:
+        for c in _bits_direct(last):
             yield head + (perms[c],)
 
 

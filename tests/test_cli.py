@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
 
+import molscope
 import oracles
 from molscope import bounds as bounds_mod, cli as cli_mod, construct as construct_mod, errors
 from molscope.cli import (
@@ -466,6 +470,22 @@ def test_count_mols_cross_checks(cli):
     assert f["count"]["value"] == "576"
     assert f["direct_count"]["value"] == "576"
     assert f["engines_agree"]["value"] is True
+
+
+LIGHT_START = """
+import sys
+from molscope.cli import main
+code = main(["count", "mols", "--n", "4", "--k", "1", "--threads", "1", "--format", "structured"])
+print(code, sorted({"multiprocessing", "fractions", "decimal"} & set(sys.modules)))
+"""
+
+
+def test_a_count_in_one_process_loads_neither_the_pool_nor_fractions():
+    # a fresh interpreter, since the test session has imported both already
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(molscope.__file__)))
+    run = subprocess.run([sys.executable, "-c", LIGHT_START], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert run.stdout.splitlines()[-1] == "0 []"
 
 
 @pytest.mark.parametrize("n, k, value", [

@@ -419,6 +419,22 @@ def test_count_sudoku_direct():
         count_sudoku_direct(8)
 
 
+def test_direct_engine_refuses_order_8_before_building_its_table(monkeypatch):
+    # the row table takes (n!)^2/8 bytes, 16 GB at order 9: refused before
+    # even the permutations are listed
+    import molscope.search as search
+
+    def forbidden(*args):
+        raise AssertionError("the direct engine built its rows")
+
+    monkeypatch.setattr(search, "permutations", forbidden)
+    calls = [(count_sudoku_direct, 9), (count_latin_direct, 8), (count_latin_direct, 9),
+             (lambda n: next(iter_latin_direct(n)), 8)]
+    for engine, n in calls:
+        with pytest.raises(LimitExceeded, match=f"orders up to 7: its row table at order {n} "):
+            engine(n)
+
+
 @pytest.mark.parametrize("n, k", [(0, 0), (0, 1), (3, -1), (-1, 2)])
 def test_direct_engine_refuses_what_count_mols_refuses(n, k):
     # InvalidParams (exit 4), not LimitExceeded (exit 3), and never a count
@@ -431,6 +447,16 @@ def test_direct_engine_refuses_what_count_mols_refuses(n, k):
 def test_iter_latin_direct_matches_product_oracle(n):
     # same squares, same lexicographic order
     assert tuple(iter_latin_direct(n)) == oracles.product_latin_squares(n)
+
+
+def test_iter_latin_direct_5_is_sorted_and_latin():
+    # the walk decodes its last row's candidate set lowest bit first, so the
+    # squares come in strictly increasing lexicographic order
+    squares = list(iter_latin_direct(5))
+    assert len(squares) == 161280
+    assert all(a < b for a, b in zip(squares, squares[1:]))
+    symbols = set(range(5))
+    assert all(set(line) == symbols for sq in squares for line in (*sq, *zip(*sq)))
 
 
 def test_count_mols_direct_matches_naive_pair_check():
