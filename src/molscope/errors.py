@@ -108,7 +108,8 @@ class InvalidNOA(MolscopeError):
 
 
 class LimitExceeded(MolscopeError):
-    """An enumeration was requested beyond the configured order limit."""
+    """An enumeration was requested beyond a configured limit: an order
+    limit, or the size of an exact cover."""
 
     exit_code = 3
 

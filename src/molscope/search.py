@@ -30,11 +30,12 @@ per call and shared by every branch: ``through[c]``, the options containing
 cell ``c``, and ``disjoint[t]``, the options sharing no cell with ``t``
 (the complement of the OR of ``through`` over the n cells of ``t``).
 ``disjoint`` takes T²/8 bytes, about 0.6 MB at the order-9 maximum
-T = 2,241.  One recursion counts a chain of covers, starting each cover at
-cell 0 once the one before is complete (:func:`_cover_branch`).  It never
-searches the last two parts of the last cover: once two parts are left,
-every allowed option through the lowest uncovered cell completes in
-exactly one way.
+T = 2,241, so a plan lists at most :data:`COVER_MAX_OPTIONS` options and
+refuses a cover with more before building any table.  One recursion
+counts a chain of covers, starting each cover at cell 0 once the one
+before is complete (:func:`_cover_branch`).  It never searches the last
+two parts of the last cover: once two parts are left, every allowed option
+through the lowest uncovered cell completes in exactly one way.
 
 Symmetry reduction: relabelling the symbols of a new column maps extensions
 to extensions, so the symmetric group S_n acts freely on them.  A cover is
@@ -71,16 +72,20 @@ return counts.  The exact cover always branches on the part through cell
 choice, whatever the options: the option through cell 0 of a cover, the
 column of row 0 of a transversal, one branch per orbit where the square's
 autotopisms join several.  The branches and their orbit sizes are fixed by
-the instance alone.  Branches are processed in increasing order of their
-representatives and their counts added in that order.  With a threshold, a
-branch standing for an orbit of s branches whose leaves are worth w each
-counts only up to ⌈threshold / (w·s)⌉ leaves and returns the smaller of its
-count and that limit (:func:`_branch_limit`), a value that depends on the
-branch alone, never on the schedule or the other branches.  A branch at its
-limit reaches the threshold by itself, so the total reaches the threshold
-exactly when the uncapped total would, and a threshold-stopped count always
-reports exactly the threshold (flagged inexact).  So schedules cannot leak
-into output: the count is min(threshold, total), however the tree was cut.
+the instance alone.  Branches are processed in decreasing order of their
+orbit sizes, ties in increasing order of their representatives, and their
+counts added in that order.  With a threshold, a branch standing for an
+orbit of s branches whose leaves are worth w each counts only up to
+⌈threshold / (w·s)⌉ leaves and returns the smaller of its count and that
+limit (:func:`_branch_limit`), a value that depends on the branch alone,
+never on the schedule or the other branches.  A branch at its limit reaches
+the threshold by itself, so the total reaches the threshold exactly when
+the uncapped total would, and a threshold-stopped count always reports
+exactly the threshold (flagged inexact).  The largest orbit has the
+smallest limit, so it goes first: it alone reaches the threshold after the
+fewest leaves.  So schedules cannot leak into output: the count is
+min(threshold, total), however the tree was cut, and a sum of exact
+integers does not depend on the order of its terms.
 """
 
 from __future__ import annotations
@@ -235,16 +240,21 @@ def _pooled(branch, shared, calls, procs: int) -> Iterator[int]:
 
 
 def _aggregate(state, opts: SearchOptions, weight: int = 1) -> ExtensionCount:
-    """Run all branches in order and add their subcounts, each leaf counting
-    ``weight`` objects, until the total reaches the threshold.
+    """Run all branches, largest orbit first, and add their subcounts, each
+    leaf counting ``weight`` objects, until the total reaches the threshold.
 
     ``state`` is (branch function, shared arguments, items), each item an
-    (argument, size) pair: ``branch(*shared, limit, argument)`` counts up to
-    ``limit`` for an orbit of ``size`` branches with equal counts, so it
-    adds sub × weight × size.  The accumulation loop is the same code for
-    one process and many.
+    (argument, size) pair, listed in increasing order of the arguments (the
+    orbits' representatives): ``branch(*shared, limit, argument)`` counts up
+    to ``limit`` for an orbit of ``size`` branches with equal counts, so it
+    adds sub × weight × size.  One stable sort puts the items in decreasing
+    order of size, ties kept in representative order, with or without a
+    threshold or a pool: a branch reaches threshold T alone after
+    ⌈T / (weight·size)⌉ leaves, the fewest for the largest orbit.  The
+    accumulation loop is the same code for one process and many.
     """
     branch, shared, items = state
+    items = sorted(items, key=lambda item: -item[1])
     threshold = opts.stop_threshold
     calls = [(_branch_limit(opts, weight * size), item) for item, size in items]
     procs = min(opts.threads or 1, len(calls))
@@ -443,6 +453,27 @@ def _transversal_branch(codes, n, limit, prefix):
     return sum(1 for _ in islice(_transversals(codes, n, prefix), limit))
 
 
+# The most options an exact cover may have.  Its ``disjoint`` table takes
+# T²/8 bytes for T options: 4.9 GB for the 198,144 transversals of the
+# order-12 product kron:(cayley:3,cayley:2x2), 8.6 GB just past this cap,
+# and 133 GB for the 1,030,367 transversals of Z13.
+COVER_MAX_OPTIONS = 1 << 18
+
+
+def _cover_options(codes, n: int) -> list[tuple[int, ...]]:
+    """The transversals of ``codes`` (:func:`_transversals`), the options of
+    an exact cover, listing at most :data:`COVER_MAX_OPTIONS` + 1 of them:
+    raises ``LimitExceeded`` past the cap, before any table is built."""
+    options = list(islice(_transversals(codes, n, ()), COVER_MAX_OPTIONS + 1))
+    if len(options) > COVER_MAX_OPTIONS:
+        gb = (COVER_MAX_OPTIONS + 1) ** 2 / 8e9
+        raise LimitExceeded(
+            f"the exact cover at order {n} has more than {COVER_MAX_OPTIONS:,} options "
+            f"(transversals); its table would take T^2/8 bytes, over {gb:.1f} GB"
+        )
+    return options
+
+
 def _cover_tables(options: Sequence[tuple[int, ...]], n: int) -> tuple[list[int], list[int], list[int]]:
     """The exact-cover tables of ``options`` (transversals as their column
     per row): each option's cell mask, ``through`` and ``disjoint``."""
@@ -534,9 +565,11 @@ def _cover_plan(system: MolsSystem) -> tuple[list, tuple, list[tuple[int, int]]]
     the options are that square's Latin transversals, and its autotopisms
     fixing cell 0 map covers (and chains of covers) to covers: one branch
     per orbit (:func:`_cover_orbits`).  Any other system, whose partition
-    those maps need not keep, branches on each option through cell 0."""
+    those maps need not keep, branches on each option through cell 0.  A
+    cover with more than :data:`COVER_MAX_OPTIONS` options is refused
+    (:func:`_cover_options`)."""
     n = system.order
-    options = list(_transversals(_array_codes(system), n, ()))
+    options = _cover_options(_array_codes(system), n)
     tables = _cover_tables(options, n)
     if system.k == 1 and system.partition == partition_rows(n):
         branches = _cover_orbits(system.squares[0].grid, options)
@@ -631,10 +664,12 @@ def iter_transversal_partitions(l: LatinSquare) -> Iterator[tuple[tuple[tuple[in
     """All partitions of the cells of ``l`` into n transversals, as tuples
     of :func:`iter_transversals` parts in order of their lowest cells: one
     sequential, unreduced walk (:func:`_covers`), in lexicographic order of
-    the parts' indices in that walk."""
+    the parts' indices in that walk.  It refuses a cover with more than
+    :data:`COVER_MAX_OPTIONS` options, as the counts do."""
     n = l.order
-    parts = list(iter_transversals(l))
-    tables = _cover_tables([[j for _, j in part] for part in parts], n)
+    options = _cover_options(_array_codes(validate_mols([l], partition_rows(n))), n)
+    parts = [tuple(enumerate(cols)) for cols in options]
+    tables = _cover_tables(options, n)
     for cover in _covers(*tables, (1 << n * n) - 1, (1 << len(parts)) - 1):
         yield tuple(parts[t] for t in cover)
 

@@ -55,6 +55,7 @@ from molscope.search import (
     _cover_orbits,
     _cover_tables,
     _cover_plan,
+    _count_covers,
     _orbits,
     _transversal_branch,
     _transversals,
@@ -783,14 +784,108 @@ def test_chain_paths_agree(threads):
 # capped branches and the closed-form last two parts, against the oracles
 
 
-def _check_stops(count, want):
+def _check_stops(count, want, thresholds=None):
     """``count(threshold)`` reports min(threshold, want), flagged "at least"
-    exactly when the threshold is met."""
-    for threshold in sorted({1, max(want // 2, 1), max(want - 1, 1), max(want, 1), want + 1}):
+    exactly when the threshold is met, at ``thresholds`` (by default, those
+    around ``want``)."""
+    if thresholds is None:
+        thresholds = sorted({1, max(want // 2, 1), max(want - 1, 1), max(want, 1), want + 1})
+    for threshold in thresholds:
         res = count(threshold)
         stopped = threshold <= want
         assert res.value.count == (threshold if stopped else want)
         assert res.exact_flag is not stopped
+
+
+# Squares whose orbits differ in size: in Z3² (12,445,836 partitions) and
+# Z9 (2,049,219) option 0 is an orbit of one, and the seed-2 isotope of Z11,
+# whose first orbit of ten options alone lies in over 10⁴ partitions, has
+# orbits of 10, 5, 2 and 1.  math.inf: above every threshold.
+LARGEST_ORBIT_FIRST_CASES = {
+    "Z3^2": (cayley(3, 3), 12445836),
+    "Z9": (cayley(9), 2049219),
+    "Z11-iso2": (_isotope(cayley(11), 2), math.inf),
+}
+
+
+@pytest.mark.parametrize("name", LARGEST_ORBIT_FIRST_CASES)
+def test_threshold_counts_with_the_largest_orbit_first(name):
+    grid, want = LARGEST_ORBIT_FIRST_CASES[name]
+    plan = _cover_plan(validate_mols([L(grid)], partition_rows(len(grid))))
+    for threads in (1, 2):
+        _check_stops(lambda t: _count_covers(plan, SearchOptions(stop_threshold=t, threads=threads)),
+                     want, (1, 10, 10**3, 10**4))
+
+
+@pytest.mark.parametrize("threshold, order", [(None, [9, 10, 1, 4, 5, 33, 0]), (100, [9, 10, 1])])
+def test_branches_run_in_decreasing_orbit_size(threshold, order):
+    # the first branches of Z3²'s plan: decreasing size, ties in increasing
+    # representative order, each counting up to its own share of the threshold
+    items = [(0, 1), (1, 16), (4, 8), (5, 8), (9, 48), (10, 48), (33, 6)]
+    seen = []
+
+    def branch(limit, rep):
+        seen.append((rep, limit))
+        return 1
+
+    res = _aggregate((branch, (), items), SearchOptions(stop_threshold=threshold, threads=1))
+    assert [rep for rep, _ in seen] == order
+    sizes = dict(items)
+    assert [limit for _, limit in seen] == [_branch_limit(SearchOptions(stop_threshold=threshold), sizes[rep])
+                                            for rep in order]
+    assert res.value.count == min(threshold or 135, 135)
+
+
+@pytest.mark.parametrize("seed", [None, 1])
+def test_product_certificate_runs_one_branch_on_its_largest_orbit(monkeypatch, cli, tmp_path, seed):
+    # the threshold 46,656 = ⌈bound / 9!⌉ is reached by the first branch run:
+    # an orbit of 48 options needs ⌈46,656 / 48⌉ = 972 partitions, where
+    # branch 0, an orbit of one, would need all 46,656
+    import molscope.search as search
+    from molscope.cli import format_document
+
+    base = Z3 if seed is None else _isotope(Z3, seed)
+    path = tmp_path / "base.txt"
+    path.write_text(format_document([base]))
+    calls = []
+    cover_branch = search._cover_branch
+
+    def spy(*args):
+        sub = cover_branch(*args)
+        calls.append((args[-1], args[-2], sub))
+        return sub
+
+    monkeypatch.setattr(search, "_cover_branch", spy)
+    code, out, _ = cli(["certify", "product", "--base", str(path), "--format", "structured",
+                        "--threads", "1"])
+    assert code == 0 and b"46656" in out
+    capped = [call for call in calls if call[1] is not None]  # not the base's mate count
+    assert len(capped) == 1 and capped[0][1:] == (972, 972)
+    product = kronecker(L(base), L(base))
+    sizes = dict(_cover_plan(validate_mols([product], partition_rows(9)))[2])
+    assert sizes[capped[0][0]] == max(sizes.values()) == 48
+
+
+def test_a_cover_past_the_option_cap_is_refused_before_its_tables(monkeypatch, cli, capsys):
+    # Z7 has 133 transversals: a cap of 100 refuses its cover before any
+    # table is built, in the counts, the listing walk and the CLI (exit 3)
+    import molscope.search as search
+
+    def forbidden(*args):
+        raise AssertionError("built the tables of a cover past the cap")
+
+    monkeypatch.setattr(search, "COVER_MAX_OPTIONS", 133)
+    assert count_transversal_partitions(L(cayley(7))).value.count == 635
+    monkeypatch.setattr(search, "COVER_MAX_OPTIONS", 100)
+    monkeypatch.setattr(search, "_cover_tables", forbidden)
+    for walk in (count_transversal_partitions, count_mates,
+                 lambda sq: next(iter_transversal_partitions(sq))):
+        with pytest.raises(LimitExceeded, match="more than 100 options"):
+            walk(L(cayley(7)))
+    capsys.readouterr()
+    assert cli(["count", "partitions", "--square", "cayley:7"])[:2] == (3, b"")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "more than 100 options" in err
 
 
 CLOSED_FORM_GRIDS = [
