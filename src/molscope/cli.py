@@ -613,16 +613,16 @@ def _certify_extension(args, doc: ReportDocument) -> None:
     n = args.n
     if args.all_k and args.k is not None:
         raise FormatError("certify extension takes --k or --all-k, not both")
-    ks = list(range(n - 1)) if args.all_k else [args.k or 0]
-    if not args.all_k and ks[0] < 0:
+    k = args.k or 0
+    if not args.all_k and k < 0:
         raise InvalidParams(f"certify extension needs a nonnegative --k, got {args.k}")
-    doc.params = {"n": n, "k": "all" if args.all_k else ks[0]}
-    ks = [k for k in ks if k <= n - 2]
+    doc.params = {"n": n, "k": "all" if args.all_k else k}
+    check_census_order(n)  # first, so a refused order builds nothing
+    ks = range(n - 1) if args.all_k else range(k, min(k + 1, n - 1))
     if not ks:
         raise InvalidParams(f"certify extension --n {n}: nothing to compare, "
                             f"since k must be at most n - 2 = {n - 2}")
-    check_census_order(n)
-    census = extension_census(partition_rows(n), max(ks))
+    census = extension_census(partition_rows(n), ks[-1])
     for k in ks:
         _dominance(doc, "", k, census[k], "chained-extension-engine",
                    bounds_mod.extension_bound_mols(n, k), "per-cell-integral")

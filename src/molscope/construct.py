@@ -23,9 +23,9 @@ from .core import (
     is_transversal,
     partition_rows,
 )
-from .errors import InvalidParams, NotATransversal, NotFoundWithinLimit
+from .errors import InvalidParams, LimitExceeded, NotATransversal, NotFoundWithinLimit
 from .bounds import log_factorial
-from .search import _chain_tree, _check_limit, check_census_order
+from .search import _chain_tree, _check_limit, check_census_order, order_limit
 
 DEFAULT_CONSTRUCT_LIMIT = 64
 
@@ -95,10 +95,21 @@ def kronecker(a: LatinSquare, b: LatinSquare) -> LatinSquare:
 
 
 def power(l: LatinSquare, k: int) -> LatinSquare:
-    """Left-associated k-fold block product of ``l`` with itself."""
+    """Left-associated k-fold block product of ``l`` with itself.  k is
+    checked against the largest exponent whose power of the order m fits
+    the limit, so m^k is never computed (at k = 10^5 it has more digits
+    than ``str`` converts), and the order-1 square is its own power."""
     if k < 1:
         raise InvalidParams("power needs k >= 1")
-    _check_limit(l.order**k, DEFAULT_CONSTRUCT_LIMIT, "construction")
+    m, lim = l.order, order_limit(DEFAULT_CONSTRUCT_LIMIT)
+    if m == 1:
+        return l
+    fits, size = 0, m
+    while size <= lim:
+        fits, size = fits + 1, size * m
+    if k > fits:
+        raise LimitExceeded(f"construction at order {m}^{k} exceeds the configured limit {lim} "
+                            f"(set MOLSCOPE_LIMIT_N to override)")
     out = l
     for _ in range(k - 1):
         out = kronecker(out, l)

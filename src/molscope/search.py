@@ -72,13 +72,13 @@ return counts.  The exact cover always branches on the part through cell
 choice, whatever the options: the option through cell 0 of a cover, the
 column of row 0 of a transversal, one branch per orbit where the square's
 autotopisms join several.  The branches and their orbit sizes are fixed by
-the instance alone.  Branches are processed in decreasing order of their
+the instance alone.  Branches are dispatched in decreasing order of their
 orbit sizes, ties in increasing order of their representatives, and their
-counts added in that order.  With a threshold, a branch standing for an
-orbit of s branches whose leaves are worth w each counts only up to
-⌈threshold / (w·s)⌉ leaves and returns the smaller of its count and that
-limit (:func:`_branch_limit`), a value that depends on the branch alone,
-never on the schedule or the other branches.  A branch at its limit reaches
+counts are added as they finish (:func:`_aggregate`).  With a threshold, a
+branch standing for an orbit of s branches whose leaves are worth w each
+counts only up to ⌈threshold / (w·s)⌉ leaves and returns the smaller of its
+count and that limit, a value that depends on the branch alone, never on
+the schedule or the other branches.  A branch at its limit reaches
 the threshold by itself, so the total reaches the threshold exactly when
 the uncapped total would, and a threshold-stopped count always reports
 exactly the threshold (flagged inexact).  The largest orbit has the
@@ -185,53 +185,48 @@ def _check_limit(n: int, default: int, what: str) -> None:
 # deterministic branch aggregation (sequential or process pool)
 
 
-def _serve(conn, branch, shared, calls) -> None:
-    """A pool worker: for each branch index it receives, send back the
-    branch's subcount, or the exception it raised."""
-    while True:
-        call = calls[conn.recv()]
-        try:
-            conn.send((True, branch(*shared, *call)))
-        except Exception as exc:
-            conn.send((False, exc))
-
-
-def _pooled(branch, shared, calls, procs: int) -> Iterator[int]:
-    """The subcounts of ``calls``, in order, from ``procs`` forked workers,
-    each fed the next branch index over a pipe of its own.  They share no
-    lock, so closing the generator can kill them anywhere (killing a worker
-    that holds its result queue's lock hangs ``multiprocessing.Pool``).
-    ``multiprocessing`` is imported here, so a command that starts no pool
-    never loads it."""
+def _pooled(branch, shared, calls, procs: int) -> Iterator[tuple[int, int]]:
+    """(index, subcount) pairs of ``calls`` as ``procs`` forked workers
+    finish them, each worker fed the next branch index over a pipe of its
+    own; a branch's exception crosses the pipe and is raised on arrival.
+    The workers share no lock, so closing the generator can kill them
+    anywhere (killing a worker that holds its result queue's lock hangs
+    ``multiprocessing.Pool``).  ``multiprocessing`` is imported here, so a
+    command that starts no pool never loads it."""
     import multiprocessing
     import multiprocessing.connection
 
-    ctx = multiprocessing.get_context("fork")
-    todo = iter(range(len(calls)))
-    busy, done, workers = {}, {}, []
+    def serve(conn) -> None:
+        while True:
+            call = calls[conn.recv()]
+            try:
+                conn.send((True, branch(*shared, *call)))
+            except Exception as exc:
+                conn.send((False, exc))
 
     def feed(conn) -> None:
         for idx in islice(todo, 1):
             conn.send(idx)
             busy[conn] = idx
 
+    ctx = multiprocessing.get_context("fork")
+    todo = iter(range(len(calls)))
+    busy, workers = {}, []
     try:
         for _ in range(procs):
             mine, theirs = ctx.Pipe()
-            w = ctx.Process(target=_serve, args=(theirs, branch, shared, calls), daemon=True)
+            w = ctx.Process(target=serve, args=(theirs,), daemon=True)
             w.start()
             workers.append((w, mine))
             theirs.close()  # so a dead worker's pipe reads as closed
             feed(mine)
-        for idx in range(len(calls)):
-            while idx not in done:
-                for conn in multiprocessing.connection.wait(list(busy)):
-                    ok, sub = conn.recv()
-                    if not ok:
-                        raise sub
-                    done[busy.pop(conn)] = sub
-                    feed(conn)
-            yield done.pop(idx)
+        while busy:
+            for conn in multiprocessing.connection.wait(list(busy)):
+                ok, sub = conn.recv()
+                if not ok:
+                    raise sub
+                yield busy.pop(conn), sub
+                feed(conn)
     finally:
         for w, mine in workers:
             w.kill()
@@ -240,8 +235,9 @@ def _pooled(branch, shared, calls, procs: int) -> Iterator[int]:
 
 
 def _aggregate(state, opts: SearchOptions, weight: int = 1) -> ExtensionCount:
-    """Run all branches, largest orbit first, and add their subcounts, each
-    leaf counting ``weight`` objects, until the total reaches the threshold.
+    """Run all branches, largest orbit first, and add their subcounts as
+    they finish, each leaf counting ``weight`` objects, until the total
+    reaches the threshold.
 
     ``state`` is (branch function, shared arguments, items), each item an
     (argument, size) pair, listed in increasing order of the arguments (the
@@ -249,33 +245,27 @@ def _aggregate(state, opts: SearchOptions, weight: int = 1) -> ExtensionCount:
     to ``limit`` for an orbit of ``size`` branches with equal counts, so it
     adds sub × weight × size.  One stable sort puts the items in decreasing
     order of size, ties kept in representative order, with or without a
-    threshold or a pool: a branch reaches threshold T alone after
-    ⌈T / (weight·size)⌉ leaves, the fewest for the largest orbit.  The
-    accumulation loop is the same code for one process and many.
+    threshold or a pool: under threshold T a branch's limit is
+    ⌈T / (weight·size)⌉, the leaves it needs to reach T alone, the fewest
+    for the largest orbit.  One accumulation loop serves one process and
+    many.  A branch's exception is raised when it arrives, unless T was
+    reached before; branch functions raise nothing by design.
     """
     branch, shared, items = state
     items = sorted(items, key=lambda item: -item[1])
     threshold = opts.stop_threshold
-    calls = [(_branch_limit(opts, weight * size), item) for item, size in items]
+    calls = [(threshold and -(-threshold // (weight * size)), item) for item, size in items]
     procs = min(opts.threads or 1, len(calls))
-    subs = _pooled(branch, shared, calls, procs) if procs > 1 else (branch(*shared, *c) for c in calls)
+    subs = (_pooled(branch, shared, calls, procs) if procs > 1
+            else ((idx, branch(*shared, *call)) for idx, call in enumerate(calls)))
     total = 0
     with closing(subs):
-        for sub, (_, size) in zip(subs, items):
-            total += sub * weight * size
+        for idx, sub in subs:
+            total += sub * weight * items[idx][1]
             if threshold is not None and total >= threshold:
                 # Report exactly the threshold: the deterministic "at least" value.
                 return ExtensionCount(Exact(threshold), False)
     return ExtensionCount(Exact(total), True)
-
-
-def _branch_limit(opts: SearchOptions, weight: int = 1) -> Optional[int]:
-    """How far one branch needs to count, each leaf worth ``weight``: a
-    branch with ⌈stop_threshold / weight⌉ leaves reaches the threshold on
-    its own, so counting it further cannot change the report."""
-    if opts.stop_threshold is None:
-        return None
-    return -(-opts.stop_threshold // weight)
 
 
 # --------------------------------------------------------------------------

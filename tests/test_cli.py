@@ -623,7 +623,7 @@ def test_kinds_refuse_runs_without_the_flags_they_need(cli, capsys, argv, flags)
     assert error == f"the following arguments are required: {flags}\n"
 
 
-@pytest.mark.parametrize("n", ["6", "100000"])
+@pytest.mark.parametrize("n", ["6", "100000", "1000000000000"])
 def test_certify_gerechte_checks_the_order_limit_first(cli, capsys, monkeypatch, n):
     # both targets census every system of order n on the rows partition; the
     # limit is checked before any n×n partition is built
@@ -670,6 +670,32 @@ def test_partition_specs_check_the_order_limit_first(cli, capsys, monkeypatch, a
     code, out, seconds = cli(argv)
     assert (code, out) == (3, b"")
     assert "exceeds the configured limit" in capsys.readouterr().err
+    assert seconds < 0.5
+
+
+@pytest.mark.parametrize("argv, order", [
+    (["construct", "power", "--base", "cayley:2", "--k", "100000"], "2^100000"),
+    (["count", "partitions", "--square", "power:(cayley:2,200000)"], "2^200000"),
+    (["construct", "power", "--base", "cayley:3", "--k", "10000000"], "3^10000000"),
+])
+def test_powers_past_the_limit_are_refused_unbuilt(cli, capsys, monkeypatch, argv, order):
+    # k is compared with the largest exponent that fits, so m^k is never
+    # computed: 2^100000 has more digits than str() converts
+    monkeypatch.delenv("MOLSCOPE_LIMIT_N", raising=False)
+    code, out, seconds = cli(argv)
+    assert (code, out) == (3, b"")
+    assert capsys.readouterr().err == (
+        f"error: construction at order {order} exceeds the configured limit 64 "
+        "(set MOLSCOPE_LIMIT_N to override)\n")
+    assert seconds < 0.5
+
+
+def test_powers_of_the_order_1_square_are_itself(cli, tmp_path):
+    # its power is within every limit, and no product is formed
+    (tmp_path / "one.txt").write_text("1\n1\n")
+    code, out, seconds = cli(["construct", "power", "--base", str(tmp_path / "one.txt"),
+                              "--k", "1000000000"])
+    assert (code, out) == (0, b"1\n1\n")
     assert seconds < 0.5
 
 

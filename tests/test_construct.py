@@ -95,6 +95,13 @@ def test_construct_order_limit(monkeypatch):
     big = cayley_table(GroupSpec([8]))
     with pytest.raises(LimitExceeded):
         power(big, 3)  # 512 > default 64
+    # the exponent bound is exact: 2^6 = 64 fits, 2^7 does not
+    z2 = cayley_table(GroupSpec([2]))
+    assert power(z2, 6).order == 64
+    with pytest.raises(LimitExceeded, match=r"order 2\^7 exceeds"):
+        power(z2, 7)
+    monkeypatch.setenv("MOLSCOPE_LIMIT_N", "128")
+    assert power(z2, 7).order == 128
 
 
 # --------------------------------------------------------------------------

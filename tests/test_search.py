@@ -50,7 +50,6 @@ from molscope.search import (
     _aggregate,
     _array_codes,
     _autotopisms,
-    _branch_limit,
     _cover_branch,
     _cover_orbits,
     _cover_tables,
@@ -650,6 +649,23 @@ def _exits_on_branch_1(limit, idx):
     return 1
 
 
+def _stalls_on_branch_0(limit, idx):
+    if idx == 0:
+        time.sleep(20)
+    return limit
+
+
+def test_pooled_subcounts_are_added_as_they_arrive():
+    # branch 0, the larger orbit, is dispatched first and stalls; branch 1
+    # meets the threshold alone, so the count stops without waiting for it
+    items = [(0, 4), (1, 1)]
+    start = time.perf_counter()
+    res = _aggregate((_stalls_on_branch_0, (), items), SearchOptions(stop_threshold=10, threads=2))
+    assert time.perf_counter() - start < 5
+    assert res == ExtensionCount(Exact(10), False)
+    assert multiprocessing.active_children() == []
+
+
 def test_pool_failures_reach_the_caller_and_leave_no_worker():
     # a branch's exception crosses its pipe and is raised again in the
     # parent; a worker that dies without answering closes its pipe, which
@@ -831,8 +847,11 @@ def test_branches_run_in_decreasing_orbit_size(threshold, order):
     res = _aggregate((branch, (), items), SearchOptions(stop_threshold=threshold, threads=1))
     assert [rep for rep, _ in seen] == order
     sizes = dict(items)
-    assert [limit for _, limit in seen] == [_branch_limit(SearchOptions(stop_threshold=threshold), sizes[rep])
-                                            for rep in order]
+    for rep, limit in seen:
+        if threshold is None:
+            assert limit is None
+        else:
+            assert limit * sizes[rep] >= threshold > (limit - 1) * sizes[rep]
     assert res.value.count == min(threshold or 135, 135)
 
 
@@ -986,13 +1005,26 @@ def test_capped_chain_branch_is_the_full_branch_capped():
 
 
 def test_branch_limit_is_the_least_count_reaching_the_threshold():
-    assert _branch_limit(SearchOptions()) is None
-    for weight in (1, 2, 24, 120, 14400):
-        for threshold in (1, 2, weight - 1, weight, weight + 1, 7 * weight + 3, 46656):
+    # a branch whose leaves are worth w = weight × size counts up to the
+    # fewest leaves that reach the threshold alone, and without a threshold
+    # counts everything; counting nothing, every branch runs
+    seen = []
+
+    def branch(limit, rep):
+        seen.append(limit)
+        return 0
+
+    _aggregate((branch, (), [(0, 1), (1, 5)]), SearchOptions(), 3)
+    assert seen == [None, None]
+    for w in (1, 2, 24, 120, 14400):
+        for threshold in (1, 2, w - 1, w, w + 1, 7 * w + 3, 46656):
             if threshold < 1:
                 continue
-            limit = _branch_limit(SearchOptions(stop_threshold=threshold), weight)
-            assert limit * weight >= threshold > (limit - 1) * weight
+            for weight, size in ((w, 1), (1, w)):
+                seen.clear()
+                _aggregate((branch, (), [(0, size)]), SearchOptions(stop_threshold=threshold), weight)
+                (limit,) = seen
+                assert limit * w >= threshold > (limit - 1) * w
 
 
 def test_capped_transversal_branch_is_the_full_branch_capped():
