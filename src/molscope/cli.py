@@ -37,9 +37,6 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Iterable, Optional, Sequence
 
-from . import bounds as bounds_mod
-from . import construct as construct_mod
-from .arrays import CellProfile, cell_profile
 from .core import (
     LatinSquare,
     MolsSystem,
@@ -239,6 +236,8 @@ def _spec_int(text: str, what: str) -> int:
 def resolve_square_spec(spec: str) -> LatinSquare:
     """A square from an inline generator spec or from a file path."""
     spec = spec.strip()
+    if spec.startswith(("cayley:", "kron:(", "power:(")):
+        import molscope.construct as construct_mod
     if spec.startswith("cayley:"):
         dims = [_spec_int(d, "cayley spec") for d in spec[7:].split("x")]
         return construct_mod.cayley_table(construct_mod.GroupSpec(dims))
@@ -558,11 +557,14 @@ def _counter(read: Callable, engine: Callable, name: str, provenance: str,
 # subcommand: bound
 
 
-def _bound(evaluate: Callable, integer: bool = False) -> Callable:
+def _bound(evaluate: str, integer: bool = False) -> Callable:
     """The run of one ``bound`` kind: one field per entry of
-    ``evaluate(n, k)``.  An ``integer`` kind refuses a fractional --n."""
+    ``bounds.<evaluate>(n, k)``, looked up when the kind runs.  An
+    ``integer`` kind refuses a fractional --n."""
 
     def run(args, doc: ReportDocument) -> None:
+        import molscope.bounds as bounds_mod
+
         n = int(args.n) if float(args.n).is_integer() else args.n
         if integer and not isinstance(n, int):
             raise InvalidParams(f"{doc.command} needs an integer --n, got {args.n}")
@@ -570,7 +572,7 @@ def _bound(evaluate: Callable, integer: bool = False) -> Callable:
             raise InvalidParams(f"{doc.command} needs a finite --n, got {args.n}")
         doc.params = {"n": n, "k": args.k}
         try:
-            entries = evaluate(n, args.k)
+            entries = getattr(bounds_mod, evaluate)(n, args.k)
         except OverflowError as exc:
             raise InvalidParams(f"{doc.command} overflows at --n {args.n}") from exc
         for e in entries:
@@ -610,6 +612,8 @@ def _dominance(doc: ReportDocument, prefix: str, k: int, hist: dict[int, int],
 
 
 def _certify_extension(args, doc: ReportDocument) -> None:
+    import molscope.bounds as bounds_mod
+
     n = args.n
     if args.all_k and args.k is not None:
         raise FormatError("certify extension takes --k or --all-k, not both")
@@ -629,6 +633,9 @@ def _certify_extension(args, doc: ReportDocument) -> None:
 
 
 def _certify_gerechte(args, doc: ReportDocument) -> None:
+    import molscope.bounds as bounds_mod
+    from .arrays import CellProfile, cell_profile
+
     n = args.n
     if n < 1:
         raise InvalidParams("order must be positive")
@@ -657,6 +664,8 @@ def _certify_gerechte(args, doc: ReportDocument) -> None:
 
 
 def _certify_product(args, doc: ReportDocument) -> None:
+    import molscope.construct as construct_mod
+
     base = resolve_square_spec(args.base)
     doc.params = {"base": args.base}
     n1 = base.order
@@ -682,6 +691,9 @@ def _certify_product(args, doc: ReportDocument) -> None:
 
 
 def _certify_power(args, doc: ReportDocument) -> None:
+    import molscope.bounds as bounds_mod
+    import molscope.construct as construct_mod
+
     if args.m < 2:
         raise InvalidParams(f"certify power --m {args.m}: the base order must be at least 2")
     if args.q < 0:
@@ -711,6 +723,8 @@ def _certify_power(args, doc: ReportDocument) -> None:
 
 
 def _certify_constant(args, doc: ReportDocument) -> None:
+    import molscope.construct as construct_mod
+
     doc.params = {"constant": args.constant, "limit": args.limit, "power": args.power}
     cert = construct_mod.construct_for_constant(args.constant, args.limit, args.power)
     need = cert.order**2 * math.log(args.constant)
@@ -726,6 +740,8 @@ def _certify_constant(args, doc: ReportDocument) -> None:
 
 
 def _certify_estimate(args, doc: ReportDocument) -> None:
+    import molscope.bounds as bounds_mod
+
     doc.params = {"max_n": args.max_n}
     tol = 2e-9
     points, worst = bounds_mod.estimate_sweep(args.max_n)
@@ -739,23 +755,26 @@ def _certify_estimate(args, doc: ReportDocument) -> None:
 # subcommand: construct
 
 
-def _group(args) -> construct_mod.GroupSpec:
+def _group(construct_mod, args):
     return construct_mod.GroupSpec([_spec_int(d, "--group") for d in args.group.split("x")])
 
 
 def _square_kind(flags: dict, build: Callable) -> tuple[dict, Callable]:
     """The row of a ``construct`` kind that reads ``flags`` and prints the
-    square ``build(args, doc)`` returns, with those flags as the report
-    params."""
+    square ``build(construct_mod, args, doc)`` returns, with those flags as
+    the report params; ``construct_mod`` is the construct module, imported
+    when the kind runs."""
 
     def run(args, doc: ReportDocument) -> str:
+        import molscope.construct as construct_mod
+
         doc.params = {_dest(f): getattr(args, _dest(f)) for f in flags}
-        return format_document([build(args, doc).grid])
+        return format_document([build(construct_mod, args, doc).grid])
 
     return flags, run
 
 
-def _constant_base(args, doc: ReportDocument) -> LatinSquare:
+def _constant_base(construct_mod, args, doc: ReportDocument) -> LatinSquare:
     cert = construct_mod.construct_for_constant(args.constant, args.limit, args.power)
     doc.add("construction", cert.description, provenance="power-bound")
     doc.add("base_mates", cert.base_mates, unit="exact count", provenance="exact-cover",
@@ -766,7 +785,9 @@ def _constant_base(args, doc: ReportDocument) -> LatinSquare:
 
 
 def _translate_mates(args, doc: ReportDocument) -> str:
-    g = _group(args)
+    import molscope.construct as construct_mod
+
+    g = _group(construct_mod, args)
     table = construct_mod.cayley_table(g)
     if args.count is not None and args.count < 0:
         raise InvalidParams(f"cannot emit a negative number of mates ({args.count})")
@@ -841,9 +862,9 @@ KINDS: dict[str, dict[str, tuple[dict, Callable]]] = {
             _cross_check(lambda system: count_sudoku_direct(system.order)))),
     },
     "bound": {
-        "extension": ({"--k": 1}, _bound(bounds_mod.extension_entries, integer=True)),
-        "mols-count": ({"--k": 1}, _bound(bounds_mod.mols_count_bound)),
-        "sudoku": ({"--k": 1}, _bound(bounds_mod.sudoku_extension_bound, integer=True)),
+        "extension": ({"--k": 1}, _bound("extension_entries", integer=True)),
+        "mols-count": ({"--k": 1}, _bound("mols_count_bound")),
+        "sudoku": ({"--k": 1}, _bound("sudoku_extension_bound", integer=True)),
     },
     "certify": {
         "extension": ({"--n": NEEDED, "--k": None, "--all-k": False}, _certify_extension),
@@ -854,12 +875,12 @@ KINDS: dict[str, dict[str, tuple[dict, Callable]]] = {
         "estimate": ({"--max-n": 50}, _certify_estimate),
     },
     "construct": {
-        "cayley": _square_kind({"--group": NEEDED},
-                               lambda args, doc: construct_mod.cayley_table(_group(args))),
-        "kron": _square_kind({"--a": NEEDED, "--b": NEEDED}, lambda args, doc: (
-            construct_mod.kronecker(resolve_square_spec(args.a), resolve_square_spec(args.b)))),
-        "power": _square_kind({"--base": NEEDED, "--k": 2}, lambda args, doc: (
-            construct_mod.power(resolve_square_spec(args.base), args.k))),
+        "cayley": _square_kind({"--group": NEEDED}, lambda mod, args, doc: (
+            mod.cayley_table(_group(mod, args)))),
+        "kron": _square_kind({"--a": NEEDED, "--b": NEEDED}, lambda mod, args, doc: (
+            mod.kronecker(resolve_square_spec(args.a), resolve_square_spec(args.b)))),
+        "power": _square_kind({"--base": NEEDED, "--k": 2}, lambda mod, args, doc: (
+            mod.power(resolve_square_spec(args.base), args.k))),
         "translate-mates": ({"--group": NEEDED, "--transversal": None, "--count": None,
                              "--emit-witnesses": None}, _translate_mates),
         "constant": _square_kind({"--constant": NEEDED, "--limit": 5, "--power": 2},

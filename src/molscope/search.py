@@ -859,19 +859,24 @@ def _bits_direct(m: int) -> Iterator[int]:
 
 
 def _direct_walk(perms: Sequence[tuple[int, ...]], n: int, labels=None):
-    """The row-wise walk over the Latin squares of order n.  ``perms`` are
-    the n! permutations of range(n) in lexicographic order; a row is an
+    """The row-wise walk over the Latin squares of order n >= 2.  ``perms``
+    are the n! permutations of range(n) in lexicographic order; a row is an
     index into them, and a set of rows is an integer with bit r for row r.
 
     Row p puts symbol p[j] in column j, and ``fits[r]`` holds the rows that
     put a different symbol than row r in every column.  Each row tries its
     candidates lowest first and passes ``cands & fits[r]`` down to the next.
     ``labels``, an optional n x n grid of region labels, gives row i of p the
-    region code with bit labels[i][j]*n + p[j], which must miss those of the
-    rows above; without it the rows are the regions and cost nothing more.
-    Yields ``(rows, last)`` per node at row n-1, in lexicographic order: rows
-    0..n-2 (a reused buffer) and the set of rows completing them.  Nothing is
-    reduced: each square is one leaf.
+    region code ``region[i][p]`` with bit labels[i][j]*n + p[j], which must
+    miss those of the rows above; without it ``region`` is None and the rows
+    are the regions at no cost.
+
+    Returns ``(fits, region, nodes)``.  ``nodes`` yields ``(rows, cands,
+    used)`` per node at row n-3, in lexicographic order: rows 0..n-3 (a
+    reused buffer), the candidates C of row n-2, and the union of the
+    region codes of those rows (0 without ``labels``).  The caller walks
+    the last two rows itself: row r of C leaves ``C & fits[r]`` for row
+    n-1.  Nothing is reduced: each square is one leaf.
     """
     every = (1 << len(perms)) - 1
     holds = [0] * (n * n)  # holds[j*n + s]: the rows with symbol s in column j
@@ -888,15 +893,16 @@ def _direct_walk(perms: Sequence[tuple[int, ...]], n: int, labels=None):
     if labels is not None:
         region = [[sum(1 << (lab[j] * n + p[j]) for j in range(n)) for p in perms]
                   for lab in labels]
-    last = n - 1
-    rows = [0] * last
-    if n == 1:
-        return iter([(rows, 1)])
+    top = n - 2  # the rows the walk fixes
+    rows = [0] * top
 
     def walk():
-        # per row i above the last: its candidates, those still to try, and
+        if not top:
+            yield rows, every, 0
+            return
+        # per row i the walk fixes: its candidates, those still to try, and
         # the region codes of the rows above it
-        cands, todo, used = [0] * last, [0] * last, [0] * n
+        cands, todo, used = [0] * top, [0] * top, [0] * (top + 1)
         cands[0] = todo[0] = every
         i = 0
         while i >= 0:
@@ -913,22 +919,38 @@ def _direct_walk(perms: Sequence[tuple[int, ...]], n: int, labels=None):
                 used[i + 1] = used[i] | region[i][r]
             rows[i] = r
             nxt = cands[i] & fits[r]
-            if i + 1 < last:
+            if i + 1 < top:
                 i += 1
                 cands[i] = todo[i] = nxt
                 continue
-            if region is not None:
-                below, u = region[last], used[last]
-                for c in _bits_direct(nxt):
-                    if below[c] & u:
-                        nxt ^= 1 << c
-            yield rows, nxt
+            yield rows, nxt, used[top]
 
-    return walk()
+    return fits, region, walk()
 
 
 def _count_direct(n: int, labels=None) -> int:
-    return sum(last.bit_count() for _, last in _direct_walk(_perms_direct(n), n, labels))
+    """The squares of order n, gerechte for ``labels`` if given: per node
+    of :func:`_direct_walk`, popcount(C & fits[r]) for each row r of C."""
+    if n == 1:
+        return 1
+    fits, region, nodes = _direct_walk(_perms_direct(n), n, labels)
+    total = 0
+    for _, cands, used in nodes:
+        m = cands
+        while m:
+            b = m & -m
+            m ^= b
+            r = b.bit_length() - 1
+            last = cands & fits[r]
+            if region is not None:
+                if region[n - 2][r] & used:
+                    continue
+                u = used | region[n - 2][r]
+                for c in _bits_direct(last):
+                    if region[n - 1][c] & u:
+                        last ^= 1 << c
+            total += last.bit_count()
+    return total
 
 
 def iter_latin_direct(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -938,10 +960,15 @@ def iter_latin_direct(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     if n < 1:
         raise InvalidParams("order must be positive")
     perms = _perms_direct(n)
-    for rows, last in _direct_walk(perms, n):
+    if n == 1:
+        yield (perms[0],)
+        return
+    fits, _, nodes = _direct_walk(perms, n)
+    for rows, cands, _ in nodes:
         head = tuple(perms[r] for r in rows)
-        for c in _bits_direct(last):
-            yield head + (perms[c],)
+        for r in _bits_direct(cands):
+            for c in _bits_direct(cands & fits[r]):
+                yield head + (perms[r], perms[c])
 
 
 def count_latin_direct(n: int) -> int:
@@ -967,11 +994,12 @@ def count_mols_direct(n: int, k: int) -> int:
 
     Supported for k = 1 up to order 5 and k = 2 up to order 4: every square
     is one leaf, so order 6 would walk 812,851,200 leaves, and the pair
-    check is quadratic in the number of squares.  Every
-    ordered pair (a, b) is checked: b is orthogonal to a exactly when the
-    cell mask of each symbol class of b is in a's set of transversal masks
-    (the permutations p whose cells (i, p[i]) hold distinct symbols of a).
-    Most pairs fail at the first lookup.
+    check is quadratic in the number of squares.  Every ordered pair (a, b)
+    is checked with one integer test, on masks with a bit per permutation
+    p: a's mask holds its transversals (the p whose cells (i, p[i]) hold
+    distinct symbols of a), b's holds its symbol classes (symbol s sits at
+    (i, p[i]) in every row i), and b is orthogonal to a exactly when b's
+    mask misses everything outside a's.
     """
     if n < 1 or k < 0:
         raise InvalidParams("need n >= 1 and k >= 0")
@@ -980,16 +1008,15 @@ def count_mols_direct(n: int, k: int) -> int:
     if k == 1 and n <= 5:
         return count_latin_direct(n)
     if k == 2 and n <= 4:
-        perms = list(permutations(range(n)))
-        cells = [sum(1 << (i * n + j) for i, j in enumerate(p)) for p in perms]
+        bits = {p: 1 << i for i, p in enumerate(permutations(range(n)))}
         squares = list(iter_latin_direct(n))
-        classes = [[sum(1 << (i * n + row.index(s)) for i, row in enumerate(b)) for s in range(n)]
+        classes = [sum(bits[tuple(row.index(s) for row in b)] for s in range(n))
                    for b in squares]
         total = 0
         for a in squares:
-            trans = {mask for mask, p in zip(cells, perms)
-                     if len({row[j] for row, j in zip(a, p)}) == n}
-            total += sum(map(trans.issuperset, classes))
+            outside = sum(bit for p, bit in bits.items()
+                          if len({row[j] for row, j in zip(a, p)}) < n)
+            total += list(map(outside.__and__, classes)).count(0)
         return total
     raise LimitExceeded(
         f"direct engine supports k = 1 up to order 5 or k = 2 up to order 4; "

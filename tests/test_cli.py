@@ -475,17 +475,86 @@ def test_count_mols_cross_checks(cli):
 LIGHT_START = """
 import sys
 from molscope.cli import main
-code = main(["count", "mols", "--n", "4", "--k", "1", "--threads", "1", "--format", "structured"])
-print(code, sorted({"multiprocessing", "fractions", "decimal"} & set(sys.modules)))
+code = main(sys.argv[1:] + ["--format", "structured"])
+heavy = {"multiprocessing", "fractions", "decimal",
+         "molscope.arrays", "molscope.bounds", "molscope.construct"}
+print(code, sorted(heavy & set(sys.modules)))
 """
 
 
-def test_a_count_in_one_process_loads_neither_the_pool_nor_fractions():
-    # a fresh interpreter, since the test session has imported both already
+def test_a_count_in_one_process_loads_neither_the_pool_nor_fractions(tmp_path):
+    # a fresh interpreter, since the test session has imported all of them;
+    # a count or a verify needs none of the bounds, constructions or arrays,
+    # and a kind that does still loads them when it runs
+    (tmp_path / "z3.txt").write_text(Z3_TEXT)
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(molscope.__file__)))
-    run = subprocess.run([sys.executable, "-c", LIGHT_START], env=env, capture_output=True,
+    runs = [
+        (["count", "mols", "--n", "4", "--k", "1", "--threads", "1"], "0 []"),
+        (["count", "sudoku", "--n", "4", "--threads", "1"], "0 []"),
+        (["verify", "z3.txt"], "0 []"),
+        (["certify", "product", "--base", "cayley:3"],
+         "0 ['molscope.arrays', 'molscope.bounds', 'molscope.construct']"),
+    ]
+    for argv, loaded in runs:
+        run = subprocess.run([sys.executable, "-c", LIGHT_START, *argv], cwd=tmp_path, env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        assert run.stdout.splitlines()[-1] == loaded, argv
+
+
+# the public names of the package, under the module that defines each
+PUBLIC = {
+    "arrays": ["CellProfile", "NearlyOrthArray", "OrthArray", "cell_profile",
+               "coordinate_columns", "vectors_orthogonal"],
+    "bounds": ["BoundEntry", "c_beta", "closed_form_estimate", "extension_bound_general",
+               "extension_bound_mols", "extension_entries", "integral_I", "log_factorial",
+               "mols_count_bound", "sudoku_extension_bound"],
+    "construct": ["GroupSpec", "MateCertificate", "cayley_table", "construct_for_constant",
+                  "kronecker", "power", "power_mate_bound", "product_mate_bound",
+                  "product_mate_bound_exact", "translate_mates"],
+    "core": ["Cell", "LatinSquare", "MolsSystem", "RegionPartition", "Square", "Transversal",
+             "check_orthogonal", "is_transversal", "partition_boxes", "partition_from_square",
+             "partition_rows", "validate_gerechte", "validate_latin", "validate_mols"],
+    "errors": ["FormatError", "InvalidNOA", "InvalidOA", "InvalidParams", "LengthMismatch",
+               "LimitExceeded", "MalformedPartition", "MalformedSquare", "MolscopeError",
+               "NotATransversal", "NotFoundWithinLimit", "NotGerechte", "NotOrthogonal",
+               "NotPerfectSquare", "OrderMismatch", "TooManySquares", "UnbalancedSymbols",
+               "ViolationAt"],
+    "search": ["Exact", "ExtensionCount", "SearchOptions", "count_extensions",
+               "count_latin_direct", "count_mates", "count_mols", "count_mols_direct",
+               "count_sudoku_direct", "count_transversal_partitions", "enumerate_transversals",
+               "extension_census", "gerechte_mates_direct", "iter_extensions",
+               "iter_latin_direct", "iter_transversal_partitions", "iter_transversals",
+               "max_extensions"],
+}
+
+LAZY_PACKAGE = """
+import sys
+import molscope
+print(sorted(m for m in sys.modules if m.startswith("molscope.")))
+try:
+    molscope.no_such_name
+except AttributeError as exc:
+    print(exc)
+from molscope import construct
+print(construct is sys.modules["molscope.construct"], molscope.count_mols.__module__)
+"""
+
+
+def test_the_package_re_exports_the_same_names_loading_each_module_on_use():
+    assert sorted(molscope.__all__) == sorted([*PUBLIC, *(n for ns in PUBLIC.values() for n in ns)])
+    assert set(molscope.__all__) <= set(dir(molscope))
+    for module, names in PUBLIC.items():
+        home = sys.modules[f"molscope.{module}"]
+        assert getattr(molscope, module) is home
+        for name in names:
+            assert getattr(molscope, name) is getattr(home, name), name
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        molscope.no_such_name
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(molscope.__file__)))
+    run = subprocess.run([sys.executable, "-c", LAZY_PACKAGE], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
-    assert run.stdout.splitlines()[-1] == "0 []"
+    assert run.stdout.splitlines() == [
+        "[]", "module 'molscope' has no attribute 'no_such_name'", "True molscope.search"]
 
 
 @pytest.mark.parametrize("n, k, value", [

@@ -264,7 +264,7 @@ def test_transversal_literature_anchors(grid, expected):
 # mates: engine == factorial identity == oracle == direct engine
 
 
-@pytest.mark.parametrize("grid", [Z3, Z4, K4])
+@pytest.mark.parametrize("grid", [Z3, Z4, K4, [[0]], [[0, 1], [1, 0]]])
 def test_mates_three_ways(grid):
     n = len(grid)
     engine = count_mates(L(grid)).value.count
@@ -392,7 +392,8 @@ def test_count_mols_matches_oracle_small():
 
 def test_direct_engine_agrees():
     for n in range(1, 5):
-        assert count_latin_direct(n) == count_mols(n, 1).value.count
+        direct = count_latin_direct(n)
+        assert direct == count_mols(n, 1).value.count == len(list(iter_latin_direct(n)))
     assert count_mols_direct(4, 2) == 6912
     assert count_mols_direct(3, 2) == 72
     assert count_mols_direct(5, 0) == 1
